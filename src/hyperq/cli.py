@@ -8,7 +8,7 @@ Commands:
     hyperq derive --id I --param P   operator-method derivative check
     hyperq pi --digits D             print digits of pi (cross-checked)
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or domain error,
 3 convergence or internal error.
 """
 
@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus, dsl, series, verify
-from .functions import pi_constant
+from .functions import DomainError, pi_constant
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     except dsl.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (corpus.CorpusError, argparse.ArgumentTypeError, KeyError) as exc:
+    except (corpus.CorpusError, argparse.ArgumentTypeError, KeyError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, series.EvalError, verify.SampleExhaustedError) as exc:

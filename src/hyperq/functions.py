@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from mpmath import libmp
+
 from .scalars import (
     HighPrecision,
     Jet2,
@@ -32,7 +34,11 @@ from .scalars import (
 )
 
 
-class NonConvergentBaseError(ValueError):
+class DomainError(ValueError):
+    """An argument outside the domain on which a function is available."""
+
+
+class NonConvergentBaseError(DomainError):
     """Raised when an infinite q-product or q-sum is requested at |q^s| >= 1."""
 
 
@@ -139,16 +145,35 @@ def q_pochhammer_infinite(x, base: QBase, prec: Optional[int] = None):
     return result
 
 
+class QIntegers:
+    """[m] = 1 + q + ... + q^(m-1) for nondecreasing m, by a running sum.
+
+    Holds (m, [m], q^m) and advances by ``total + p`` and ``p * q`` in the
+    order a fresh sum takes them, so every value is bit-identical to a sum
+    from 0 in every regime; a smaller m restarts from 0.
+    """
+
+    def __init__(self, q: Scalar):
+        self.q = q
+        self.m = 0
+        self.total = scalar_zero(q)
+        self.power = scalar_one(q)
+
+    def __call__(self, m: int) -> Scalar:
+        if m < 0:
+            raise ValueError("q-integer index must be nonnegative")
+        if m < self.m:
+            self.__init__(self.q)
+        while self.m < m:
+            self.total = self.total + self.power
+            self.power = self.power * self.q
+            self.m += 1
+        return self.total
+
+
 def q_integer(m: int, q: Scalar) -> Scalar:
     """[m] = 1 + q + ... + q^(m-1)."""
-    if m < 0:
-        raise ValueError("q-integer index must be nonnegative")
-    total = scalar_zero(q)
-    p = scalar_one(q)
-    for _ in range(m):
-        total = total + p
-        p = p * q
-    return total
+    return QIntegers(q)(m)
 
 
 def q_partial_sum(order: int, stride: int, shift: int, sign: int, m: int, q: Scalar) -> Scalar:
@@ -158,12 +183,13 @@ def q_partial_sum(order: int, stride: int, shift: int, sign: int, m: int, q: Sca
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    q_ints = QIntegers(q)
     total = scalar_zero(q)
     for i in range(1, m + 1):
         idx = stride * i + shift
         if idx < 1:
             raise ValueError(f"nonpositive q-sum index {idx} at i={i}")
-        term = int_pow(q, idx) / int_pow(q_integer(idx, q), order)
+        term = int_pow(q, idx) / int_pow(q_ints(idx), order)
         if sign == -1 and (i - 1) % 2 == 1:
             term = -term
         total = total + term
@@ -184,6 +210,7 @@ def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPr
     prec = q.prec
     threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 8)), prec)
     ratio_gap = 1 - int_pow(q, stride)
+    q_ints = QIntegers(q)
     total = scalar_zero(q)
     i = 1
     while True:
@@ -191,7 +218,7 @@ def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPr
         if idx < 1:
             raise ValueError(f"nonpositive q-sum index {idx} at i={i}")
         qpow = int_pow(q, idx)
-        term = qpow / int_pow(q_integer(idx, q), order)
+        term = qpow / int_pow(q_ints(idx), order)
         if sign == -1 and (i - 1) % 2 == 1:
             term = -term
         total = total + term
@@ -219,18 +246,24 @@ class ConstantTag:
 
 
 def _arctan_recip(m: int, prec: int) -> HighPrecision:
-    """arctan(1/m) by its Taylor series; terms shrink by a factor m^2 >= 4."""
+    """arctan(1/m) = sum_j (-1)^j / ((2j+1) m^(2j+1)) in N = wp + g bit fixed point.
+
+    p_j = floor(2^N / m^(2j+1)) exactly (nested floors compose), so each term
+    is off by less than 2^-N, as is the alternating tail dropped once p_j = 0.
+    At most N/2 + 1 terms and 2^g > N + 4 keep the sum within 2^-wp of arctan(1/m).
+    """
     wp = prec + 16
-    total = HighPrecision.from_int(0, wp)
-    threshold = Fraction(1, 2 ** (wp - 2))
+    n = wp + wp.bit_length() + 4
+    p = (1 << n) // m
+    m2 = m * m
+    total = 0
     j = 0
-    while True:
-        term = Fraction(1, (2 * j + 1) * m ** (2 * j + 1))
-        t = to_precision(term if j % 2 == 0 else -term, wp)
-        total = total + t
-        if term < threshold:
-            return total
+    while p:
+        t = p // (2 * j + 1)
+        total += -t if j % 2 else t
+        p //= m2
         j += 1
+    return HighPrecision(libmp.from_man_exp(total, -n, wp, "n"), wp)
 
 
 def pi_machin_classic(prec: int) -> HighPrecision:
@@ -323,7 +356,7 @@ def _algebraic(table, name, x: Fraction, prec: int) -> HighPrecision:
         m, coeff = table[Fraction(x)]
     except KeyError:
         allowed = ", ".join(str(k) for k in sorted(table))
-        raise ValueError(f"{name} is only available at x in {{{allowed}}}, got {x}")
+        raise DomainError(f"{name} is only available at x in {{{allowed}}}, got {x}")
     if m == 1:
         return to_precision(coeff, prec)
     wp = prec + 8

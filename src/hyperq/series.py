@@ -8,7 +8,7 @@ geometric ratio test:
 * after a warm-up of 32 terms, a sliding window of 16 consecutive term
   ratios must all stay below 63/64;
 * once the window passes, the tail beyond term K is bounded by
-  |t_K| * rho / (1 - rho) with rho the largest ratio in the window, and
+  |t_K| * rho / (1 - rho) with rho = 63/64, the admission cap itself, and
   summation stops when that bound drops below 2^(-prec-4);
 * every infinite sum is evaluated twice, at prec and prec+32 bits, and the
   two runs must agree to prec-8 bits before the value is accepted.
@@ -21,7 +21,6 @@ rather than O(k).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -29,9 +28,9 @@ from typing import Dict, Optional, Sequence, Tuple
 from . import dsl
 from .functions import (
     QBase,
+    QIntegers,
     cospi_constant,
     pi_constant,
-    q_integer,
     q_pochhammer_infinite,
     q_sum_infinite,
     sinpi_constant,
@@ -311,6 +310,14 @@ def _incremental(cache, key, target: int, start_state, extend):
     return payload
 
 
+def _q_integers(cache, key, q) -> QIntegers:
+    """The running q-integers kept in ``cache`` under ``key``."""
+    q_ints = cache.get(key)
+    if q_ints is None:
+        q_ints = cache[key] = QIntegers(q)
+    return q_ints
+
+
 def _eval(node, env, ctx, cache) -> Scalar:
     if isinstance(node, dsl.Num):
         return node.value
@@ -377,7 +384,7 @@ def _eval(node, env, ctx, cache) -> Scalar:
         return _incremental(cache, (id(node),), n, 1, lambda p, i: p * (2 * i + 1))
     if isinstance(node, dsl.QInt):
         q = _ambient_q(env, ctx)
-        return q_integer(_eval_int(node.count, env), q)
+        return _q_integers(cache, (id(node), q), q)(_eval_int(node.count, env))
     if isinstance(node, dsl.Harm):
         n = _eval_int(node.count, env)
         exact = _incremental(cache, (id(node),), n, Fraction(0),
@@ -396,12 +403,13 @@ def _eval(node, env, ctx, cache) -> Scalar:
     if isinstance(node, dsl.QSum):
         q = _ambient_q(env, ctx)
         m = _eval_int(node.count, env)
+        q_ints = _q_integers(cache, (id(node), q, "qint"), q)
 
         def extend(s, i):
             idx = node.stride * i + node.shift
             if idx < 1:
                 raise EvalError(f"nonpositive q-sum index {idx}")
-            den = int_pow(q_integer(idx, q), node.order)
+            den = int_pow(q_ints(idx), node.order)
             _div_check(den)
             t = int_pow(q, idx) / den
             if node.sign == -1 and (i - 1) % 2 == 1:
@@ -486,7 +494,7 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, mi
     threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 4)), work_prec)
     cap = HighPrecision.from_fraction(RATIO_CAP, work_prec)
     cache: dict = {}
-    window: deque = deque(maxlen=WINDOW_TERMS)
+    capped_run = 0  # consecutive trailing term ratios at or below the cap
     total = None
     last_mag = None
     zero_run = 0
@@ -497,7 +505,8 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, mi
         total = t if total is None else total + t
         mag = _norm(t, work_prec)
         if last_mag is not None:
-            window.append(mag / last_mag if not last_mag.is_zero() else None)
+            capped = not last_mag.is_zero() and mag / last_mag <= cap
+            capped_run = capped_run + 1 if capped else 0
         last_mag = mag
         if mag.is_zero():
             zero_run += 1
@@ -507,9 +516,7 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, mi
                 return total, TailBound(k, zero, zero), k + 1
         else:
             zero_run = 0
-            if (k >= WARMUP_TERMS and len(window) == WINDOW_TERMS
-                    and all(r is not None and r <= cap for r in window)
-                    and k + 1 >= min_terms):
+            if k >= WARMUP_TERMS and capped_run >= WINDOW_TERMS and k + 1 >= min_terms:
                 # bound the tail with the admission cap itself: observed
                 # window maxima undercover series whose ratios still climb
                 # toward their limit, while every admitted series keeps all

@@ -44,6 +44,21 @@ class TestExitCodes:
         out = run_cli("eval", "sum k=0..inf : 1/(k+1)^2", "--terms-budget", "2000")
         assert out.returncode == 3
 
+    def _assert_domain_error(self, out):
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ")
+        assert len(out.stderr.splitlines()) == 1
+        assert "Traceback" not in out.stderr
+
+    def test_divergent_q_in_verify_is_two(self):
+        self._assert_domain_error(run_cli("verify", "T3a", "--q", "2"))
+
+    def test_divergent_q_in_eval_is_two(self):
+        self._assert_domain_error(run_cli("eval", "qpochinf(1/2,1)", "--param", "q=2"))
+
+    def test_sinpi_outside_table_is_two(self):
+        self._assert_domain_error(run_cli("eval", "sinpi(1/5)"))
+
 
 class TestEval:
     def test_exact_terminating(self):

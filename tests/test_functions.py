@@ -5,11 +5,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from hyperq.functions import (
     ConstantTag,
     NonConvergentBaseError,
     QBase,
+    QIntegers,
     constant,
     cospi_constant,
     double_factorial_odd,
@@ -27,7 +29,7 @@ from hyperq.functions import (
     sqrt_constant,
     zeta2_constant,
 )
-from hyperq.scalars import agree_to, jet_lift, to_precision
+from hyperq.scalars import agree_to, jet_lift, scalar_one, scalar_zero, to_precision
 
 small_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 qs = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(
@@ -165,6 +167,49 @@ class TestQInteger:
         assert q_integer(m + n, q) == q_integer(m, q) + q ** m * q_integer(n, q)
 
 
+def fresh_q_integer(m, q):
+    """Reference [m]: the direct loop 1 + q + ... + q^(m-1), started from zero."""
+    total, p = scalar_zero(q), scalar_one(q)
+    for _ in range(m):
+        total = total + p
+        p = p * q
+    return total
+
+
+class TestRunningQIntegers:
+    QS = (F(1, 2), F(7, 10), F(99, 100))
+    CHECKED = list(range(0, 500, 7)) + [500]
+
+    @pytest.mark.parametrize("prec", [64, 3400])
+    @pytest.mark.parametrize("q", QS)
+    def test_bit_identical_to_fresh_sum(self, q, prec):
+        hq = to_precision(q, prec)
+        q_ints = QIntegers(hq)
+        for m in range(501):
+            got = q_ints(m)
+            if m in self.CHECKED:
+                want = fresh_q_integer(m, hq)
+                assert (got.raw, got.prec) == (want.raw, want.prec), m
+                assert q_integer(m, hq).raw == want.raw, m
+
+    @pytest.mark.parametrize("q", QS)
+    def test_exact_for_fractions(self, q):
+        q_ints = QIntegers(q)
+        for m in self.CHECKED:
+            assert q_ints(m) == (1 - q ** m) / (1 - q)
+
+    def test_smaller_index_restarts(self):
+        hq = to_precision(F(7, 10), 64)
+        q_ints = QIntegers(hq)
+        q_ints(40)
+        assert q_ints(9).raw == fresh_q_integer(9, hq).raw
+        assert q_ints(9).raw == fresh_q_integer(9, hq).raw  # same index: no step
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            QIntegers(F(1, 2))(-1)
+
+
 class TestQPartialSum:
     def test_empty(self):
         assert q_partial_sum(2, 1, 0, 1, 0, F(1, 2)) == 0
@@ -192,6 +237,11 @@ class TestConstants:
         v = pi_constant(160)
         assert v.to_decimal(41).startswith("3.141592653589793238462643383279502884197")
 
+    @pytest.mark.parametrize("prec", list(range(8, 600, 7)) + [3372, 16672])
+    def test_pi_matches_mpmath(self, prec):
+        # mpmath's pi is Chudnovsky-based, independent of both arctangent formulas
+        assert pi_constant(prec).raw == libmp.mpf_pi(prec, "n")
+
     def test_pi_formulas_cross_check(self):
         prec = 128
         a = pi_machin_classic(prec)
@@ -215,6 +265,38 @@ class TestConstants:
         q = to_precision(F(1, 2), 80)
         v = q_sum_infinite(2, 2, 0, 1, q)
         assert abs(v.to_fraction() - F(13423, 100000)) < F(1, 10 ** 5)
+
+    @given(a=st.integers(1, 12), order=st.integers(1, 2), stride=st.integers(1, 3),
+           shift=st.integers(-2, 2), sign=st.sampled_from((1, -1)), prec=st.integers(16, 96))
+    def test_qsum_within_stated_tail_of_naive_sum(self, a, order, stride, shift, sign, prec):
+        """q_sum_infinite agrees with a naive partial sum up to its stated tail bound.
+
+        q = a/16 is exact in binary, so besides the dropped tail (below
+        2^(-prec-8) by the stopping rule; doubled for the rounded comparison)
+        only roundings separate the two, with u = 2^-prec: q^idx within 2u,
+        the running [idx] within 2 idx u, its power and the quotient within
+        (2 order idx + 4) u of each term t, and each of the n additions
+        within u sum|t|.  The allowance is twice that first-order sum.  The
+        naive sum takes exact terms q^idx (1-q)^order / (1-q^idx)^order,
+        rounded to 2^-(prec+32), until its own tail is below 2^-(prec+32).
+        """
+        assume(stride + shift >= 1)
+        q = F(a, 16)
+        value = q_sum_infinite(order, stride, shift, sign, to_precision(q, prec)).to_fraction()
+        scale = 2 ** (prec + 32)
+        naive, first_order, magnitude, n = 0, F(0), F(0), 0
+        while True:
+            n += 1
+            idx = stride * n + shift
+            t = q ** idx * ((1 - q) / (1 - q ** idx)) ** order
+            naive += round(t * scale) * (sign if n % 2 == 0 else 1)
+            first_order += (2 * order * idx + 4) * t
+            magnitude += t
+            if q ** idx / (1 - q ** stride) * scale < 1:
+                break
+        allowance = F(1, 2 ** (prec + 7)) + 2 * (first_order + n * magnitude) / 2 ** prec \
+            + F(n + 1, scale)
+        assert abs(value - F(naive, scale)) <= allowance
 
     def test_sinpi_cospi_table(self):
         prec = 120
