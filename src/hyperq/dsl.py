@@ -325,9 +325,11 @@ class _Parser:
             return self.advance()
         self.error(f"'{op}'")
 
-    def expect_int(self, signed: bool = False) -> int:
+    def expect_int(self, signed: bool = False, minimum: Optional[int] = None,
+                   what: str = "an integer") -> int:
+        """An integer literal; ``minimum`` rejects smaller ones at their position."""
         neg = False
-        tok = self.peek()
+        start = tok = self.peek()
         if signed and tok.kind == "OP" and tok.text in "+-":
             neg = tok.text == "-"
             self.advance()
@@ -335,8 +337,22 @@ class _Parser:
         if tok.kind != "INT":
             self.error("an integer")
         self.advance()
-        value = int(tok.text)
-        return -value if neg else value
+        value = -int(tok.text) if neg else int(tok.text)
+        if minimum is not None and value < minimum:
+            raise ParseError(self.src.origin, start.line, start.column,
+                             f"{what} >= {minimum}", repr(str(value)))
+        return value
+
+    def expect_q_sum_indices(self, infinite: bool):
+        """order, stride, shift of a q-sum; orders and indices start at 1."""
+        order = self.expect_int(minimum=1, what="an order")
+        self.expect_op(",")
+        stride = self.expect_int(minimum=1 if infinite else 0, what="a stride")
+        self.expect_op(",")
+        # the first summand has index stride + shift
+        shift = self.expect_int(signed=True, minimum=1 - stride, what="a shift")
+        self.expect_op(",")
+        return order, stride, shift
 
     def expect_sign(self) -> int:
         tok = self.peek()
@@ -478,35 +494,25 @@ class _Parser:
         elif name == "qint":
             node = QInt(self.parse_expr())
         elif name == "harm":
-            order = self.expect_int()
+            order = self.expect_int(minimum=1, what="an order")
             self.expect_op(",")
             count = self.parse_expr()
             node = Harm(order, count)
         elif name == "harmx":
-            order = self.expect_int()
+            order = self.expect_int(minimum=1, what="an order")
             self.expect_op(",")
             count = self.parse_expr()
             self.expect_op(",")
             offset = self.parse_expr()
             node = HarmX(order, count, offset)
         elif name == "qsum":
-            order = self.expect_int()
-            self.expect_op(",")
-            stride = self.expect_int()
-            self.expect_op(",")
-            shift = self.expect_int(signed=True)
-            self.expect_op(",")
+            order, stride, shift = self.expect_q_sum_indices(infinite=False)
             sign = self.expect_sign()
             self.expect_op(",")
             count = self.parse_expr()
             node = QSum(order, stride, shift, sign, count)
         elif name == "qsuminf":
-            order = self.expect_int()
-            self.expect_op(",")
-            stride = self.expect_int()
-            self.expect_op(",")
-            shift = self.expect_int(signed=True)
-            self.expect_op(",")
+            order, stride, shift = self.expect_q_sum_indices(infinite=True)
             sign = self.expect_sign()
             node = QSumInf(order, stride, shift, sign)
         elif name == "sqrt":

@@ -9,8 +9,17 @@ Three kinds of values flow through every evaluator in this package:
   rules, over either of the other two regimes.
 
 Mixing regimes is a checked error (``RegimeMismatchError``), never a silent
-coercion.  Plain Python ints are the one exception: they are exact in every
-regime and may appear as the second operand anywhere.
+coercion, with two exceptions:
+
+* plain Python ints are exact in every regime and may appear as either
+  operand anywhere;
+* a plain value of a jet's own base regime (a ``Fraction`` beside a jet over
+  ``Fraction``, a ``HighPrecision`` beside a jet over ``HighPrecision``) is a
+  constant jet (c, 0, 0), and the products with its zero derivatives are
+  never computed.
+
+Every other mix, such as a jet over ``Fraction`` with a ``HighPrecision``,
+raises.
 """
 
 from __future__ import annotations
@@ -26,6 +35,10 @@ _RND = "n"  # round to nearest everywhere
 
 class RegimeMismatchError(TypeError):
     """Raised when values from different numeric regimes are combined."""
+
+
+class _JetOperand(RegimeMismatchError):
+    """A ``Jet2`` met a ``HighPrecision`` operator, which defers to the jet."""
 
 
 class HighPrecision:
@@ -67,6 +80,8 @@ class HighPrecision:
             return other.raw
         if isinstance(other, int):
             return libmp.from_int(other, self.prec, _RND)
+        if isinstance(other, Jet2):
+            raise _JetOperand("HighPrecision operators leave jets to Jet2")
         raise RegimeMismatchError(
             f"cannot combine HighPrecision with {type(other).__name__}"
         )
@@ -76,24 +91,43 @@ class HighPrecision:
 
     # -- arithmetic ---------------------------------------------------------
 
+    # The forward operators return NotImplemented for a jet operand, so that
+    # Python hands ``h + j`` to ``Jet2.__radd__``; the test sits in _check's
+    # fallback branch, off the HighPrecision-with-HighPrecision path.
+
     def __add__(self, other):
-        return HighPrecision(libmp.mpf_add(self.raw, self._check(other), self.prec, _RND), self.prec)
+        try:
+            raw = self._check(other)
+        except _JetOperand:
+            return NotImplemented
+        return HighPrecision(libmp.mpf_add(self.raw, raw, self.prec, _RND), self.prec)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return HighPrecision(libmp.mpf_sub(self.raw, self._check(other), self.prec, _RND), self.prec)
+        try:
+            raw = self._check(other)
+        except _JetOperand:
+            return NotImplemented
+        return HighPrecision(libmp.mpf_sub(self.raw, raw, self.prec, _RND), self.prec)
 
     def __rsub__(self, other):
         return HighPrecision(libmp.mpf_sub(self._check(other), self.raw, self.prec, _RND), self.prec)
 
     def __mul__(self, other):
-        return HighPrecision(libmp.mpf_mul(self.raw, self._check(other), self.prec, _RND), self.prec)
+        try:
+            raw = self._check(other)
+        except _JetOperand:
+            return NotImplemented
+        return HighPrecision(libmp.mpf_mul(self.raw, raw, self.prec, _RND), self.prec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        raw = self._check(other)
+        try:
+            raw = self._check(other)
+        except _JetOperand:
+            return NotImplemented
         if raw == libmp.fzero:
             raise ZeroDivisionError("division by zero in HighPrecision regime")
         return HighPrecision(libmp.mpf_div(self.raw, raw, self.prec, _RND), self.prec)
@@ -183,48 +217,56 @@ class Jet2:
     d1: Union[Fraction, HighPrecision]
     d2: Union[Fraction, HighPrecision]
 
-    def _coerce(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
+    def _plain(self, other):
+        """``other`` as a constant of this jet's base regime (see the module docstring)."""
+        if isinstance(other, (int, type(self.value))):
             return other
-        if isinstance(other, int):
-            z = _zero_like(self.value)
-            return Jet2(_const_like(self.value, other), z, z)
-        raise RegimeMismatchError(f"cannot combine Jet2 with {type(other).__name__}")
+        raise RegimeMismatchError(
+            f"cannot combine Jet2 over {type(self.value).__name__} with {type(other).__name__}")
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2)
+        if isinstance(other, Jet2):
+            return Jet2(self.value + other.value, self.d1 + other.d1, self.d2 + other.d2)
+        return Jet2(self.value + self._plain(other), self.d1, self.d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.value - o.value, self.d1 - o.d1, self.d2 - o.d2)
+        if isinstance(other, Jet2):
+            return Jet2(self.value - other.value, self.d1 - other.d1, self.d2 - other.d2)
+        return Jet2(self.value - self._plain(other), self.d1, self.d2)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return Jet2(self._plain(other) - self.value, -self.d1, -self.d2)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return Jet2(
-            self.value * o.value,
-            self.value * o.d1 + self.d1 * o.value,
-            self.value * o.d2 + 2 * (self.d1 * o.d1) + self.d2 * o.value,
-        )
+        if isinstance(other, Jet2):
+            return Jet2(
+                self.value * other.value,
+                self.value * other.d1 + self.d1 * other.value,
+                self.value * other.d2 + 2 * (self.d1 * other.d1) + self.d2 * other.value,
+            )
+        c = self._plain(other)
+        return Jet2(self.value * c, self.d1 * c, self.d2 * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if _is_zero(o.value):
+        if not isinstance(other, Jet2):
+            c = self._plain(other)
+            return Jet2(self.value / c, self.d1 / c, self.d2 / c)
+        if _is_zero(other.value):
             raise ZeroDivisionError("jet division by a jet with zero value component")
-        q = self.value / o.value
-        q1 = (self.d1 - q * o.d1) / o.value
-        q2 = (self.d2 - 2 * (q1 * o.d1) - q * o.d2) / o.value
+        q = self.value / other.value
+        q1 = (self.d1 - q * other.d1) / other.value
+        q2 = (self.d2 - 2 * (q1 * other.d1) - q * other.d2) / other.value
         return Jet2(q, q1, q2)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        q = self._plain(other) / self.value
+        q1 = -(q * self.d1) / self.value
+        q2 = (-(2 * (q1 * self.d1)) - q * self.d2) / self.value
+        return Jet2(q, q1, q2)
 
     def __neg__(self):
         return Jet2(-self.value, -self.d1, -self.d2)
@@ -233,16 +275,18 @@ class Jet2:
         if not isinstance(n, int):
             raise RegimeMismatchError("jet exponents must be integers")
         if n < 0:
-            return (self._coerce(1) / self) ** (-n)
-        result = self._coerce(1)
+            return (1 / self) ** (-n)
+        if n == 0:
+            return scalar_one(self)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
 
 Scalar = Union[Fraction, HighPrecision, Jet2]
@@ -264,12 +308,6 @@ def _one_like(x):
     if isinstance(x, HighPrecision):
         return HighPrecision.from_int(1, x.prec)
     return Fraction(1)
-
-
-def _const_like(x, n: int):
-    if isinstance(x, HighPrecision):
-        return HighPrecision.from_int(n, x.prec)
-    return Fraction(n)
 
 
 def scalar_zero(x: Scalar):

@@ -164,47 +164,33 @@ class FloatContext:
 
 
 class JetContext:
-    """Wraps another context; plain values become constant jets."""
+    """Jet evaluation over a rational or float base context.
+
+    Derivatives flow only from the active parameter: the caller binds it to
+    a ``Jet2``, and only values computed from it become jets.  Constants
+    (literals, bound rationals, powers of q, pi, square roots, infinite
+    q-sums) stay plain values of the base regime, which ``Jet2`` arithmetic
+    takes as constant jets without computing their zero derivatives.  So
+    every method is the base context's own, except that an infinite q-sum
+    refuses a q that carries derivatives.
+    """
 
     def __init__(self, base):
         self.base = base
-        self.exact = base.exact
-        self.prec = base.prec
 
-    def _const(self, v):
-        z = scalar_zero(v)
-        return Jet2(v, z, z)
-
-    def lift(self, v):
-        if isinstance(v, int):
-            return self._const(self.base.lift(v))
-        return v
-
-    def from_fraction(self, x: Fraction):
-        return self._const(self.base.from_fraction(x))
-
-    def pi(self):
-        return self._const(self.base.pi())
-
-    def sqrt(self, m):
-        return self._const(self.base.sqrt(m))
-
-    def sinpi(self, x):
-        return self._const(self.base.sinpi(x))
-
-    def cospi(self, x):
-        return self._const(self.base.cospi(x))
+    def __getattr__(self, name):
+        # reached only for names this class lacks; keeping the base's bound
+        # method on the instance spares later lookups this slow path
+        value = getattr(self.base, name)
+        setattr(self, name, value)
+        return value
 
     def qsuminf(self, order, stride, shift, sign, q):
         if isinstance(q, Jet2):
             if not (_plain_zero(q.d1) and _plain_zero(q.d2)):
                 raise EvalError("infinite q-sums do not support an active q")
             q = q.value
-        return self._const(self.base.qsuminf(order, stride, shift, sign, q))
-
-    def qpochinf(self, x, base: QBase):
-        # jets propagate through the truncated product directly
-        return q_pochhammer_infinite(x, base, self.prec)
+        return self.base.qsuminf(order, stride, shift, sign, q)
 
 
 def _plain_zero(x) -> bool:

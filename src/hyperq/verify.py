@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import dsl
 from .corpus import Domain, IdentityRecord, get_identity, list_identities
-from .scalars import HighPrecision, Jet2, jet_lift
+from .scalars import HighPrecision, Jet2, jet_lift, scalar_zero
 from .series import (
     EvalError,
     JetContext,
@@ -226,9 +226,10 @@ def _admissible(rec: IdentityRecord, options: VerifyOptions, rng: random.Random,
 
 
 def _jet_components(v, order: int):
+    """(f, f', f'') up to ``order``; a plain value is constant, its derivatives zero."""
     if isinstance(v, Jet2):
         return (v.value, v.d1, v.d2)[: order + 1]
-    return (v,)
+    return (v,) + (scalar_zero(v),) * order
 
 
 def _residual_fraction(lhs, rhs) -> Fraction:

@@ -59,6 +59,21 @@ class TestExitCodes:
     def test_sinpi_outside_table_is_two(self):
         self._assert_domain_error(run_cli("eval", "sinpi(1/5)"))
 
+    def _assert_parse_error(self, out, position):
+        assert out.returncode == 2
+        assert position in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+        assert "Traceback" not in out.stderr
+
+    def test_q_sum_before_first_index_is_two(self):
+        self._assert_parse_error(run_cli("eval", "qsuminf(1,1,-5,+)", "--param", "q=1/2"), "1:13")
+
+    def test_constant_infinite_q_sum_is_two(self):
+        self._assert_parse_error(run_cli("eval", "qsuminf(1,0,1,+)", "--param", "q=1/2"), "1:11")
+
+    def test_harmonic_order_zero_is_two(self):
+        self._assert_parse_error(run_cli("eval", "sum k=0..inf : harm(0,k)/2^k"), "1:21")
+
 
 class TestEval:
     def test_exact_terminating(self):

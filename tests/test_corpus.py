@@ -206,6 +206,21 @@ class TestOperatorDeriveCheck:
         assert jet_report.verdict == "pass" and weighted.verdict == "pass"
 
 
+class TestPlainSides:
+    """A side that does not depend on the active parameter has zero derivatives."""
+
+    @pytest.mark.parametrize("lhs", ["sum k=0..n : 2^k", "sum k=0..n : 2^k + 0*x"])
+    def test_derivative_of_plain_side_is_compared(self, lhs):
+        # values agree (2^(n+1) - 1 at x = 1), d/dx is 0 on the left and 2 on the right
+        text = ("[identity]\nid = PLAIN\nkind = terminating-exact\n"
+                f"lhs = {lhs}\nrhs = x^2 + 2^(n+1) - 2\n"
+                "params = x in rat7, n in nmax\nanchor = t\n")
+        rec = parse_corpus(text)[0]
+        report = operator_derive_check(rec, "x", 1, point=F(1))
+        assert report.verdict == "fail"
+        assert report.residual == 2
+
+
 class TestDividedDifference:
     def test_empty(self):
         assert divided_difference_check(0, F(1), F(2), F(1, 5))

@@ -116,6 +116,27 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_series_spec("sum inf=0..n : 1")
 
+    @pytest.mark.parametrize("text,column,expected", [
+        ("harm(0,k)", 6, "an order >= 1"),
+        ("harmx(0,k,1/2)", 7, "an order >= 1"),
+        ("qsum(0,1,0,+,k)", 6, "an order >= 1"),
+        ("qsuminf(0,1,0,+)", 9, "an order >= 1"),
+        ("qsuminf(1,0,1,+)", 11, "a stride >= 1"),
+        ("qsum(2,1,-1,+,k)", 10, "a shift >= 0"),
+        ("qsuminf(1,1,-5,+)", 13, "a shift >= 0"),
+        ("qsuminf(2,3,-3,-)", 13, "a shift >= -2"),
+    ])
+    def test_atom_indices_checked(self, text, column, expected):
+        with pytest.raises(ParseError) as err:
+            parse_closed_form(text)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert err.value.expected == expected
+
+    def test_smallest_valid_atom_indices(self):
+        assert parse_closed_form("qsum(1,0,1,+,k)").expr == QSum(1, 0, 1, 1, Param("k"))
+        assert parse_closed_form("qsuminf(1,3,-2,-)").expr == dsl.QSumInf(1, 3, -2, -1)
+        assert parse_closed_form("harm(1,k)").expr == Harm(1, Param("k"))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("rec", list_identities(), ids=lambda r: r.id)

@@ -7,12 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperq.scalars import (
+    HighPrecision,
     Jet2,
     RegimeMismatchError,
     agree_to,
     int_pow,
+    is_scalar_zero,
     jet_lift,
     scalar_combine,
+    scalar_one,
+    scalar_zero,
     to_precision,
 )
 
@@ -154,7 +158,7 @@ class TestJetCalculus:
         for s in shifts:
             product *= x + s
         j = jet_lift(x)
-        result = j._coerce(1)
+        result = scalar_one(j)
         for s in shifts:
             result = result * (j + s)
         assert result.value == product
@@ -187,3 +191,75 @@ class TestHighPrecisionArithmetic:
     def test_repr_and_decimal(self):
         x = to_precision(F(1, 4), 64)
         assert "0.25" in x.to_decimal(5)
+
+
+def _regime_values(prec):
+    """Strategy for plain values of one base regime: Fraction (prec None) or HighPrecision."""
+    if prec is None:
+        return rationals
+    return rationals.map(lambda v: to_precision(v, prec))
+
+
+def _bits(x):
+    """Exact identity of a scalar: the raw tuple of a HighPrecision, else the value."""
+    return (x.raw, x.prec) if isinstance(x, HighPrecision) else x
+
+
+def _jet_bits(j):
+    return tuple(_bits(c) for c in (j.value, j.d1, j.d2))
+
+
+def _constant_jet(c, like):
+    """c as the dense constant jet (c, 0, 0) in the regime of the jet ``like``."""
+    z = scalar_zero(like.value)
+    if isinstance(c, int):
+        c = z + c
+    return Jet2(c, z, z)
+
+
+OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+class TestMixedOperands:
+    """A plain operand of the jet's base regime acts exactly as Jet2(c, 0, 0)."""
+
+    @pytest.mark.parametrize("prec", [None, 64, 3400])
+    @given(data=st.data())
+    def test_plain_equals_constant_jet(self, prec, data):
+        values = _regime_values(prec)
+        j = Jet2(data.draw(values), data.draw(values), data.draw(values))
+        c = data.draw(st.one_of(values, st.integers(-50, 50)))
+        dense = _constant_jet(c, j)
+        for op, fn in OPS.items():
+            if op != "/" or not is_scalar_zero(dense):
+                assert _jet_bits(fn(j, c)) == _jet_bits(fn(j, dense)), op
+            if op != "/" or not is_scalar_zero(j.value):
+                assert _jet_bits(fn(c, j)) == _jet_bits(fn(dense, j)), op
+
+    @pytest.mark.parametrize("prec", [None, 64, 3400])
+    def test_division_by_plain_zero(self, prec):
+        j = jet_lift(F(3, 7) if prec is None else to_precision(F(3, 7), prec))
+        for zero in (0, scalar_zero(j.value)):
+            with pytest.raises(ZeroDivisionError):
+                j / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / jet_lift(scalar_zero(j.value))
+
+    @pytest.mark.parametrize("prec", [64, 3400])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_other_regimes_are_rejected(self, prec, op):
+        fn = OPS[op]
+        h = to_precision(F(1, 3), prec)
+        exact_jet = jet_lift(F(2, 5))
+        float_jet = jet_lift(to_precision(F(2, 5), prec))
+        other_prec = to_precision(F(1, 3), prec + 32)
+        for jet, plain in ((exact_jet, h), (float_jet, F(1, 3)), (float_jet, other_prec)):
+            with pytest.raises(RegimeMismatchError):
+                fn(jet, plain)
+            with pytest.raises(RegimeMismatchError):
+                fn(plain, jet)
