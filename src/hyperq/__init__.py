@@ -42,7 +42,6 @@ from .series import (
     TailBound,
     basic_hypergeometric_eval,
     evaluate_closed,
-    evaluate_term,
     hypergeometric_eval,
     sum_infinite,
     sum_terminating,

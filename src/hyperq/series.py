@@ -13,16 +13,22 @@ geometric ratio test:
 * every infinite sum is evaluated twice, at prec and prec+32 bits, and the
   two runs must agree to prec-8 bits before the value is accepted.
 
-Harmonic and q-harmonic weight atoms keep running partial sums between
-consecutive terms, so weighted double series cost O(1) extra work per term
-rather than O(k).
+Every expression is compiled once, on its first evaluation, into a term
+program with one step per node (``_Compiler``).  A summation evaluates the
+parts of its term that do not mention the index once, and the product and
+sum atoms advance running states between consecutive terms, so harmonic-
+weighted double series cost O(1) extra work per term rather than O(k).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import dsl
@@ -208,227 +214,282 @@ def _div_check(denom):
         raise PoleInTermError("zero denominator factor")
 
 
-# ------------------------------------------------------------------ evaluator
+# -------------------------------------------------------------- term programs
+
+_INDEX = "index"  # the cache key naming a summation's index; slots are ints
+_BINARY = {dsl.Add: operator.add, dsl.Sub: operator.sub, dsl.Mul: operator.mul}
 
 
-def _eval_exact(node, env) -> Fraction:
-    """Evaluate an index/exponent subexpression in pure rational arithmetic."""
-    if isinstance(node, dsl.Num):
-        return Fraction(node.value)
-    if isinstance(node, dsl.Param):
-        try:
-            v = env[node.name]
-        except KeyError:
-            raise UnboundParameterError(f"parameter {node.name!r} is not bound")
-        if isinstance(v, (int, Fraction)):
-            return Fraction(v)
-        raise EvalError(f"parameter {node.name!r} must be exact here, got {type(v).__name__}")
-    if isinstance(node, dsl.Neg):
-        return -_eval_exact(node.operand, env)
-    if isinstance(node, dsl.Add):
-        return _eval_exact(node.left, env) + _eval_exact(node.right, env)
-    if isinstance(node, dsl.Sub):
-        return _eval_exact(node.left, env) - _eval_exact(node.right, env)
-    if isinstance(node, dsl.Mul):
-        return _eval_exact(node.left, env) * _eval_exact(node.right, env)
-    if isinstance(node, dsl.Div):
-        d = _eval_exact(node.right, env)
-        if d == 0:
-            raise PoleInTermError("zero denominator in index expression")
-        return _eval_exact(node.left, env) / d
-    if isinstance(node, dsl.Pow):
-        e = _eval_int(node.exponent, env)
-        base = _eval_exact(node.base, env)
-        if e < 0 and base == 0:
-            raise PoleInTermError("zero base with negative exponent")
-        return base ** e
-    raise EvalError(f"{type(node).__name__} is not valid in an integer position")
+@dataclass(frozen=True)
+class _AmbientQ:
+    """The parameter ``q`` as the q-atoms read it: required, and lifted."""
 
 
-def _eval_int(node, env) -> int:
-    v = _eval_exact(node, env)
-    if v.denominator != 1:
-        raise EvalError(f"expected an integer value, got {v}")
-    return int(v)
+_Q = _AmbientQ()
+_Q_NODES = (_AmbientQ, dsl.QPoch, dsl.QPochInf, dsl.QInt, dsl.QSum, dsl.QSumInf)
 
 
 def evaluate_expr(node, env, ctx, cache: Optional[dict] = None) -> Scalar:
     """Evaluate an expression AST in the regime of ``ctx``.
 
     ``env`` maps parameter names to exact values (int/Fraction) or to
-    pre-lifted in-regime values such as an active jet.  ``cache`` carries
-    the incremental state of harmonic/Pochhammer atoms across consecutive
-    index values; pass the same dict for every term of one summation.
+    pre-lifted in-regime values such as an active jet.  ``cache`` belongs to
+    one summation under one set of bindings; pass the same dict for every
+    term of it.  It holds the atoms' running states and the values of the
+    parts free of the summation index, which the summers name under the key
+    ``"index"`` (without it, any parameter may change between terms).
     """
-    if cache is None:
-        cache = {}
-    return _eval(node, env, ctx, cache)
+    cache = {} if cache is None else cache
+    index = cache.get(_INDEX)
+    programs = node.__dict__.setdefault("_programs", {})  # the AST is immutable
+    if index not in programs:
+        programs[index] = _Compiler(index).operand(node, True)
+    return programs[index](env, ctx, cache)
 
 
-def _scalar_arg(node, env, ctx, cache):
-    return ctx.lift(_eval(node, env, ctx, cache))
+def upper_bound(spec: dsl.SeriesSpec, bindings: dict) -> int:
+    """The last index of the terminating series ``spec`` under ``bindings``."""
+    attrs = spec.upper.__dict__  # compiled once per node, as term programs are
+    if "_bound" not in attrs:
+        attrs["_bound"] = _Compiler(None).operand(spec.upper, exact="int")
+    return attrs["_bound"](bindings, None, None)
 
 
-def _ambient_q(env, ctx):
+class _Compiler:
+    """Compiles an expression into a term program for one summation index.
+
+    A program is a step ``(env, ctx, cache) -> value`` calling the steps of
+    its subtrees, so node types are dispatched once, here.  Each maximal
+    subtree free of the index (``None``: of every parameter) is evaluated on
+    first use and kept in an integer cache slot: once per summation, lazily
+    (an empty sum evaluates nothing; exceptions arise in term order).
+    """
+
+    def __init__(self, index: Optional[str]):
+        self.index, self.slots = index, itertools.count()
+        self.deps, self.operands = {}, {}  # by id(node); by (node, hoist, lift, exact) or literal
+
+    def depends(self, node) -> bool:
+        """Whether ``node`` mentions the index, q counting for the q-atoms."""
+        if isinstance(node, dsl.Param):
+            return self.index in (None, node.name)
+        if id(node) not in self.deps:
+            children = [getattr(node, f.name) for f in dataclasses.fields(node)]
+            self.deps[id(node)] = any([self.depends(c) for c in children if not isinstance(
+                c, (int, str))]) or isinstance(node, _Q_NODES) and self.index in (None, "q")
+        return self.deps[id(node)]
+
+    def operand(self, node, hoist=False, lift=False, exact=False):
+        """Step for an operand: ``exact`` in an index expression ("int": an
+        integer one), ``lift`` for an atom's argument, hoisted if index-free
+        (but not a literal) under a ``hoist`` parent.  Equal operands compute
+        equal values, so they share one step, slots included."""
+        key = (node, hoist, lift, exact)
+        if key not in self.operands:
+            step = self.scalar(node, exact)
+            if exact == "int" and not isinstance(node, dsl.Num):
+                step = partial(_integer, step)
+            if lift:
+                step = lambda env, ctx, cache, f=step: ctx.lift(f(env, ctx, cache))  # noqa: E731
+            if hoist and not self.depends(node) and (lift or not isinstance(node, dsl.Num)):
+                step = partial(_once, step, next(self.slots))
+            self.operands[key] = step
+        return self.operands[key]
+
+    def scalar(self, node, exact=False):
+        """Step computing ``node`` in the regime of the context or, ``exact``
+        (counts, exponents, sinpi/cospi arguments), as an int or a Fraction."""
+        kind = type(node)
+        if kind is dsl.Num:  # one step per literal in the program
+            return self.operands.setdefault(node, lambda env, ctx, cache, v=node.value: v)
+        if kind is dsl.Param:
+            return partial(_param, node.name, exact)
+        if kind is _AmbientQ:
+            return _ambient_q
+        sub = partial(self.operand, exact=True) if exact else partial(
+            self.operand, hoist=self.depends(node))
+        integer = partial(self.operand, exact="int")
+        if kind in _BINARY:
+            return (lambda env, ctx, cache, op=_BINARY[kind], a=sub(node.left), b=sub(node.right):
+                    op(a(env, ctx, cache), b(env, ctx, cache)))
+        if kind is dsl.Neg:
+            return lambda env, ctx, cache, a=sub(node.operand): -a(env, ctx, cache)
+        if kind is dsl.Div:
+            return partial(_divide, exact, sub(node.left), sub(node.right))
+        if kind is dsl.Pow:
+            return partial(_power, exact, integer(node.exponent), sub(node.base))
+        if exact:
+            return partial(_raise, f"{kind.__name__} is not valid in an integer position")
+        if kind is dsl.QPochInf:
+            return lambda env, ctx, cache, x=sub(node.x, lift=True), q=sub(_Q): ctx.qpochinf(
+                x(env, ctx, cache), QBase(q(env, ctx, cache), node.step))
+        if kind is dsl.QSumInf:
+            return lambda env, ctx, cache, q=sub(_Q): ctx.qsuminf(
+                node.order, node.stride, node.shift, node.sign, q(env, ctx, cache))
+        if kind is dsl.PiConst:
+            return lambda env, ctx, cache: ctx.pi()
+        if kind is dsl.Sqrt:
+            return lambda env, ctx, cache: ctx.sqrt(node.radicand)
+        if kind is dsl.SinPi or kind is dsl.CosPi:
+            method, x = ("sinpi" if kind is dsl.SinPi else "cospi"), sub(node.arg, exact=True)
+            return lambda env, ctx, cache: getattr(ctx, method)(Fraction(x(env, ctx, cache)))
+        # atoms with a running state: arguments first, then the count
+        if kind is dsl.Poch:
+            recurrence, args = _poch, [sub(node.x, lift=True)]
+        elif kind is dsl.QPoch:
+            qs = dsl.Pow(_Q, dsl.Num(node.step))
+            recurrence, args = _qpoch, [sub(node.x, lift=True), sub(qs)]
+        elif kind is dsl.Fact:
+            recurrence, args = partial(_factorial, "factorial of a negative integer", 0), []
+        elif kind is dsl.DFactOdd:
+            recurrence, args = partial(_factorial, "double factorial of a negative index", 1), []
+        elif kind is dsl.QInt:
+            recurrence, args = _qint, [sub(_Q)]
+        elif kind is dsl.Harm:
+            recurrence, args = partial(_harm, node.order), []
+        elif kind is dsl.HarmX:
+            recurrence, args = partial(_harmx, node.order), [sub(node.offset, lift=True)]
+        elif kind is dsl.QSum:
+            recurrence, args = partial(_qsum, node), [sub(_Q)]
+        else:
+            return partial(_raise, f"cannot evaluate node {kind.__name__}")
+        return partial(_atom, recurrence, args, integer(node.count), next(self.slots))
+
+
+def _param(name, exact, env, ctx, cache):
+    try:
+        v = env[name]
+    except KeyError:
+        raise UnboundParameterError(f"parameter {name!r} is not bound")
+    if exact and not isinstance(v, (int, Fraction)):
+        raise EvalError(f"parameter {name!r} must be exact here, got {type(v).__name__}")
+    return ctx.from_fraction(v) if isinstance(v, Fraction) and not exact else v
+
+
+def _ambient_q(env, ctx, cache):
     try:
         q = env["q"]
     except KeyError:
         raise UnboundParameterError("q-atoms need the parameter 'q' bound")
-    if isinstance(q, Fraction):
-        return ctx.from_fraction(q)
-    return ctx.lift(q)
+    return ctx.from_fraction(q) if isinstance(q, Fraction) else ctx.lift(q)
 
 
-def _incremental(cache, key, target: int, start_state, extend):
-    """Shared incremental-update helper for product/sum atoms.
+def _once(step, slot, env, ctx, cache):
+    if slot not in cache:
+        cache[slot] = step(env, ctx, cache)
+    return cache[slot]
 
-    ``start_state`` is the state at count 0; ``extend(state, i)`` moves the
-    state from count i-1 to count i.  States are (count, payload) tuples.
-    """
-    state = cache.get(key)
-    if state is None or state[0] > target:
-        state = (0, start_state)
-    count, payload = state
+
+def _raise(message, *_):
+    raise EvalError(message)
+
+
+def _divide(exact, num, den, env, ctx, cache):
+    if exact:  # index expressions take the denominator first
+        d = den(env, ctx, cache)
+        if d == 0:
+            raise PoleInTermError("zero denominator in index expression")
+        return Fraction(num(env, ctx, cache)) / d
+    n = num(env, ctx, cache)
+    d = ctx.lift(den(env, ctx, cache))
+    _div_check(d)
+    return ctx.lift(n) / d
+
+
+def _power(exact, exponent, base, env, ctx, cache):
+    e = exponent(env, ctx, cache)
+    b = base(env, ctx, cache)
+    if exact or isinstance(b, int):
+        if e >= 0:
+            return b ** e
+        b = Fraction(b) if exact else ctx.lift(b)
+    try:
+        return int_pow(b, e)
+    except ZeroDivisionError:
+        raise PoleInTermError("zero base with negative exponent")
+
+
+def _integer(exact, env, ctx, cache):
+    v = exact(env, ctx, cache)
+    if isinstance(v, int) or v.denominator == 1:
+        return int(v)
+    raise EvalError(f"expected an integer value, got {v}")
+
+
+def _atom(recurrence, args, count, slot, env, ctx, cache):
+    return recurrence(ctx, cache, slot, *[a(env, ctx, cache) for a in args], count(env, ctx, cache))
+
+
+def _advance(cache, slot, key: tuple, target: int, start, extend):
+    """The payload at count ``target``: ``start()`` at 0, ``extend(payload, i)``
+    from i-1 to i.  The state in the slot resumes while ``key`` (the atom's
+    arguments) is unchanged, which hoisted arguments show by identity."""
+    state = cache.get(slot)
+    if state is None or state[1] > target or state[0] != key:
+        count, payload = 0, start()
+    else:
+        _, count, payload = state
     while count < target:
         count += 1
         payload = extend(payload, count)
-    cache[key] = (count, payload)
+    cache[slot] = (key, count, payload)
     return payload
 
 
-def _q_integers(cache, key, q) -> QIntegers:
-    """The running q-integers kept in ``cache`` under ``key``."""
-    q_ints = cache.get(key)
-    if q_ints is None:
-        q_ints = cache[key] = QIntegers(q)
-    return q_ints
+# the running atoms: (ctx, cache, slot, *arguments, count) -> value
+
+def _poch(ctx, cache, slot, x, n):
+    return _advance(cache, slot, (x,), n, lambda: scalar_one(x), lambda p, i: p * (x + (i - 1)))
 
 
-def _eval(node, env, ctx, cache) -> Scalar:
-    if isinstance(node, dsl.Num):
-        return node.value
-    if isinstance(node, dsl.Param):
-        try:
-            v = env[node.name]
-        except KeyError:
-            raise UnboundParameterError(f"parameter {node.name!r} is not bound")
-        if isinstance(v, Fraction):
-            return ctx.from_fraction(v)
-        return v
-    if isinstance(node, dsl.Add):
-        return _eval(node.left, env, ctx, cache) + _eval(node.right, env, ctx, cache)
-    if isinstance(node, dsl.Sub):
-        return _eval(node.left, env, ctx, cache) - _eval(node.right, env, ctx, cache)
-    if isinstance(node, dsl.Mul):
-        return _eval(node.left, env, ctx, cache) * _eval(node.right, env, ctx, cache)
-    if isinstance(node, dsl.Div):
-        num = _eval(node.left, env, ctx, cache)
-        den = _eval(node.right, env, ctx, cache)
-        _div_check(ctx.lift(den))
-        return ctx.lift(num) / ctx.lift(den)
-    if isinstance(node, dsl.Neg):
-        return -_eval(node.operand, env, ctx, cache)
-    if isinstance(node, dsl.Pow):
-        e = _eval_int(node.exponent, env)
-        base = _eval(node.base, env, ctx, cache)
-        if isinstance(base, int):
-            if e >= 0:
-                return base ** e
-            base = ctx.lift(base)
-        try:
-            return int_pow(base, e)
-        except ZeroDivisionError:
-            raise PoleInTermError("zero base with negative exponent")
-    if isinstance(node, dsl.Poch):
-        x = _scalar_arg(node.x, env, ctx, cache)
-        n = _eval_int(node.count, env)
-        return _incremental(cache, (id(node), x), n, scalar_one(x),
-                            lambda p, i: p * (x + (i - 1)))
-    if isinstance(node, dsl.QPoch):
-        x = _scalar_arg(node.x, env, ctx, cache)
-        q = _ambient_q(env, ctx)
-        qs = int_pow(q, node.step)
-        n = _eval_int(node.count, env)
-        payload = _incremental(
-            cache, (id(node), x, q), n,
-            (scalar_one(qs), scalar_one(qs)),
-            lambda st, i: (st[0] * (1 - x * st[1]), st[1] * qs))
-        return payload[0]
-    if isinstance(node, dsl.QPochInf):
-        x = _scalar_arg(node.x, env, ctx, cache)
-        q = _ambient_q(env, ctx)
-        return ctx.qpochinf(x, QBase(q, node.step))
-    if isinstance(node, dsl.Fact):
-        n = _eval_int(node.count, env)
-        if n < 0:
-            raise EvalError("factorial of a negative integer")
-        return _incremental(cache, (id(node),), n, 1, lambda p, i: p * i)
-    if isinstance(node, dsl.DFactOdd):
-        n = _eval_int(node.count, env)
-        if n < 0:
-            raise EvalError("double factorial of a negative index")
-        return _incremental(cache, (id(node),), n, 1, lambda p, i: p * (2 * i + 1))
-    if isinstance(node, dsl.QInt):
-        q = _ambient_q(env, ctx)
-        return _q_integers(cache, (id(node), q), q)(_eval_int(node.count, env))
-    if isinstance(node, dsl.Harm):
-        n = _eval_int(node.count, env)
-        exact = _incremental(cache, (id(node),), n, Fraction(0),
-                             lambda s, i: s + Fraction(1, i ** node.order))
-        return ctx.from_fraction(exact)
-    if isinstance(node, dsl.HarmX):
-        offset = _scalar_arg(node.offset, env, ctx, cache)
-        n = _eval_int(node.count, env)
+def _qpoch(ctx, cache, slot, x, qs, n):
+    return _advance(cache, slot, (x, qs), n, lambda: (scalar_one(qs), scalar_one(qs)),
+                    lambda st, i: (st[0] * (1 - x * st[1]), st[1] * qs))[0]
 
-        def extend(s, i):
-            d = int_pow(offset + i, node.order)
-            _div_check(d)
-            return s + 1 / d
 
-        return _incremental(cache, (id(node), offset), n, scalar_zero(offset), extend)
-    if isinstance(node, dsl.QSum):
-        q = _ambient_q(env, ctx)
-        m = _eval_int(node.count, env)
-        q_ints = _q_integers(cache, (id(node), q, "qint"), q)
+def _factorial(what, odd, ctx, cache, slot, n):
+    if n < 0:
+        raise EvalError(what)
+    return _advance(cache, slot, (), n, lambda: 1, lambda p, i: p * (2 * i + 1 if odd else i))
 
-        def extend(s, i):
-            idx = node.stride * i + node.shift
-            if idx < 1:
-                raise EvalError(f"nonpositive q-sum index {idx}")
-            den = int_pow(q_ints(idx), node.order)
-            _div_check(den)
-            t = int_pow(q, idx) / den
-            if node.sign == -1 and (i - 1) % 2 == 1:
-                t = -t
-            return s + t
 
-        return _incremental(cache, (id(node), q), m, scalar_zero(q), extend)
-    if isinstance(node, dsl.QSumInf):
-        q = _ambient_q(env, ctx)
-        return ctx.qsuminf(node.order, node.stride, node.shift, node.sign, q)
-    if isinstance(node, dsl.PiConst):
-        return ctx.pi()
-    if isinstance(node, dsl.Sqrt):
-        return ctx.sqrt(node.radicand)
-    if isinstance(node, dsl.SinPi):
-        return ctx.sinpi(_eval_exact(node.arg, env))
-    if isinstance(node, dsl.CosPi):
-        return ctx.cospi(_eval_exact(node.arg, env))
-    raise EvalError(f"cannot evaluate node {type(node).__name__}")
+def _qint(ctx, cache, slot, q, n):
+    if slot not in cache or cache[slot].q != q:
+        cache[slot] = QIntegers(q)
+    return cache[slot](n)
+
+
+def _harm(order, ctx, cache, slot, n):
+    exact = _advance(cache, slot, (), n, Fraction, lambda s, i: s + Fraction(1, i ** order))
+    return ctx.from_fraction(exact)
+
+
+def _harmx(order, ctx, cache, slot, offset, n):
+    def extend(s, i):
+        d = int_pow(offset + i, order)
+        _div_check(d)
+        return s + 1 / d
+
+    return _advance(cache, slot, (offset,), n, lambda: scalar_zero(offset), extend)
+
+
+def _qsum(atom, ctx, cache, slot, q, m):
+    def extend(state, i):
+        s, q_ints = state
+        idx = atom.stride * i + atom.shift
+        if idx < 1:
+            raise EvalError(f"nonpositive q-sum index {idx}")
+        den = int_pow(q_ints(idx), atom.order)
+        _div_check(den)
+        t = int_pow(q, idx) / den
+        if atom.sign == -1 and (i - 1) % 2 == 1:
+            t = -t
+        return s + t, q_ints
+
+    return _advance(cache, slot, (q,), m, lambda: (scalar_zero(q), QIntegers(q)), extend)[0]
 
 
 # ------------------------------------------------------------------- summers
-
-
-def evaluate_term(spec: dsl.SeriesSpec, k: int, bindings: dict, ctx=None,
-                  cache: Optional[dict] = None) -> Scalar:
-    """Value of the k-th summand of ``spec`` under ``bindings``."""
-    if k < 0:
-        raise ValueError("term index must be nonnegative")
-    ctx = ctx or RationalContext()
-    env = dict(bindings)
-    env[spec.index] = k
-    return evaluate_expr(spec.term, env, ctx, cache)
 
 
 def sum_terminating(spec: dsl.SeriesSpec, bindings: dict, ctx=None,
@@ -441,9 +502,9 @@ def sum_terminating(spec: dsl.SeriesSpec, bindings: dict, ctx=None,
     if n is None and not spec.terminating:
         raise EvalError("sum_terminating requires a finite upper bound")
     ctx = ctx or RationalContext()
-    upper = n if n is not None else _eval_int(spec.upper, bindings)
+    upper = n if n is not None else upper_bound(spec, bindings)
     env = dict(bindings)
-    cache: dict = {}
+    cache = {_INDEX: spec.index}
     total = None
     for k in range(0, upper + 1):
         env[spec.index] = k
@@ -479,7 +540,7 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, mi
         ctx = JetContext(ctx)
     threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 4)), work_prec)
     cap = HighPrecision.from_fraction(RATIO_CAP, work_prec)
-    cache: dict = {}
+    cache = {_INDEX: spec.index}
     capped_run = 0  # consecutive trailing term ratios at or below the cap
     total = None
     last_mag = None
@@ -505,8 +566,8 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, mi
             if k >= WARMUP_TERMS and capped_run >= WINDOW_TERMS and k + 1 >= min_terms:
                 # bound the tail with the admission cap itself: observed
                 # window maxima undercover series whose ratios still climb
-                # toward their limit, while every admitted series keeps all
-                # ratios below the cap
+                # toward their limit; the cap is an empirical rule too, false
+                # for a series whose ratios pass 1 only after the window
                 bound = mag * cap / (1 - cap)
                 if bound < threshold:
                     return total, TailBound(k, cap, bound), k + 1

@@ -36,11 +36,11 @@ from .series import (
     JetContext,
     PoleInTermError,
     RationalContext,
-    _eval_int,
     evaluate_closed,
     evaluate_expr,
     sum_infinite,
     sum_terminating,
+    upper_bound,
 )
 
 REJECTION_BUDGET = 1000
@@ -260,7 +260,7 @@ def _verify_terminating(rec: IdentityRecord, options: VerifyOptions) -> Verifica
 
         bindings, (lv, rv) = _admissible(rec, options, rng, [], evaluate)
         taken += 1
-        terms = max(terms, _eval_int(rec.lhs.upper, bindings) + 1)
+        terms = max(terms, upper_bound(rec.lhs, bindings) + 1)
         diff = abs(Fraction(lv) - Fraction(rv))
         worst = max(worst, diff)
     verdict = "pass" if worst == 0 else "fail"
@@ -285,7 +285,7 @@ def _verify_jet(rec: IdentityRecord, options: VerifyOptions) -> VerificationRepo
 
             bindings, (lv, rv) = _admissible(rec, options, rng, [], evaluate)
             taken += 1
-            terms = max(terms, _eval_int(rec.lhs.upper, bindings) + 1)
+            terms = max(terms, upper_bound(rec.lhs, bindings) + 1)
             for lc, rc in zip(_jet_components(lv, 2), _jet_components(rv, 2)):
                 worst = max(worst, abs(Fraction(lc) - Fraction(rc)))
         verdict = "pass" if worst == 0 else "fail"
@@ -445,6 +445,9 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
     terms = 0
     taken = 0
     free = [p for p in rec.params if p.name != parameter and p.name not in bindings]
+    # parsed (and so compiled) once, not once per attempt
+    subs = {name: dsl.parse_closed_form(v).expr if isinstance(v, str) else Fraction(v)
+            for name, v in bindings.items()}
     for _ in range(count):
         for _ in range(REJECTION_BUDGET):
             env: dict = {}
@@ -453,12 +456,9 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
                     env[p.name] = _draw(p.domain, rng, options, env)
                 pt = point if point is not None else _draw(point_domain, rng, options, env)
                 env[parameter] = jet_lift(Fraction(pt))
-                for name, value in bindings.items():
-                    if isinstance(value, str):
-                        parsed = dsl.parse_closed_form(value)
-                        env[name] = evaluate_expr(parsed.expr, env, ctx)
-                    else:
-                        env[name] = Fraction(value)
+                for name, value in subs.items():
+                    env[name] = value if isinstance(value, Fraction) else evaluate_expr(
+                        value, env, ctx)
                 lv = sum_terminating(rec.lhs, env, ctx)
                 rv = _eval_rhs_exact(rec, env, ctx)
             except (PoleInTermError, ZeroDivisionError):
@@ -469,7 +469,7 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
         else:
             raise SampleExhaustedError(f"{rec.id}: no admissible derivative sample")
         taken += 1
-        terms = max(terms, _eval_int(rec.lhs.upper, env) + 1)
+        terms = max(terms, upper_bound(rec.lhs, env) + 1)
         for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
             worst = max(worst, abs(Fraction(lc) - Fraction(rc)))
     verdict = "pass" if worst == 0 else "fail"

@@ -18,10 +18,11 @@ from hyperq.series import (
     FloatContext,
     NonGeometricTailError,
     PoleInTermError,
+    RationalContext,
     UnboundParameterError,
     basic_hypergeometric_eval,
     evaluate_closed,
-    evaluate_term,
+    evaluate_expr,
     hypergeometric_eval,
     sum_infinite,
     sum_terminating,
@@ -34,25 +35,25 @@ W1_TEXT = "sum k=0..inf : fact(k)/dfactodd(k)"
 class TestEvaluateTerm:
     def test_ramanujan_k0(self):
         spec = dsl.parse_series_spec(R1_TEXT)
-        assert evaluate_term(spec, 0, {}) == 1
+        assert evaluate_expr(spec.term, {spec.index: 0}, RationalContext()) == 1
 
     def test_ramanujan_k1(self):
         spec = dsl.parse_series_spec(R1_TEXT)
-        assert evaluate_term(spec, 1, {}) == F(7, 32)
+        assert evaluate_expr(spec.term, {spec.index: 1}, RationalContext()) == F(7, 32)
 
     def test_double_factorial_k2(self):
         spec = dsl.parse_series_spec(W1_TEXT)
-        assert evaluate_term(spec, 2, {}) == F(2, 15)
+        assert evaluate_expr(spec.term, {spec.index: 2}, RationalContext()) == F(2, 15)
 
     def test_unbound_parameter(self):
         spec = dsl.parse_series_spec("sum k=0..inf : poch(a,k)")
         with pytest.raises(UnboundParameterError):
-            evaluate_term(spec, 1, {})
+            evaluate_expr(spec.term, {spec.index: 1}, RationalContext())
 
     def test_pole_in_term(self):
         spec = dsl.parse_series_spec("sum k=0..n : 1/(k-2)")
         with pytest.raises(PoleInTermError):
-            evaluate_term(spec, 2, {"n": 4})
+            evaluate_expr(spec.term, {"n": 4, spec.index: 2}, RationalContext())
 
 
 class TestSumTerminating:
@@ -88,7 +89,8 @@ class TestSumTerminating:
         env = {"a": F(5, 2), "b": F(1, 3), "c": F(3), "n": 6}
         forward = sum_terminating(rec.lhs, env)
         backward = sum(
-            (evaluate_term(rec.lhs, k, env) for k in range(6, -1, -1)), F(0))
+            (evaluate_expr(rec.lhs.term, {**env, rec.lhs.index: k}, RationalContext())
+             for k in range(6, -1, -1)), F(0))
         assert forward == backward
 
     @given(n=st.integers(0, 12), c=st.fractions(min_value=-5, max_value=5, max_denominator=5))
@@ -96,7 +98,8 @@ class TestSumTerminating:
         spec = dsl.parse_series_spec("sum k=0..n : (k+x)^2")
         env = {"n": n, "x": c}
         forward = sum_terminating(spec, env)
-        backward = sum((evaluate_term(spec, k, env) for k in range(n, -1, -1)), F(0))
+        backward = sum((evaluate_expr(spec.term, {**env, spec.index: k}, RationalContext())
+                        for k in range(n, -1, -1)), F(0))
         assert forward == backward
 
 
@@ -125,7 +128,7 @@ class TestSumInfinite:
         partial = to_precision(F(0), prec)
         previous = partial
         for k in range(60):
-            partial = partial + evaluate_term(spec, k, {}, ctx, cache)
+            partial = partial + evaluate_expr(spec.term, {spec.index: k}, ctx, cache)
             assert partial > previous
             previous = partial
         target = 4 / pi_constant(prec)
@@ -183,14 +186,16 @@ class TestIncrementalWeights:
         incremental = sum_terminating(truncated, env)
         scratch = F(0)
         for k in range(51):
-            scratch += evaluate_term(truncated, k, env, cache=None)
+            scratch += evaluate_expr(truncated.term, {**env, truncated.index: k},
+                                     RationalContext(), None)
         assert incremental == scratch
 
     def test_weighted_bracket_matches(self):
         rec = get_identity("QFF")
         env = {"q": F(2, 3), "n": 9}
         shared = sum_terminating(rec.lhs, env)
-        fresh = sum((evaluate_term(rec.lhs, k, env) for k in range(10)), F(0))
+        fresh = sum((evaluate_expr(rec.lhs.term, {**env, rec.lhs.index: k}, RationalContext())
+                     for k in range(10)), F(0))
         assert shared == fresh
 
 

@@ -1,0 +1,439 @@
+"""Compiled term programs against a tree-walking reference evaluator.
+
+``_walk`` below walks the AST on every term: one ``isinstance`` dispatch
+per node per term, every index-free subtree evaluated again at each index,
+atom states keyed by (node id, argument).  It is the reference the
+compiled programs must reproduce: exactly over the rationals and rational
+jets, bit for bit over HighPrecision and its jets, and with the same
+exception classes.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hyperq import dsl, series, verify
+from hyperq.corpus import list_identities
+from hyperq.functions import QBase, QIntegers
+from hyperq.scalars import HighPrecision, Jet2, int_pow, jet_lift, scalar_one, scalar_zero
+from hyperq.series import (
+    EvalError,
+    FloatContext,
+    JetContext,
+    PoleInTermError,
+    RationalContext,
+    UnboundParameterError,
+    evaluate_expr,
+    sum_terminating,
+    upper_bound,
+)
+from hyperq.verify import VerifyOptions, record_rng
+
+# ------------------------------------------------------------ the reference
+
+
+def _walk_exact(node, env):
+    if isinstance(node, dsl.Num):
+        return F(node.value)
+    if isinstance(node, dsl.Param):
+        try:
+            v = env[node.name]
+        except KeyError:
+            raise UnboundParameterError(f"parameter {node.name!r} is not bound")
+        if isinstance(v, (int, F)):
+            return F(v)
+        raise EvalError(f"parameter {node.name!r} must be exact here, got {type(v).__name__}")
+    if isinstance(node, dsl.Neg):
+        return -_walk_exact(node.operand, env)
+    if isinstance(node, dsl.Add):
+        return _walk_exact(node.left, env) + _walk_exact(node.right, env)
+    if isinstance(node, dsl.Sub):
+        return _walk_exact(node.left, env) - _walk_exact(node.right, env)
+    if isinstance(node, dsl.Mul):
+        return _walk_exact(node.left, env) * _walk_exact(node.right, env)
+    if isinstance(node, dsl.Div):
+        d = _walk_exact(node.right, env)
+        if d == 0:
+            raise PoleInTermError("zero denominator in index expression")
+        return _walk_exact(node.left, env) / d
+    if isinstance(node, dsl.Pow):
+        e = _walk_int(node.exponent, env)
+        base = _walk_exact(node.base, env)
+        if e < 0 and base == 0:
+            raise PoleInTermError("zero base with negative exponent")
+        return base ** e
+    raise EvalError(f"{type(node).__name__} is not valid in an integer position")
+
+
+def _walk_int(node, env):
+    v = _walk_exact(node, env)
+    if v.denominator != 1:
+        raise EvalError(f"expected an integer value, got {v}")
+    return int(v)
+
+
+def _ambient_q(env, ctx):
+    try:
+        q = env["q"]
+    except KeyError:
+        raise UnboundParameterError("q-atoms need the parameter 'q' bound")
+    if isinstance(q, F):
+        return ctx.from_fraction(q)
+    return ctx.lift(q)
+
+
+def _incremental(cache, key, target, start_state, extend):
+    state = cache.get(key)
+    if state is None or state[0] > target:
+        state = (0, start_state)
+    count, payload = state
+    while count < target:
+        count += 1
+        payload = extend(payload, count)
+    cache[key] = (count, payload)
+    return payload
+
+
+def _q_integers(cache, key, q):
+    q_ints = cache.get(key)
+    if q_ints is None:
+        q_ints = cache[key] = QIntegers(q)
+    return q_ints
+
+
+def _walk(node, env, ctx, cache):
+    if isinstance(node, dsl.Num):
+        return node.value
+    if isinstance(node, dsl.Param):
+        try:
+            v = env[node.name]
+        except KeyError:
+            raise UnboundParameterError(f"parameter {node.name!r} is not bound")
+        return ctx.from_fraction(v) if isinstance(v, F) else v
+    if isinstance(node, dsl.Add):
+        return _walk(node.left, env, ctx, cache) + _walk(node.right, env, ctx, cache)
+    if isinstance(node, dsl.Sub):
+        return _walk(node.left, env, ctx, cache) - _walk(node.right, env, ctx, cache)
+    if isinstance(node, dsl.Mul):
+        return _walk(node.left, env, ctx, cache) * _walk(node.right, env, ctx, cache)
+    if isinstance(node, dsl.Div):
+        num = _walk(node.left, env, ctx, cache)
+        den = _walk(node.right, env, ctx, cache)
+        series._div_check(ctx.lift(den))
+        return ctx.lift(num) / ctx.lift(den)
+    if isinstance(node, dsl.Neg):
+        return -_walk(node.operand, env, ctx, cache)
+    if isinstance(node, dsl.Pow):
+        e = _walk_int(node.exponent, env)
+        base = _walk(node.base, env, ctx, cache)
+        if isinstance(base, int):
+            if e >= 0:
+                return base ** e
+            base = ctx.lift(base)
+        try:
+            return int_pow(base, e)
+        except ZeroDivisionError:
+            raise PoleInTermError("zero base with negative exponent")
+    if isinstance(node, dsl.Poch):
+        x = ctx.lift(_walk(node.x, env, ctx, cache))
+        n = _walk_int(node.count, env)
+        return _incremental(cache, (id(node), x), n, scalar_one(x),
+                            lambda p, i: p * (x + (i - 1)))
+    if isinstance(node, dsl.QPoch):
+        x = ctx.lift(_walk(node.x, env, ctx, cache))
+        q = _ambient_q(env, ctx)
+        qs = int_pow(q, node.step)
+        n = _walk_int(node.count, env)
+        return _incremental(cache, (id(node), x, q), n, (scalar_one(qs), scalar_one(qs)),
+                            lambda st, i: (st[0] * (1 - x * st[1]), st[1] * qs))[0]
+    if isinstance(node, dsl.QPochInf):
+        x = ctx.lift(_walk(node.x, env, ctx, cache))
+        q = _ambient_q(env, ctx)
+        return ctx.qpochinf(x, QBase(q, node.step))
+    if isinstance(node, dsl.Fact):
+        n = _walk_int(node.count, env)
+        if n < 0:
+            raise EvalError("factorial of a negative integer")
+        return _incremental(cache, (id(node),), n, 1, lambda p, i: p * i)
+    if isinstance(node, dsl.DFactOdd):
+        n = _walk_int(node.count, env)
+        if n < 0:
+            raise EvalError("double factorial of a negative index")
+        return _incremental(cache, (id(node),), n, 1, lambda p, i: p * (2 * i + 1))
+    if isinstance(node, dsl.QInt):
+        q = _ambient_q(env, ctx)
+        return _q_integers(cache, (id(node), q), q)(_walk_int(node.count, env))
+    if isinstance(node, dsl.Harm):
+        n = _walk_int(node.count, env)
+        exact = _incremental(cache, (id(node),), n, F(0),
+                             lambda s, i: s + F(1, i ** node.order))
+        return ctx.from_fraction(exact)
+    if isinstance(node, dsl.HarmX):
+        offset = ctx.lift(_walk(node.offset, env, ctx, cache))
+        n = _walk_int(node.count, env)
+
+        def extend(s, i):
+            d = int_pow(offset + i, node.order)
+            series._div_check(d)
+            return s + 1 / d
+
+        return _incremental(cache, (id(node), offset), n, scalar_zero(offset), extend)
+    if isinstance(node, dsl.QSum):
+        q = _ambient_q(env, ctx)
+        m = _walk_int(node.count, env)
+        q_ints = _q_integers(cache, (id(node), q, "qint"), q)
+
+        def extend(s, i):
+            idx = node.stride * i + node.shift
+            if idx < 1:
+                raise EvalError(f"nonpositive q-sum index {idx}")
+            den = int_pow(q_ints(idx), node.order)
+            series._div_check(den)
+            t = int_pow(q, idx) / den
+            if node.sign == -1 and (i - 1) % 2 == 1:
+                t = -t
+            return s + t
+
+        return _incremental(cache, (id(node), q), m, scalar_zero(q), extend)
+    if isinstance(node, dsl.QSumInf):
+        q = _ambient_q(env, ctx)
+        return ctx.qsuminf(node.order, node.stride, node.shift, node.sign, q)
+    if isinstance(node, dsl.PiConst):
+        return ctx.pi()
+    if isinstance(node, dsl.Sqrt):
+        return ctx.sqrt(node.radicand)
+    if isinstance(node, dsl.SinPi):
+        return ctx.sinpi(_walk_exact(node.arg, env))
+    if isinstance(node, dsl.CosPi):
+        return ctx.cospi(_walk_exact(node.arg, env))
+    raise EvalError(f"cannot evaluate node {type(node).__name__}")
+
+
+def _walk_sum(spec, bindings, ctx, n=None):
+    """The summation loop of ``sum_terminating`` over the reference walker."""
+    upper = n if n is not None else _walk_int(spec.upper, bindings)
+    env = dict(bindings)
+    cache = {}
+    total = None
+    for k in range(upper + 1):
+        env[spec.index] = k
+        t = _walk(spec.term, env, ctx, cache)
+        total = t if total is None else total + t
+    return ctx.lift(0) if total is None else total
+
+
+# ---------------------------------------------------------------- comparing
+
+_RAISED = (ArithmeticError, ValueError, TypeError)
+
+
+def _outcome(fn):
+    """The value of ``fn()``, or the class of the exception it raised."""
+    try:
+        return fn()
+    except _RAISED as exc:
+        return type(exc)
+
+
+def _same(a, b) -> bool:
+    """Equal values of the same type, bit for bit for HighPrecision."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Jet2):
+        return all(_same(x, y) for x, y in ((a.value, b.value), (a.d1, b.d1), (a.d2, b.d2)))
+    if isinstance(a, HighPrecision):
+        return a.raw == b.raw and a.prec == b.prec
+    return a == b
+
+
+def _assert_same(a, b):
+    assert _same(a, b), (a, b)
+
+
+# ------------------------------------------------------- corpus, both sides
+
+PREFIX = 10  # terms summed from each infinite series
+SEEDS = (0, 3)
+SAMPLES = 2
+
+
+def _environments(rec, seed):
+    """Bindings drawn from the record's domains (enumerated ones: first value)."""
+    rng = record_rng(seed, rec.id, salt="program-oracle")
+    options = VerifyOptions(seed=seed, max_n=6)
+    for _ in range(SAMPLES):
+        env = dict(verify._enumerated_combos(rec, options)[0])
+        for p in verify._sampled_params(rec):
+            env[p.name] = verify._draw(p.domain, rng, options, env)
+        yield env
+
+
+def _regimes(rec, env, first: bool):
+    """(context, bindings) pairs: the record's own regime, plus its jets;
+    3400 bits for the first sample only."""
+    if rec.lhs.terminating:
+        yield RationalContext(), env
+        if rec.active:
+            yield JetContext(RationalContext()), {**env, rec.active: jet_lift(F(env[rec.active]))}
+        return
+    for prec in (64, 3400) if first else (64,):
+        yield FloatContext(prec), env
+        if rec.active:
+            point = HighPrecision.from_fraction(F(env[rec.active]), prec)
+            yield JetContext(FloatContext(prec)), {**env, rec.active: jet_lift(point)}
+
+
+def _fresh(ctx):
+    """A context like ``ctx`` with empty constant caches."""
+    if isinstance(ctx, JetContext):
+        return JetContext(_fresh(ctx.base))
+    return FloatContext(ctx.prec) if isinstance(ctx, FloatContext) else RationalContext()
+
+
+def _side(side, env, ctx, program: bool):
+    """One side of a record: a closed form, a terminating sum, or the first
+    PREFIX terms of an infinite one."""
+    if isinstance(side, dsl.ClosedForm):
+        if program:
+            return _outcome(lambda: evaluate_expr(side.expr, env, ctx))
+        return _outcome(lambda: _walk(side.expr, env, ctx, {}))
+    n = None if side.terminating else PREFIX
+    if program:
+        return _outcome(lambda: sum_terminating(side, env, ctx, n=n))
+    return _outcome(lambda: _walk_sum(side, env, ctx, n=n))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("rec", list_identities(), ids=lambda r: r.id)
+def test_corpus_sides_match_the_walker(rec, seed):
+    for i, env in enumerate(_environments(rec, seed)):
+        for ctx, bound in _regimes(rec, env, first=i == 0):
+            for side in (rec.lhs, rec.rhs):
+                _assert_same(_side(side, bound, ctx, program=True),
+                             _side(side, bound, _fresh(ctx), program=False))
+
+
+# --------------------------------------------------- random term trees law
+
+K = dsl.Param("k")
+A = dsl.Param("a")
+
+COUNTS = st.sampled_from([
+    K, dsl.Num(0), dsl.Num(2), dsl.Add(K, dsl.Num(1)), dsl.Sub(K, dsl.Num(1)),
+    dsl.Mul(dsl.Num(2), K), dsl.Param("n"), dsl.Div(K, dsl.Num(2)), A,
+])
+EXPONENTS = st.sampled_from([
+    dsl.Num(0), dsl.Num(2), K, dsl.Neg(dsl.Num(1)), dsl.Sub(K, dsl.Num(2)),
+])
+LEAVES = st.one_of(
+    st.sampled_from([dsl.Num(1), dsl.Num(3), A, K, dsl.Neg(A), dsl.Div(dsl.Num(1), dsl.Num(2)),
+                     dsl.Param("q")]),
+    st.builds(dsl.Fact, COUNTS),
+    st.builds(dsl.Harm, st.integers(1, 2), COUNTS),
+    st.builds(dsl.QSum, st.integers(1, 2), st.integers(1, 2), st.integers(0, 1),
+              st.sampled_from([1, -1]), COUNTS),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(dsl.Add, children, children),
+        st.builds(dsl.Sub, children, children),
+        st.builds(dsl.Mul, children, children),
+        st.builds(dsl.Div, children, children),
+        st.builds(dsl.Neg, children),
+        st.builds(dsl.Pow, children, EXPONENTS),
+        st.builds(dsl.Poch, children, COUNTS),
+        st.builds(dsl.QPoch, children, st.integers(1, 2), COUNTS),
+        st.builds(dsl.HarmX, st.integers(1, 2), COUNTS, children),
+    )
+
+
+TERMS = st.recursive(LEAVES, _extend, max_leaves=8)
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(term=TERMS, a=FRACTIONS, q=st.sampled_from([F(1, 2), F(2, 3), F(-1, 3)]),
+       n=st.integers(0, 4), prec=st.sampled_from([None, 64]))
+def test_random_terms_match_the_walker(term, a, q, n, prec):
+    spec = dsl.SeriesSpec("k", 0, dsl.Param("n"), term)
+    env = {"a": a, "q": q, "n": n}
+    ctx = RationalContext() if prec is None else FloatContext(prec)
+    program = _outcome(lambda: sum_terminating(spec, env, ctx))
+    _assert_same(program, _outcome(lambda: _walk_sum(spec, env, _fresh(ctx))))
+
+
+# ------------------------------------------------------------ regressions
+
+
+def test_empty_sum_evaluates_nothing():
+    # the index-free sinpi(a) has no rational value; an empty sum never asks
+    spec = dsl.parse_series_spec("sum k=0..n-1 : sinpi(a)*poch(a,k)")
+    assert sum_terminating(spec, {"n": 0, "a": F(1, 2)}) == 0
+    with pytest.raises(EvalError):
+        sum_terminating(spec, {"n": 1, "a": F(1, 2)})
+
+
+def test_exceptions_arise_in_term_order():
+    # the pole at k = 0 comes before the index-free part is first evaluated
+    spec = dsl.parse_series_spec("sum k=0..n : 1/k*sinpi(a)")
+    with pytest.raises(PoleInTermError):
+        sum_terminating(spec, {"n": 3, "a": F(1, 2)})
+
+
+class CountingContext(FloatContext):
+    def __init__(self, prec):
+        super().__init__(prec)
+        self.products = 0
+
+    def qpochinf(self, x, base):
+        self.products += 1
+        return super().qpochinf(x, base)
+
+
+def test_index_free_parts_are_evaluated_once_per_sum():
+    spec = dsl.parse_series_spec("sum k=0..n : qpochinf(a,1)*k^2")
+    ctx = CountingContext(80)
+    value = sum_terminating(spec, {"n": 5, "a": F(1, 3), "q": F(1, 2)}, ctx)
+    assert ctx.products == 1
+    _assert_same(value, _walk_sum(spec, {"n": 5, "a": F(1, 3), "q": F(1, 2)}, FloatContext(80)))
+
+
+def test_each_node_is_compiled_once(monkeypatch):
+    compiled = []
+    original = series._Compiler.__init__
+
+    def counting(self, index):
+        compiled.append(index)
+        original(self, index)
+
+    monkeypatch.setattr(series._Compiler, "__init__", counting)
+    spec = dsl.parse_series_spec("sum k=0..n : poch(a,k)/fact(k)")
+    for n in range(4):
+        sum_terminating(spec, {"n": n, "a": F(1, 2)})
+    assert sorted(compiled, key=str) == [None, "k"]  # the upper bound, the term
+
+
+def test_upper_bound():
+    spec = dsl.parse_series_spec("sum k=0..(n-1)/2 : k")
+    assert upper_bound(spec, {"n": 7}) == 3
+    with pytest.raises(EvalError):
+        upper_bound(spec, {"n": 4})
+    with pytest.raises(UnboundParameterError):
+        upper_bound(spec, {})
+
+
+def test_derive_check_parses_each_string_binding_once(monkeypatch):
+    parses = []
+    original = dsl.parse_closed_form
+
+    def counting(text):
+        parses.append(text)
+        return original(text)
+
+    monkeypatch.setattr(dsl, "parse_closed_form", counting)
+    report = verify.operator_derive_check("GOS", "b", 2, bindings={"c": "2-b"}, samples=20)
+    assert report.verdict == "pass"
+    assert parses == ["2-b"]
