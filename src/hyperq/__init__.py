@@ -11,20 +11,11 @@ refuted by computation.
 from .corpus import IdentityRecord, get_identity, list_identities, load_corpus
 from .dsl import ClosedForm, ParseError, SeriesSpec, parse_closed_form, parse_series_spec, render
 from .functions import (
-    ConstantTag,
-    QBase,
-    constant,
-    double_factorial_odd,
-    harmonic,
     pi_constant,
-    pochhammer,
     q_integer,
-    q_partial_sum,
-    q_pochhammer,
     q_pochhammer_infinite,
     q_sum_infinite,
     sqrt_constant,
-    zeta2_constant,
 )
 from .scalars import (
     HighPrecision,
@@ -33,16 +24,13 @@ from .scalars import (
     Scalar,
     agree_to,
     jet_lift,
-    scalar_combine,
     to_precision,
 )
 from .series import (
     NonGeometricTailError,
     PoleInTermError,
     TailBound,
-    basic_hypergeometric_eval,
     evaluate_closed,
-    hypergeometric_eval,
     sum_infinite,
     sum_terminating,
 )

@@ -32,7 +32,9 @@ The exponent after ``^`` binds a single (possibly negated) primary, so
 ``fact(k)^3*4^k`` means ``(fact(k)^3)*(4^k)``; write ``q^(k*(k+1)/2)`` for
 polynomial exponents.  The q-atoms refer to the ambient parameter named
 ``q``.  ``qsuminf`` extends the sketch grammar: the closed-form sides of the
-harmonic-weighted q-identities need infinite q-sum constants.
+harmonic-weighted q-identities need infinite q-sum constants.  Orders and
+q-steps are at least 1, and so is a q-sum's first index c+d; a smaller
+literal is a parse error at its position.
 
 Rationals are written with ``/`` (``1/2`` is exact division); ``sinpi`` and
 ``cospi`` accept only arguments that reduce to the rational points with
@@ -478,14 +480,14 @@ class _Parser:
         elif name == "qpoch":
             x = self.parse_expr()
             self.expect_op(",")
-            step = self.expect_int()
+            step = self.expect_int(minimum=1, what="a step")
             self.expect_op(",")
             count = self.parse_expr()
             node = QPoch(x, step, count)
         elif name == "qpochinf":
             x = self.parse_expr()
             self.expect_op(",")
-            step = self.expect_int()
+            step = self.expect_int(minimum=1, what="a step")
             node = QPochInf(x, step)
         elif name == "fact":
             node = Fact(self.parse_expr())

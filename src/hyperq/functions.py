@@ -1,12 +1,13 @@
-"""Atomic special functions: shifted factorials, harmonic numbers, q-analogues,
-and the constants appearing on closed-form sides.
+"""The q-analogues and constants that the series engine evaluates whole:
+q-integers, the q-sum term, infinite q-products and q-sums, pi, square
+roots and the algebraic sin/cos values on closed-form sides.
 
-Everything here is generic over the scalar regimes of :mod:`hyperq.scalars`:
-pass a Fraction and get exact rationals, pass a ``HighPrecision`` and get
-correctly rounded floats, pass a ``Jet2`` and derivatives propagate.  In
-particular, lifting the argument of :func:`pochhammer` to a jet realizes the
-derivative relation  D_x (x)_n = (x)_n H_n(x-1),  and similarly for
-:func:`q_pochhammer`; that is how the operator-method checks downstream work.
+The running atoms (Pochhammer and q-Pochhammer symbols, factorials,
+harmonic numbers, finite q-sums) have one definition each, as recurrences of
+the term programs in :mod:`hyperq.series`; the finite q-sum and
+:func:`q_sum_infinite` share :func:`q_sum_term`.  Everything here is generic
+over the scalar regimes of :mod:`hyperq.scalars` where its domain allows:
+exact rationals, correctly rounded ``HighPrecision`` floats, and jets.
 
 Gamma ratios never appear: every ratio of Gamma values used by closed forms
 is expressed as a ratio of shifted factorials, which is exactly rational.
@@ -15,9 +16,8 @@ is expressed as a ratio of shifted factorials, which is exactly rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from mpmath import libmp
 
@@ -27,7 +27,6 @@ from .scalars import (
     Scalar,
     agree_to,
     int_pow,
-    is_scalar_zero,
     scalar_one,
     scalar_zero,
     to_precision,
@@ -42,87 +41,18 @@ class NonConvergentBaseError(DomainError):
     """Raised when an infinite q-product or q-sum is requested at |q^s| >= 1."""
 
 
-@dataclass(frozen=True)
-class QBase:
-    """A q-base together with the step s; the base actually used is q**s."""
-
-    q: Scalar
-    step: int = 1
-
-    def __post_init__(self):
-        if self.step < 1:
-            raise ValueError("q-base step must be a positive integer")
-
-    def power(self) -> Scalar:
-        return int_pow(self.q, self.step)
-
-
-# ---------------------------------------------------------------------------
-# classical atoms
-# ---------------------------------------------------------------------------
-
-
-def pochhammer(x: Scalar, n: int) -> Scalar:
-    """Shifted factorial (x)_n = x (x+1) ... (x+n-1); the empty product is 1."""
-    if n < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    result = scalar_one(x)
-    for i in range(n):
-        result = result * (x + i)
-    return result
-
-
-def harmonic(order: int, n: int, offset: Scalar = Fraction(0)) -> Scalar:
-    """Generalized harmonic number H_n^(order)(offset) = sum_{k=1..n} (offset+k)^(-order).
-
-    Raises ZeroDivisionError when some offset+k vanishes (a pole).
-    """
-    if order < 1:
-        raise ValueError("harmonic order must be a positive integer")
-    total = scalar_zero(offset if not isinstance(offset, int) else Fraction(offset))
-    for k in range(1, n + 1):
-        term = offset + k
-        if is_scalar_zero(term):
-            raise ZeroDivisionError(f"harmonic number pole at offset + {k} = 0")
-        total = total + 1 / int_pow(term, order)
-    return total
-
-
-def double_factorial_odd(k: int) -> int:
-    """(2k+1)!! = 1 * 3 * ... * (2k+1), equal to (2k+1)!/(2^k k!)."""
-    if k < 0:
-        raise ValueError("double factorial index must be nonnegative")
-    result = 1
-    for i in range(3, 2 * k + 2, 2):
-        result *= i
-    return result
-
-
 # ---------------------------------------------------------------------------
 # q-atoms
 # ---------------------------------------------------------------------------
 
 
-def q_pochhammer(x: Scalar, base: QBase, n: int) -> Scalar:
-    """q-shifted factorial (x; q^s)_n = prod_{i=0}^{n-1} (1 - x (q^s)^i)."""
-    if n < 0:
-        raise ValueError("q-pochhammer order must be nonnegative")
-    qs = base.power()
-    result = scalar_one(qs)
-    p = scalar_one(qs)
-    for _ in range(n):
-        result = result * (1 - x * p)
-        p = p * qs
-    return result
+def q_pochhammer_infinite(x, qs, prec: Optional[int] = None):
+    """(x; qs)_infinity, truncated once the remaining factors are below 2^(-prec-8).
 
-
-def q_pochhammer_infinite(x, base: QBase, prec: Optional[int] = None):
-    """(x; q^s)_infinity, truncated once the remaining factors are below 2^(-prec-8).
-
-    Requires 0 < q^s < 1.  ``x`` may be ``HighPrecision`` or a jet over it;
-    the truncation rule uses the value component.
+    ``qs`` is the base itself (q^s for a step s) and requires 0 < qs < 1.
+    ``x`` and ``qs`` may be ``HighPrecision`` or jets over it; the truncation
+    rule uses the value components.
     """
-    qs = base.power()
     qs_val = qs.value if isinstance(qs, Jet2) else qs
     if not isinstance(qs_val, HighPrecision):
         raise TypeError("infinite q-products are evaluated in the HighPrecision regime")
@@ -172,28 +102,33 @@ class QIntegers:
 
 
 def q_integer(m: int, q: Scalar) -> Scalar:
-    """[m] = 1 + q + ... + q^(m-1)."""
+    """[m] = 1 + q + ... + q^(m-1).
+
+    The package itself runs :class:`QIntegers`; this wrapper stays because the
+    benchmark's per-layer tracer (``bench/layers.py``) hooks it by name.
+    """
     return QIntegers(q)(m)
 
 
-def q_partial_sum(order: int, stride: int, shift: int, sign: int, m: int, q: Scalar) -> Scalar:
-    """sum_{i=1}^{m} sign^(i-1) q^(stride*i+shift) / [stride*i+shift]^order.
+def q_sum_term(order: int, stride: int, shift: int, sign: int, q, q_ints: QIntegers, i: int,
+               errors=(ValueError, ZeroDivisionError)):
+    """The i-th summand sign^(i-1) q^idx / [idx]^order of a q-sum, idx = stride*i + shift,
+    together with q^idx.
 
-    Every index stride*i+shift must be >= 1.
+    ``q_ints`` is the sum's running :class:`QIntegers` over ``q``; ``errors``
+    are the classes raised for an index below 1 and for a zero [idx].  Both
+    the finite ``qsum`` atom and :func:`q_sum_infinite` take their terms here.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    q_ints = QIntegers(q)
-    total = scalar_zero(q)
-    for i in range(1, m + 1):
-        idx = stride * i + shift
-        if idx < 1:
-            raise ValueError(f"nonpositive q-sum index {idx} at i={i}")
-        term = int_pow(q, idx) / int_pow(q_ints(idx), order)
-        if sign == -1 and (i - 1) % 2 == 1:
-            term = -term
-        total = total + term
-    return total
+    idx = stride * i + shift
+    if idx < 1:
+        raise errors[0](f"nonpositive q-sum index {idx} at i={i}")
+    den = int_pow(q_ints(idx), order)
+    qpow = int_pow(q, idx)
+    try:
+        term = qpow / den
+    except ZeroDivisionError:  # every regime's division raises it for a zero [idx]
+        raise errors[1](f"zero q-integer [{idx}] in a q-sum denominator") from None
+    return (-term if sign == -1 and (i - 1) % 2 == 1 else term), qpow
 
 
 def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPrecision":
@@ -214,13 +149,7 @@ def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPr
     total = scalar_zero(q)
     i = 1
     while True:
-        idx = stride * i + shift
-        if idx < 1:
-            raise ValueError(f"nonpositive q-sum index {idx} at i={i}")
-        qpow = int_pow(q, idx)
-        term = qpow / int_pow(q_ints(idx), order)
-        if sign == -1 and (i - 1) % 2 == 1:
-            term = -term
+        term, qpow = q_sum_term(order, stride, shift, sign, q, q_ints, i)
         total = total + term
         if qpow / ratio_gap < threshold:
             return total
@@ -230,19 +159,6 @@ def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPr
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantTag:
-    """Names one supported constant.
-
-    kind is one of ``pi``, ``sqrt`` (arg: small integer m), ``zeta2``, or
-    ``q-sum`` (args: order, stride, shift, sign; the base comes from the
-    evaluation environment).
-    """
-
-    kind: str
-    args: tuple = ()
 
 
 def _arctan_recip(m: int, prec: int) -> HighPrecision:
@@ -310,29 +226,6 @@ def sqrt_constant(m: int, prec: int) -> HighPrecision:
     return y.round_to(prec)
 
 
-def zeta2_constant(prec: int) -> HighPrecision:
-    """zeta(2) by the central-binomial series 3 sum_{k>=1} 1/(k^2 binom(2k,k)).
-
-    The direct series sum 1/j^2 has a non-geometric tail that the series
-    engine rejects by design; this classical equivalent has term ratio -> 1/4
-    and is independent of pi, so comparing it against pi^2/6 is a genuine
-    check of Euler's formula.
-    """
-    wp = prec + 16
-    threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (wp - 2)), wp)
-    # term_k = 3/2 * k! / ((k+1) (3/2)_k 4^k), starting at k = 0
-    term = HighPrecision.from_fraction(Fraction(3, 2), wp)
-    total = HighPrecision.from_int(0, wp)
-    k = 0
-    while True:
-        total = total + term
-        if term < threshold:
-            return total.round_to(prec)
-        # ratio t_{k+1}/t_k = (k+1)^2 / ((k+2)(2k+3) * 2)
-        term = term * (k + 1) ** 2 / ((k + 2) * (2 * k + 3) * 2)
-        k += 1
-
-
 # sin(pi x) and cos(pi x) at the rational points with algebraic closed forms,
 # stored as (radicand m, rational coefficient): value = coeff * sqrt(m).
 _SINPI_TABLE = {
@@ -371,19 +264,3 @@ def sinpi_constant(x: Fraction, prec: int) -> HighPrecision:
 def cospi_constant(x: Fraction, prec: int) -> HighPrecision:
     """cos(pi x) at the supported rational points."""
     return _algebraic(_COSPI_TABLE, "cospi", x, prec)
-
-
-def constant(tag: ConstantTag, prec: int, q: Optional[HighPrecision] = None) -> HighPrecision:
-    """Evaluate a tagged constant to prec working bits (correct to prec-8)."""
-    if tag.kind == "pi":
-        return pi_constant(prec)
-    if tag.kind == "sqrt":
-        return sqrt_constant(tag.args[0], prec)
-    if tag.kind == "zeta2":
-        return zeta2_constant(prec)
-    if tag.kind == "q-sum":
-        if q is None:
-            raise ValueError("q-sum constants need a bound q")
-        order, stride, shift, sign = tag.args
-        return q_sum_infinite(order, stride, shift, sign, q)
-    raise ValueError(f"unknown constant tag {tag.kind!r}")

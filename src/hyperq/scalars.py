@@ -326,52 +326,6 @@ def scalar_one(x: Scalar):
     return _one_like(x)
 
 
-def is_scalar_zero(x: Scalar) -> bool:
-    if isinstance(x, Jet2):
-        return _is_zero(x.value) and _is_zero(x.d1) and _is_zero(x.d2)
-    return _is_zero(x)
-
-
-def scalar_combine(kind: str, a: Scalar, b=None) -> Scalar:
-    """Single dispatch point for the primitive arithmetic operations.
-
-    ``kind`` is one of ``add``, ``sub``, ``mul``, ``div``, ``neg``,
-    ``int-pow``.  For ``int-pow`` the second operand must be a Python int;
-    for ``neg`` it is ignored.  Regime mixing raises
-    ``RegimeMismatchError``; division by zero (for jets: by a zero value
-    component) raises ``ZeroDivisionError``.
-    """
-    _check_same_regime(kind, a, b)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        if not isinstance(a, (HighPrecision, Jet2)) and _is_zero(b):
-            raise ZeroDivisionError("division by zero")
-        return a / b
-    if kind == "neg":
-        return -a
-    if kind == "int-pow":
-        if not isinstance(b, int):
-            raise RegimeMismatchError("int-pow exponent must be an int")
-        return int_pow(a, b)
-    raise ValueError(f"unknown operation kind: {kind!r}")
-
-
-def _check_same_regime(kind, a, b):
-    if b is None or isinstance(b, int) or kind == "neg":
-        return
-    for cls in (Fraction, HighPrecision, Jet2):
-        if isinstance(a, cls) and not isinstance(b, cls):
-            raise RegimeMismatchError(
-                f"{kind}: operands live in different regimes "
-                f"({type(a).__name__} vs {type(b).__name__})"
-            )
-
-
 def int_pow(x: Scalar, n: int) -> Scalar:
     """x**n for integer n (negative allowed when x is invertible)."""
     if isinstance(x, (HighPrecision, Jet2)):

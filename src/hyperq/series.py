@@ -1,5 +1,4 @@
-"""Series evaluation: exact terminating sums, tail-bounded infinite sums, and
-the canonical (basic) hypergeometric builders.
+"""Series evaluation: exact terminating sums and tail-bounded infinite sums.
 
 Terminating sums are evaluated in the exact rational (or rational-jet)
 regime; infinite sums run in the HighPrecision regime under an empirical
@@ -29,16 +28,16 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import dsl
 from .functions import (
-    QBase,
     QIntegers,
     cospi_constant,
     pi_constant,
     q_pochhammer_infinite,
     q_sum_infinite,
+    q_sum_term,
     sinpi_constant,
     sqrt_constant,
 )
@@ -46,6 +45,7 @@ from .scalars import (
     HighPrecision,
     Jet2,
     Scalar,
+    _is_zero,
     agree_to,
     int_pow,
     jet_lift,
@@ -123,7 +123,7 @@ class RationalContext:
     def qsuminf(self, order, stride, shift, sign, q):
         raise EvalError("infinite q-sums require a numeric context")
 
-    def qpochinf(self, x, base):
+    def qpochinf(self, x, qs):
         raise EvalError("infinite q-products require a numeric context")
 
 
@@ -165,8 +165,8 @@ class FloatContext:
         return self._cached(("qsuminf", order, stride, shift, sign, q),
                             lambda: q_sum_infinite(order, stride, shift, sign, q))
 
-    def qpochinf(self, x, base: QBase):
-        return q_pochhammer_infinite(x, base, self.prec)
+    def qpochinf(self, x, qs):
+        return q_pochhammer_infinite(x, qs, self.prec)
 
 
 class JetContext:
@@ -193,16 +193,10 @@ class JetContext:
 
     def qsuminf(self, order, stride, shift, sign, q):
         if isinstance(q, Jet2):
-            if not (_plain_zero(q.d1) and _plain_zero(q.d2)):
+            if not (_is_zero(q.d1) and _is_zero(q.d2)):
                 raise EvalError("infinite q-sums do not support an active q")
             q = q.value
         return self.base.qsuminf(order, stride, shift, sign, q)
-
-
-def _plain_zero(x) -> bool:
-    if isinstance(x, HighPrecision):
-        return x.is_zero()
-    return x == 0
 
 
 def _value_of(x):
@@ -210,7 +204,7 @@ def _value_of(x):
 
 
 def _div_check(denom):
-    if _plain_zero(_value_of(denom)):
+    if _is_zero(_value_of(denom)):
         raise PoleInTermError("zero denominator factor")
 
 
@@ -321,8 +315,8 @@ class _Compiler:
         if exact:
             return partial(_raise, f"{kind.__name__} is not valid in an integer position")
         if kind is dsl.QPochInf:
-            return lambda env, ctx, cache, x=sub(node.x, lift=True), q=sub(_Q): ctx.qpochinf(
-                x(env, ctx, cache), QBase(q(env, ctx, cache), node.step))
+            x, qs = sub(node.x, lift=True), sub(dsl.Pow(_Q, dsl.Num(node.step)))
+            return lambda env, ctx, cache: ctx.qpochinf(x(env, ctx, cache), qs(env, ctx, cache))
         if kind is dsl.QSumInf:
             return lambda env, ctx, cache, q=sub(_Q): ctx.qsuminf(
                 node.order, node.stride, node.shift, node.sign, q(env, ctx, cache))
@@ -340,9 +334,9 @@ class _Compiler:
             qs = dsl.Pow(_Q, dsl.Num(node.step))
             recurrence, args = _qpoch, [sub(node.x, lift=True), sub(qs)]
         elif kind is dsl.Fact:
-            recurrence, args = partial(_factorial, "factorial of a negative integer", 0), []
+            recurrence, args = partial(_factorial, 0), []
         elif kind is dsl.DFactOdd:
-            recurrence, args = partial(_factorial, "double factorial of a negative index", 1), []
+            recurrence, args = partial(_factorial, 1), []
         elif kind is dsl.QInt:
             recurrence, args = _qint, [sub(_Q)]
         elif kind is dsl.Harm:
@@ -353,7 +347,9 @@ class _Compiler:
             recurrence, args = partial(_qsum, node), [sub(_Q)]
         else:
             return partial(_raise, f"cannot evaluate node {kind.__name__}")
-        return partial(_atom, recurrence, args, integer(node.count), next(self.slots))
+        # the atom's DSL name is its lowercased node type
+        return partial(_atom, kind.__name__.lower(), recurrence, args, integer(node.count),
+                       next(self.slots))
 
 
 def _param(name, exact, env, ctx, cache):
@@ -416,8 +412,12 @@ def _integer(exact, env, ctx, cache):
     raise EvalError(f"expected an integer value, got {v}")
 
 
-def _atom(recurrence, args, count, slot, env, ctx, cache):
-    return recurrence(ctx, cache, slot, *[a(env, ctx, cache) for a in args], count(env, ctx, cache))
+def _atom(name, recurrence, args, count, slot, env, ctx, cache):
+    values = [a(env, ctx, cache) for a in args]
+    n = count(env, ctx, cache)
+    if n < 0:
+        raise EvalError(f"{name} of a negative count {n}")
+    return recurrence(ctx, cache, slot, *values, n)
 
 
 def _advance(cache, slot, key: tuple, target: int, start, extend):
@@ -447,9 +447,7 @@ def _qpoch(ctx, cache, slot, x, qs, n):
                     lambda st, i: (st[0] * (1 - x * st[1]), st[1] * qs))[0]
 
 
-def _factorial(what, odd, ctx, cache, slot, n):
-    if n < 0:
-        raise EvalError(what)
+def _factorial(odd, ctx, cache, slot, n):
     return _advance(cache, slot, (), n, lambda: 1, lambda p, i: p * (2 * i + 1 if odd else i))
 
 
@@ -476,14 +474,8 @@ def _harmx(order, ctx, cache, slot, offset, n):
 def _qsum(atom, ctx, cache, slot, q, m):
     def extend(state, i):
         s, q_ints = state
-        idx = atom.stride * i + atom.shift
-        if idx < 1:
-            raise EvalError(f"nonpositive q-sum index {idx}")
-        den = int_pow(q_ints(idx), atom.order)
-        _div_check(den)
-        t = int_pow(q, idx) / den
-        if atom.sign == -1 and (i - 1) % 2 == 1:
-            t = -t
+        t, _ = q_sum_term(atom.order, atom.stride, atom.shift, atom.sign, q, q_ints, i,
+                          errors=(EvalError, PoleInTermError))
         return s + t, q_ints
 
     return _advance(cache, slot, (q,), m, lambda: (scalar_zero(q), QIntegers(q)), extend)[0]
@@ -641,102 +633,3 @@ def evaluate_closed(cf: dsl.ClosedForm, bindings: dict, prec: Optional[int] = No
         raise PrecisionLossError(
             f"closed-form evaluation at {prec} and {prec + 32} bits disagrees")
     return _round_result(high, prec)
-
-
-# ------------------------------------------------- canonical hypergeometrics
-
-
-def _index_param() -> dsl.Param:
-    return dsl.Param("k")
-
-
-def _build_product(factors) -> dsl.Expr:
-    node = factors[0]
-    for f in factors[1:]:
-        node = dsl.Mul(node, f)
-    return node
-
-
-def hypergeometric_spec(r: int, s: int) -> Tuple[dsl.SeriesSpec, Sequence[str], Sequence[str]]:
-    """The canonical SeriesSpec for rFs with parameter placeholders.
-
-    Returns (spec, upper_names, lower_names); bind each name plus ``z``.
-    """
-    k = _index_param()
-    uppers = [f"_a{i}" for i in range(r)]
-    lowers = [f"_b{i}" for i in range(s)]
-    num = [dsl.Poch(dsl.Param(u), k) for u in uppers] or [dsl.Num(1)]
-    den = [dsl.Poch(dsl.Param(b), k) for b in lowers] + [dsl.Fact(k)]
-    term = dsl.Mul(dsl.Div(_build_product(num), _build_product(den)),
-                   dsl.Pow(dsl.Param("z"), k))
-    return dsl.SeriesSpec("k", 0, None, term), uppers, lowers
-
-
-def hypergeometric_eval(upper: Sequence, lower: Sequence, z, *,
-                        n: Optional[int] = None, prec: Optional[int] = None):
-    """Evaluate rFs(upper; lower; z) exactly (terminating) or numerically.
-
-    Exact mode (``n`` given) requires -n among the upper parameters and sums
-    k = 0..n over rationals.  Numeric mode (``prec`` given) delegates to
-    :func:`sum_infinite` and returns just the value.
-    """
-    spec, unames, lnames = hypergeometric_spec(len(upper), len(lower))
-    bindings = {name: Fraction(v) if isinstance(v, int) else v
-                for name, v in zip(unames, upper)}
-    bindings.update({name: Fraction(v) if isinstance(v, int) else v
-                     for name, v in zip(lnames, lower)})
-    bindings["z"] = Fraction(z) if isinstance(z, int) else z
-    if (n is None) == (prec is None):
-        raise ValueError("pass exactly one of n (exact) or prec (numeric)")
-    if n is not None:
-        if all(Fraction(u) != -n for u in upper):
-            raise EvalError(f"exact mode needs {-n} among the upper parameters")
-        finite = dsl.SeriesSpec(spec.index, 0, dsl.Num(n), spec.term)
-        return sum_terminating(finite, bindings)
-    value, _, _ = sum_infinite(spec, bindings, prec)
-    return value
-
-
-def basic_hypergeometric_spec(r: int, s: int, step: int):
-    """Canonical SeriesSpec for r-phi-s over the base q**step."""
-    k = _index_param()
-    uppers = [f"_a{i}" for i in range(r)]
-    lowers = [f"_b{i}" for i in range(s)]
-    qs_expr = dsl.Pow(dsl.Param("q"), dsl.Num(step)) if step != 1 else dsl.Param("q")
-    num = [dsl.QPoch(dsl.Param(u), step, k) for u in uppers] or [dsl.Num(1)]
-    den = [dsl.QPoch(dsl.Param(b), step, k) for b in lowers] + [dsl.QPoch(qs_expr, step, k)]
-    factors = [dsl.Div(_build_product(num), _build_product(den))]
-    extra = 1 + s - r
-    if extra != 0:
-        # [(-1)^k q^(binom(k,2))]^(1+s-r) over the working base
-        minus = dsl.Pow(dsl.Neg(dsl.Num(1)), k)
-        tri = dsl.Div(dsl.Mul(dsl.Num(step), dsl.Mul(k, dsl.Sub(k, dsl.Num(1)))), dsl.Num(2))
-        factors.append(dsl.Pow(dsl.Mul(minus, dsl.Pow(dsl.Param("q"), tri)), dsl.Num(extra)))
-    factors.append(dsl.Pow(dsl.Param("z"), k))
-    return dsl.SeriesSpec("k", 0, None, _build_product(factors)), uppers, lowers
-
-
-def basic_hypergeometric_eval(upper: Sequence, lower: Sequence, base: QBase, z, *,
-                              n: Optional[int] = None, prec: Optional[int] = None):
-    """Evaluate r-phi-s(upper; lower; q^step, z), exactly or numerically.
-
-    Exact mode requires (q^step)^(-n) among the upper parameters.
-    """
-    spec, unames, lnames = basic_hypergeometric_spec(len(upper), len(lower), base.step)
-    bindings = {name: Fraction(v) if isinstance(v, int) else v
-                for name, v in zip(unames, upper)}
-    bindings.update({name: Fraction(v) if isinstance(v, int) else v
-                     for name, v in zip(lnames, lower)})
-    bindings["z"] = Fraction(z) if isinstance(z, int) else z
-    bindings["q"] = Fraction(base.q) if isinstance(base.q, int) else base.q
-    if (n is None) == (prec is None):
-        raise ValueError("pass exactly one of n (exact) or prec (numeric)")
-    if n is not None:
-        qs = int_pow(Fraction(bindings["q"]), base.step)
-        target = int_pow(qs, -n)
-        if all(Fraction(u) != target for u in upper):
-            raise EvalError("exact mode needs q^(-n) among the upper parameters")
-        finite = dsl.SeriesSpec(spec.index, 0, dsl.Num(n), spec.term)
-        return sum_terminating(finite, bindings)
-    value, _, _ = sum_infinite(spec, bindings, prec)
-    return value

@@ -247,46 +247,33 @@ def _eval_rhs_exact(rec: IdentityRecord, bindings: dict, ctx) -> object:
     return evaluate_expr(rec.rhs.expr, bindings, ctx)
 
 
-def _verify_terminating(rec: IdentityRecord, options: VerifyOptions) -> VerificationReport:
-    rng = record_rng(options.seed, rec.id)
-    ctx = RationalContext()
-    worst = Fraction(0)
-    terms = 0
-    taken = 0
-    for _ in range(options.samples):
-        def evaluate(bindings):
-            return (sum_terminating(rec.lhs, bindings, ctx),
-                    _eval_rhs_exact(rec, bindings, ctx))
-
-        bindings, (lv, rv) = _admissible(rec, options, rng, [], evaluate)
-        taken += 1
-        terms = max(terms, upper_bound(rec.lhs, bindings) + 1)
-        diff = abs(Fraction(lv) - Fraction(rv))
-        worst = max(worst, diff)
-    verdict = "pass" if worst == 0 else "fail"
-    return VerificationReport(rec.id, rec.kind, verdict, residual=worst,
-                              tolerance=Fraction(0), terms=terms, samples=taken)
-
-
 def _verify_jet(rec: IdentityRecord, options: VerifyOptions) -> VerificationReport:
+    """Compare both sides as jets in the active parameter: exactly when the
+    left side terminates, within tolerance otherwise.
+
+    A ``terminating-exact`` record is the order-0 case: no lift, and only
+    the values are compared.
+    """
     rng = record_rng(options.seed, rec.id)
-    exact = rec.lhs.terminating
     worst = Fraction(0)
     terms = 0
     taken = 0
-    if exact:
-        ctx = JetContext(RationalContext())
+    if rec.lhs.terminating:
+        active = rec.active if rec.kind == "jet-derived" else None
+        ctx = RationalContext() if active is None else JetContext(RationalContext())
+        order = 0 if active is None else 2
         for _ in range(options.samples):
             def evaluate(bindings):
                 env = dict(bindings)
-                env[rec.active] = jet_lift(Fraction(env[rec.active]))
+                if active is not None:
+                    env[active] = jet_lift(Fraction(env[active]))
                 return (sum_terminating(rec.lhs, env, ctx),
                         _eval_rhs_exact(rec, env, ctx))
 
             bindings, (lv, rv) = _admissible(rec, options, rng, [], evaluate)
             taken += 1
             terms = max(terms, upper_bound(rec.lhs, bindings) + 1)
-            for lc, rc in zip(_jet_components(lv, 2), _jet_components(rv, 2)):
+            for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
                 worst = max(worst, abs(Fraction(lc) - Fraction(rc)))
         verdict = "pass" if worst == 0 else "fail"
         return VerificationReport(rec.id, rec.kind, verdict, residual=worst,
@@ -295,7 +282,6 @@ def _verify_jet(rec: IdentityRecord, options: VerifyOptions) -> VerificationRepo
     # numeric jets over an infinite base identity
     prec = options.work_prec
     tol = options.tolerance
-    worst = Fraction(0)
     for combo in _enumerated_combos(rec, options):
         for _ in range(options.numeric_draws):
             def evaluate(bindings):
@@ -366,12 +352,10 @@ def verify_identity(rec_or_id: Union[str, IdentityRecord],
     rec = get_identity(rec_or_id, path) if isinstance(rec_or_id, str) else rec_or_id
     start = time.perf_counter()
     try:
-        if rec.kind == "terminating-exact":
-            report = _verify_terminating(rec, options)
-        elif rec.kind == "jet-derived":
-            report = _verify_jet(rec, options)
-        else:
+        if rec.kind == "infinite-numeric":
             report = _verify_infinite(rec, options)
+        else:
+            report = _verify_jet(rec, options)
     except _CAUGHT as exc:
         report = VerificationReport(rec.id, rec.kind, "error",
                                     error=f"{type(exc).__name__}: {exc}")
@@ -479,6 +463,9 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
     return report
 
 
+_HARMONIC = dsl.HarmX(1, dsl.Param("m"), dsl.Param("x"))  # harmx(1,m,x): H_m(x)
+
+
 def divided_difference_check(m: int, u: Fraction, v: Fraction, x: Fraction) -> bool:
     """Exact check of the divided-difference relation
 
@@ -494,9 +481,9 @@ def divided_difference_check(m: int, u: Fraction, v: Fraction, x: Fraction) -> b
         if a == 0 or b == 0:
             raise ZeroDivisionError(f"pole in divided-difference product at i={i}")
         lhs += Fraction(1) / (a * b)
-    from .functions import harmonic
-    rhs = (harmonic(1, m, x + u) - harmonic(1, m, v - x)) / (v - u - 2 * x)
-    return lhs == rhs
+    h_plus, h_minus = (evaluate_expr(_HARMONIC, {"m": m, "x": offset}, RationalContext())
+                       for offset in (x + u, v - x))
+    return lhs == (h_plus - h_minus) / (v - u - 2 * x)
 
 
 # --------------------------------------------------------- mutation testing

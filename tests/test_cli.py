@@ -74,6 +74,21 @@ class TestExitCodes:
     def test_harmonic_order_zero_is_two(self):
         self._assert_parse_error(run_cli("eval", "sum k=0..inf : harm(0,k)/2^k"), "1:21")
 
+    def test_q_product_step_zero_is_two(self):
+        self._assert_parse_error(run_cli("eval", "qpochinf(q,0)", "--param", "q=1/2"), "1:12")
+
+    def _assert_eval_error(self, out):
+        assert out.returncode == 3
+        assert out.stderr.startswith("error: EvalError: ")
+        assert len(out.stderr.splitlines()) == 1
+        assert "Traceback" not in out.stderr
+
+    def test_negative_pochhammer_count_is_three(self):
+        self._assert_eval_error(run_cli("eval", "poch(1,-1)"))
+
+    def test_negative_q_integer_is_three(self):
+        self._assert_eval_error(run_cli("eval", "qint(-1)", "--param", "q=1/2"))
+
 
 class TestEval:
     def test_exact_terminating(self):

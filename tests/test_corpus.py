@@ -228,6 +228,14 @@ class TestDividedDifference:
     def test_small_case(self):
         assert divided_difference_check(2, F(0), F(1), F(1, 3))
 
+    def test_pole_raises(self):
+        with pytest.raises(ZeroDivisionError):  # x + u + 2 = 0
+            divided_difference_check(3, F(-1), F(2), F(-1))
+        with pytest.raises(ZeroDivisionError):  # v - x + 1 = 0
+            divided_difference_check(3, F(1), F(-1), F(0))
+        with pytest.raises(ZeroDivisionError):  # v - u - 2x = 0
+            divided_difference_check(3, F(1), F(2), F(1, 2))
+
     def test_fifty_random_trials(self):
         rng = random.Random(9)
         done = 0
@@ -261,8 +269,8 @@ class TestSampler:
                 "params = a in rat7, n in nmax\nanchor = t\n")
         rec = parse_corpus(text)[0]
         with pytest.raises(SampleExhaustedError):
-            from hyperq.verify import _verify_terminating
-            _verify_terminating(rec, VerifyOptions(samples=1))
+            from hyperq.verify import _verify_jet
+            _verify_jet(rec, VerifyOptions(samples=1))
 
 
 class TestReports:

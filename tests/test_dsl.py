@@ -125,6 +125,8 @@ class TestParseErrors:
         ("qsum(2,1,-1,+,k)", 10, "a shift >= 0"),
         ("qsuminf(1,1,-5,+)", 13, "a shift >= 0"),
         ("qsuminf(2,3,-3,-)", 13, "a shift >= -2"),
+        ("qpoch(a,0,k)", 9, "a step >= 1"),
+        ("qpochinf(q,0)", 12, "a step >= 1"),
     ])
     def test_atom_indices_checked(self, text, column, expected):
         with pytest.raises(ParseError) as err:

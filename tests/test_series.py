@@ -1,5 +1,5 @@
-"""Series engine: term evaluation, exact and tail-bounded summation, and the
-canonical hypergeometric builders."""
+"""Series engine: term evaluation, exact and tail-bounded summation, and
+(basic) hypergeometric series written in the DSL, against naive loops."""
 
 import math
 from dataclasses import replace
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hyperq import dsl
 from hyperq.corpus import get_identity
-from hyperq.functions import QBase, pi_constant
+from hyperq.functions import pi_constant
 from hyperq.scalars import agree_to, to_precision
 from hyperq.series import (
     EvalError,
@@ -20,10 +20,8 @@ from hyperq.series import (
     PoleInTermError,
     RationalContext,
     UnboundParameterError,
-    basic_hypergeometric_eval,
     evaluate_closed,
     evaluate_expr,
-    hypergeometric_eval,
     sum_infinite,
     sum_terminating,
 )
@@ -217,25 +215,68 @@ class TestPrecisionStability:
         assert agree_to(lo, hi.round_to(p), p - 8)
 
 
+def poch(x, n):
+    """Naive rising factorial x (x+1) ... (x+n-1)."""
+    return math.prod((x + i for i in range(n)), start=F(1))
+
+
+def qpoch(x, q, n):
+    """Naive q-shifted factorial (1-x)(1-xq) ... (1-xq^(n-1))."""
+    return math.prod((1 - x * q ** i for i in range(n)), start=F(1))
+
+
+def hyper_prefix(upper, lower, z, n):
+    """Naive rFs partial sum over k = 0..n."""
+    return sum((math.prod((poch(a, k) for a in upper), start=F(1)) * z ** k
+                / (math.prod((poch(b, k) for b in lower), start=F(1)) * math.factorial(k))
+                for k in range(n + 1)), F(0))
+
+
+def basic_prefix(upper, lower, q, z, n):
+    """Naive r-phi-s partial sum over k = 0..n for r = s + 1."""
+    return sum((math.prod((qpoch(a, q, k) for a in upper), start=F(1)) * z ** k
+                / math.prod((qpoch(b, q, k) for b in lower + [q]), start=F(1))
+                for k in range(n + 1)), F(0))
+
+
+def hyper_text(r, s, upper="n"):
+    """rFs over k = 0..upper with parameters a0.., b0.. and argument z."""
+    num = "*".join([f"poch(a{i},k)" for i in range(r)] + ["z^k"])
+    den = "*".join([f"poch(b{i},k)" for i in range(s)] + ["fact(k)"])
+    return f"sum k=0..{upper} : {num}/({den})"
+
+
+def basic_text(r, upper="n"):
+    """r-phi-(r-1) over k = 0..upper with parameters a0.., b0.., base q, argument z."""
+    num = "*".join([f"qpoch(a{i},1,k)" for i in range(r)] + ["z^k"])
+    den = "*".join([f"qpoch(b{i},1,k)" for i in range(r - 1)] + ["qpoch(q,1,k)"])
+    return f"sum k=0..{upper} : {num}/({den})"
+
+
+def bind(upper, lower, **rest):
+    env = {f"a{i}": v for i, v in enumerate(upper)}
+    env.update({f"b{i}": v for i, v in enumerate(lower)})
+    env.update(rest)
+    return env
+
+
 class TestHypergeometricEval:
     def test_2f1_two_term(self):
         b, c, z = F(3, 2), F(5, 3), F(2, 7)
-        value = hypergeometric_eval([F(-1), b], [c], z, n=1)
-        assert value == 1 - b * z / c
+        spec = dsl.parse_series_spec(hyper_text(2, 1))
+        assert sum_terminating(spec, bind([F(-1), b], [c], z=z, n=1)) == 1 - b * z / c
 
     def test_dougall_5f4_exact(self):
         a, b, c, n = F(3), F(1, 2), F(1, 2), 2
         upper = [a, 1 + a / 2, b, c, F(-n)]
         lower = [a / 2, 1 + a - b, 1 + a - c, 1 + a + n]
-        lhs = hypergeometric_eval(upper, lower, F(1), n=n)
-        from hyperq.functions import pochhammer
-        rhs = (pochhammer(1 + a, n) * pochhammer(1 + a - b - c, n)
-               / (pochhammer(1 + a - b, n) * pochhammer(1 + a - c, n)))
+        lhs = sum_terminating(dsl.parse_series_spec(hyper_text(5, 4)), bind(upper, lower, z=1, n=n))
+        rhs = (poch(1 + a, n) * poch(1 + a - b - c, n)
+               / (poch(1 + a - b, n) * poch(1 + a - c, n)))
         assert lhs == rhs
 
     def test_0f0_is_exp(self):
-        prec = 120
-        value = hypergeometric_eval([], [], F(1), prec=prec)
+        value, _, _ = sum_infinite(dsl.parse_series_spec(hyper_text(0, 0, "inf")), {"z": 1}, 120)
         # independent oracle: partial factorial series summed exactly
         e = F(0)
         term = F(1)
@@ -245,16 +286,21 @@ class TestHypergeometricEval:
         assert abs(value.to_fraction() - e) < F(1, 10 ** 30)
 
     def test_exact_mode_requires_terminating_parameter(self):
+        # exact summation needs a finite upper bound ...
+        spec = dsl.parse_series_spec(hyper_text(1, 1, "inf"))
         with pytest.raises(EvalError):
-            hypergeometric_eval([F(1, 2)], [F(3, 2)], F(1, 4), n=3)
+            sum_terminating(spec, bind([F(1, 2)], [F(3, 2)], z=F(1, 4)))
+        # ... and poch(-n,k) makes every term past k = n vanish
+        longer = dsl.parse_series_spec(hyper_text(2, 1, "n+3"))
+        env = bind([F(-2), F(2, 3)], [F(5, 2)], z=F(3, 7), n=2)
+        assert sum_terminating(longer, env) == hyper_prefix([F(-2), F(2, 3)], [F(5, 2)], F(3, 7), 2)
 
     def test_definition_consistency_exact(self):
         spec = dsl.parse_series_spec(
             "sum k=0..n : poch(a,k)*poch(b,k)/(poch(c,k)*fact(k))*z^k")
         env = {"a": F(-4), "b": F(2, 3), "c": F(5, 2), "z": F(3, 7), "n": 4}
         direct = sum_terminating(spec, env)
-        built = hypergeometric_eval([F(-4), F(2, 3)], [F(5, 2)], F(3, 7), n=4)
-        assert direct == built
+        assert direct == hyper_prefix([F(-4), F(2, 3)], [F(5, 2)], F(3, 7), 4)
 
     def test_definition_consistency_numeric(self):
         p = 100
@@ -262,8 +308,9 @@ class TestHypergeometricEval:
             "sum k=0..inf : poch(a,k)*poch(b,k)/(poch(c,k)*fact(k))*z^k")
         env = {"a": F(1, 3), "b": F(1, 5), "c": F(7, 4), "z": F(1, 2)}
         direct, _, _ = sum_infinite(spec, env, p)
-        built = hypergeometric_eval([F(1, 3), F(1, 5)], [F(7, 4)], F(1, 2), prec=p)
-        assert agree_to(direct, built, p - 8)
+        # every term ratio is below 1/2, so the terms past k = 160 sum to < 2^-160
+        naive = hyper_prefix([F(1, 3), F(1, 5)], [F(7, 4)], F(1, 2), 160)
+        assert abs(direct.to_fraction() - naive) <= F(1, 2 ** (p - 8))
 
 
 class TestBasicHypergeometricEval:
@@ -271,7 +318,8 @@ class TestBasicHypergeometricEval:
         prec = 140
         q = F(1, 2)
         a, b, c = q, q, q ** 3
-        lhs = basic_hypergeometric_eval([a, b], [c], QBase(q), c / (a * b), prec=prec)
+        spec = dsl.parse_series_spec(basic_text(2, "inf"))
+        lhs, _, _ = sum_infinite(spec, bind([a, b], [c], q=q, z=c / (a * b)), prec)
         cf = dsl.parse_closed_form(
             "qpochinf(c/a,1)*qpochinf(c/b,1)/(qpochinf(c,1)*qpochinf(c/(a*b),1))")
         rhs = evaluate_closed(cf, {"q": q, "a": a, "b": b, "c": c}, prec)
@@ -284,15 +332,14 @@ class TestBasicHypergeometricEval:
         upper = [a, q * root, -q * root, b, c, q ** -n]
         lower = [root, -root, a * q / b, a * q / c, a * q ** (n + 1)]
         z = a * q ** (n + 1) / (b * c)
-        lhs = basic_hypergeometric_eval(upper, lower, QBase(q), z, n=n)
-        from hyperq.functions import q_pochhammer
-        rhs = (q_pochhammer(a * q, QBase(q), n) * q_pochhammer(a * q / (b * c), QBase(q), n)
-               / (q_pochhammer(a * q / b, QBase(q), n) * q_pochhammer(a * q / c, QBase(q), n)))
+        lhs = sum_terminating(dsl.parse_series_spec(basic_text(6)), bind(upper, lower, q=q, z=z, n=n))
+        rhs = (qpoch(a * q, q, n) * qpoch(a * q / (b * c), q, n)
+               / (qpoch(a * q / b, q, n) * qpoch(a * q / c, q, n)))
         assert lhs == rhs
 
     def test_unit_upper_parameter_truncates(self):
-        value = basic_hypergeometric_eval([F(1), F(1, 2)], [F(1, 3)], QBase(F(1, 2)),
-                                          F(1, 5), prec=80)
+        spec = dsl.parse_series_spec(basic_text(2, "inf"))
+        value, _, _ = sum_infinite(spec, bind([F(1), F(1, 2)], [F(1, 3)], q=F(1, 2), z=F(1, 5)), 80)
         assert value.to_fraction() == 1
 
     def test_definition_consistency(self):
@@ -301,6 +348,4 @@ class TestBasicHypergeometricEval:
             "sum k=0..n : qpoch(a,1,k)*qpoch(b,1,k)/(qpoch(q,1,k)*qpoch(c,1,k))*z^k")
         env = {"q": q, "a": q ** -3, "b": F(3), "c": F(5, 7), "z": F(2, 3), "n": 3}
         direct = sum_terminating(spec, env)
-        built = basic_hypergeometric_eval([q ** -3, F(3)], [F(5, 7)], QBase(q),
-                                          F(2, 3), n=3)
-        assert direct == built
+        assert direct == basic_prefix([q ** -3, F(3)], [F(5, 7)], q, F(2, 3), 3)

@@ -5,7 +5,8 @@ per node per term, every index-free subtree evaluated again at each index,
 atom states keyed by (node id, argument).  It is the reference the
 compiled programs must reproduce: exactly over the rationals and rational
 jets, bit for bit over HighPrecision and its jets, and with the same
-exception classes.
+exception classes.  Like the programs, it takes a negative count of any
+atom for an ``EvalError``.
 """
 
 from fractions import Fraction as F
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from hyperq import dsl, series, verify
 from hyperq.corpus import list_identities
-from hyperq.functions import QBase, QIntegers
+from hyperq.functions import QIntegers
 from hyperq.scalars import HighPrecision, Jet2, int_pow, jet_lift, scalar_one, scalar_zero
 from hyperq.series import (
     EvalError,
@@ -72,6 +73,13 @@ def _walk_int(node, env):
     if v.denominator != 1:
         raise EvalError(f"expected an integer value, got {v}")
     return int(v)
+
+
+def _walk_count(node, env):
+    n = _walk_int(node.count, env)
+    if n < 0:
+        raise EvalError(f"negative count {n}")
+    return n
 
 
 def _ambient_q(env, ctx):
@@ -138,41 +146,37 @@ def _walk(node, env, ctx, cache):
             raise PoleInTermError("zero base with negative exponent")
     if isinstance(node, dsl.Poch):
         x = ctx.lift(_walk(node.x, env, ctx, cache))
-        n = _walk_int(node.count, env)
+        n = _walk_count(node, env)
         return _incremental(cache, (id(node), x), n, scalar_one(x),
                             lambda p, i: p * (x + (i - 1)))
     if isinstance(node, dsl.QPoch):
         x = ctx.lift(_walk(node.x, env, ctx, cache))
         q = _ambient_q(env, ctx)
         qs = int_pow(q, node.step)
-        n = _walk_int(node.count, env)
+        n = _walk_count(node, env)
         return _incremental(cache, (id(node), x, q), n, (scalar_one(qs), scalar_one(qs)),
                             lambda st, i: (st[0] * (1 - x * st[1]), st[1] * qs))[0]
     if isinstance(node, dsl.QPochInf):
         x = ctx.lift(_walk(node.x, env, ctx, cache))
         q = _ambient_q(env, ctx)
-        return ctx.qpochinf(x, QBase(q, node.step))
+        return ctx.qpochinf(x, int_pow(q, node.step))
     if isinstance(node, dsl.Fact):
-        n = _walk_int(node.count, env)
-        if n < 0:
-            raise EvalError("factorial of a negative integer")
+        n = _walk_count(node, env)
         return _incremental(cache, (id(node),), n, 1, lambda p, i: p * i)
     if isinstance(node, dsl.DFactOdd):
-        n = _walk_int(node.count, env)
-        if n < 0:
-            raise EvalError("double factorial of a negative index")
+        n = _walk_count(node, env)
         return _incremental(cache, (id(node),), n, 1, lambda p, i: p * (2 * i + 1))
     if isinstance(node, dsl.QInt):
         q = _ambient_q(env, ctx)
-        return _q_integers(cache, (id(node), q), q)(_walk_int(node.count, env))
+        return _q_integers(cache, (id(node), q), q)(_walk_count(node, env))
     if isinstance(node, dsl.Harm):
-        n = _walk_int(node.count, env)
+        n = _walk_count(node, env)
         exact = _incremental(cache, (id(node),), n, F(0),
                              lambda s, i: s + F(1, i ** node.order))
         return ctx.from_fraction(exact)
     if isinstance(node, dsl.HarmX):
         offset = ctx.lift(_walk(node.offset, env, ctx, cache))
-        n = _walk_int(node.count, env)
+        n = _walk_count(node, env)
 
         def extend(s, i):
             d = int_pow(offset + i, node.order)
@@ -182,7 +186,7 @@ def _walk(node, env, ctx, cache):
         return _incremental(cache, (id(node), offset), n, scalar_zero(offset), extend)
     if isinstance(node, dsl.QSum):
         q = _ambient_q(env, ctx)
-        m = _walk_int(node.count, env)
+        m = _walk_count(node, env)
         q_ints = _q_integers(cache, (id(node), q, "qint"), q)
 
         def extend(s, i):
