@@ -100,6 +100,13 @@ def _check_common(args):
     samples = getattr(args, "samples", None)
     if samples is not None and samples < 1:
         raise argparse.ArgumentTypeError("--samples must be at least 1")
+    max_n = getattr(args, "max_n", None)
+    if max_n is not None and max_n < 0:
+        raise argparse.ArgumentTypeError("--max-n must be at least 0")
+    work_digits = getattr(args, "work_digits", None)
+    if work_digits is not None and work_digits < digits:
+        # fewer working digits than the tolerance asks for can print a false PASS
+        raise argparse.ArgumentTypeError("--work-digits must be at least --digits")
 
 
 def _options_from(args) -> verify.VerifyOptions:
@@ -175,12 +182,12 @@ def _parse_bindings(pairs, allow_expr: bool):
 def _cmd_eval(args) -> int:
     bindings = _parse_bindings(args.param, allow_expr=False)
     side = dsl.parse_side(args.text)
+    prec = verify.VerifyOptions(digits=args.digits).work_prec
     if isinstance(side, dsl.SeriesSpec):
         if side.terminating:
             value = series.sum_terminating(side, bindings)
             print(value)
         else:
-            prec = math.ceil((args.digits + 10) * math.log2(10)) + 32
             value, tail, terms = series.sum_infinite(side, bindings, prec,
                                                      terms_budget=args.terms_budget)
             print(value.to_decimal(args.digits))
@@ -194,7 +201,6 @@ def _cmd_eval(args) -> int:
         except series.EvalError:
             exact_ok = False
         if not exact_ok:
-            prec = math.ceil((args.digits + 10) * math.log2(10)) + 32
             value = series.evaluate_closed(side, bindings, prec)
             print(value.to_decimal(args.digits))
     return EXIT_OK

@@ -633,31 +633,24 @@ def render(node) -> str:
     raise TypeError(f"cannot render {type(node).__name__}")
 
 
+def children(node) -> list:
+    """The (field name, sub-node) pairs of an AST node, in field order but
+    with a series' term before its upper bound; int, str and None fields
+    (orders, steps, names, an infinite bound) are not nodes and are skipped."""
+    names = ("term", "upper") if isinstance(node, SeriesSpec) else node.__dataclass_fields__
+    return [(name, value) for name in names
+            if (value := getattr(node, name)) is not None and not isinstance(value, (int, str))]
+
+
 def parameters_of(node) -> set:
     """All parameter names referenced by an expression, series, or closed form."""
-    names = set()
-    _collect_params(node, names)
-    return names
-
-
-def _collect_params(node, names: set):
-    if isinstance(node, SeriesSpec):
-        if node.upper is not None:
-            _collect_params(node.upper, names)
-        _collect_params(node.term, names)
-        names.discard(node.index)
-        return
-    if isinstance(node, ClosedForm):
-        _collect_params(node.expr, names)
-        return
     if isinstance(node, Param):
-        names.add(node.name)
-        return
+        return {node.name}
+    names = set()
+    for _, child in children(node):
+        names |= parameters_of(child)
     if isinstance(node, (QPoch, QPochInf, QInt, QSum, QSumInf)):
         names.add("q")
-    for attr in getattr(node, "__dataclass_fields__", {}):
-        value = getattr(node, attr)
-        if isinstance(value, (Num, Param, Add, Sub, Mul, Div, Neg, Pow, Poch, QPoch,
-                              QPochInf, Fact, DFactOdd, QInt, Harm, HarmX, QSum,
-                              QSumInf, PiConst, Sqrt, SinPi, CosPi)):
-            _collect_params(value, names)
+    if isinstance(node, SeriesSpec):
+        names.discard(node.index)
+    return names

@@ -9,8 +9,10 @@ geometric ratio test:
 * once the window passes, the tail beyond term K is bounded by
   |t_K| * rho / (1 - rho) with rho = 63/64, the admission cap itself, and
   summation stops when that bound drops below 2^(-prec-4);
-* every infinite sum is evaluated twice, at prec and prec+32 bits, and the
-  two runs must agree to prec-8 bits before the value is accepted.
+* every infinite sum, and every closed form at a working precision, is
+  evaluated twice, 32 bits apart, and ``_validated`` -- the one place of
+  this double-evaluation policy -- accepts the value only when the two runs
+  agree to prec-8 bits, then rounds the higher run to prec bits.
 
 Every expression is compiled once, on its first evaluation, into a term
 program with one step per node (``_Compiler``).  A summation evaluates the
@@ -21,7 +23,6 @@ weighted double series cost O(1) extra work per term rather than O(k).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import operator
@@ -268,9 +269,8 @@ class _Compiler:
         if isinstance(node, dsl.Param):
             return self.index in (None, node.name)
         if id(node) not in self.deps:
-            children = [getattr(node, f.name) for f in dataclasses.fields(node)]
-            self.deps[id(node)] = any([self.depends(c) for c in children if not isinstance(
-                c, (int, str))]) or isinstance(node, _Q_NODES) and self.index in (None, "q")
+            self.deps[id(node)] = any([self.depends(c) for _, c in dsl.children(node)]) or (
+                isinstance(node, _Q_NODES) and self.index in (None, "q"))
         return self.deps[id(node)]
 
     def operand(self, node, hoist=False, lift=False, exact=False):
@@ -521,15 +521,42 @@ def _norm(t, prec: int) -> HighPrecision:
     return abs(t)
 
 
-def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, min_terms):
-    ctx = FloatContext(work_prec)
+def _numeric_env(bindings, active, prec):
+    """The bindings and context of one run at ``prec`` bits: float, or jets
+    over floats with the ``active`` parameter lifted at its exact point."""
     env = dict(bindings)
-    if active is not None:
-        point = env[active]
-        if not isinstance(point, (int, Fraction)):
-            raise EvalError("active parameter must be bound to an exact point")
-        env[active] = jet_lift(HighPrecision.from_fraction(Fraction(point), work_prec))
-        ctx = JetContext(ctx)
+    if active is None:
+        return env, FloatContext(prec)
+    point = env[active]
+    if not isinstance(point, (int, Fraction)):
+        raise EvalError("active parameter must be bound to an exact point")
+    env[active] = jet_lift(HighPrecision.from_fraction(Fraction(point), prec))
+    return env, JetContext(FloatContext(prec))
+
+
+def _validated(low, high, prec, what):
+    """The double-evaluation policy, for sums and closed forms alike.
+
+    ``low`` and ``high`` are one value computed at prec+GUARD_BITS and at
+    prec+GUARD_BITS+32 bits: the guard bits let summands with cancellation-
+    amplified roundoff validate, and the runs keep their 32-bit separation.
+    Every component must agree to prec-8 bits (PrecisionLossError
+    otherwise); the result is the higher run rounded to ``prec`` bits.
+    """
+    if isinstance(high, Jet2):
+        return Jet2(*(_validated(lo, hi, prec, what) for lo, hi in
+                      zip((low.value, low.d1, low.d2), (high.value, high.d1, high.d2))))
+    if isinstance(high, int):  # an integer-valued expression never met a float
+        low = HighPrecision.from_int(low, prec + GUARD_BITS)
+        high = HighPrecision.from_int(high, prec + GUARD_BITS + 32)
+    if not agree_to(low, high.round_to(low.prec), prec - 8):
+        raise PrecisionLossError(
+            f"{what} at {prec} and {prec + 32} bits disagrees beyond 2^-{prec - 8}")
+    return high.round_to(prec)
+
+
+def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, min_terms):
+    env, ctx = _numeric_env(bindings, active, work_prec)
     threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 4)), work_prec)
     cap = HighPrecision.from_fraction(RATIO_CAP, work_prec)
     cache = {_INDEX: spec.index}
@@ -569,44 +596,25 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, mi
         f"(window of {WINDOW_TERMS} ratios <= {RATIO_CAP} after {WARMUP_TERMS} warm-up terms)")
 
 
-def _round_result(v, prec):
-    if isinstance(v, Jet2):
-        return Jet2(v.value.round_to(prec), v.d1.round_to(prec), v.d2.round_to(prec))
-    return v.round_to(prec)
-
-
-def _agreement(low, high, prec) -> bool:
-    if isinstance(low, Jet2):
-        return all(_agreement(a, b, prec)
-                   for a, b in ((low.value, high.value), (low.d1, high.d1), (low.d2, high.d2)))
-    return agree_to(low, high.round_to(low.prec), prec - 8)
-
-
 def sum_infinite(spec: dsl.SeriesSpec, bindings: dict, prec: int, *,
                  active: Optional[str] = None,
                  terms_budget: int = DEFAULT_TERMS_BUDGET,
                  min_terms: int = 0) -> Tuple[Scalar, TailBound, int]:
     """Sum an infinite series to ``prec`` bits with a validated tail bound.
 
-    Returns ``(value, tail_bound, terms_used)``.  The series is evaluated at
-    ``prec`` and again at ``prec+32`` bits; the runs must agree to prec-8
-    bits (PrecisionLossError otherwise), and the returned value is the
-    higher-precision run rounded to ``prec`` bits.  When ``active`` names a
-    binding, that parameter is lifted to a jet and the sum is carried out in
-    the jet-over-HighPrecision regime.
+    Returns ``(value, tail_bound, terms_used)``.  The series is summed
+    twice, ``_validated`` checks the two runs and rounds the value, and the
+    tail bound is the higher run's.  When ``active`` names a binding, that
+    parameter is lifted to a jet and the sum is carried out in the
+    jet-over-HighPrecision regime.
     """
     if spec.terminating:
         raise EvalError("sum_infinite requires an infinite upper bound")
-    # both runs carry GUARD_BITS so that summands with cancellation-amplified
-    # roundoff still validate; the runs keep their 32-bit separation
     low, _, _ = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS,
                                    active, terms_budget, min_terms)
     high, tail, terms = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS + 32,
                                            active, terms_budget, min_terms)
-    if not _agreement(low, high, prec):
-        raise PrecisionLossError(
-            f"double evaluation at {prec} and {prec + 32} bits disagrees beyond 2^-{prec - 8}")
-    value = _round_result(high, prec)
+    value = _validated(low, high, prec, "double evaluation")
     bound = TailBound(tail.start_index, tail.ratio.round_to(prec), tail.bound.round_to(prec))
     return value, bound, terms
 
@@ -616,20 +624,6 @@ def evaluate_closed(cf: dsl.ClosedForm, bindings: dict, prec: Optional[int] = No
     """Evaluate a closed form exactly (prec None) or at prec bits, validated."""
     if prec is None:
         return evaluate_expr(cf.expr, bindings, RationalContext())
-
-    def run(p):
-        ctx = FloatContext(p)
-        env = dict(bindings)
-        if active is not None:
-            env[active] = jet_lift(HighPrecision.from_fraction(Fraction(env[active]), p))
-            return evaluate_expr(cf.expr, env, JetContext(ctx))
-        return evaluate_expr(cf.expr, env, ctx)
-
-    low = run(prec + GUARD_BITS)
-    high = run(prec + GUARD_BITS + 32)
-    low = low if not isinstance(low, int) else HighPrecision.from_int(low, prec + GUARD_BITS)
-    high = high if not isinstance(high, int) else HighPrecision.from_int(high, prec + GUARD_BITS + 32)
-    if not _agreement(low, high, prec):
-        raise PrecisionLossError(
-            f"closed-form evaluation at {prec} and {prec + 32} bits disagrees")
-    return _round_result(high, prec)
+    low, high = (evaluate_expr(cf.expr, *_numeric_env(bindings, active, p))
+                 for p in (prec + GUARD_BITS, prec + GUARD_BITS + 32))
+    return _validated(low, high, prec, "closed-form evaluation")

@@ -1,20 +1,22 @@
 """Verification procedures over the identity corpus, plus the report model.
 
-Three verification modes, one per record kind:
+Two checks, one per verdict regime, serve the three record kinds:
 
-* ``terminating-exact`` -- sample random admissible rational bindings and
-  require exact equality of both sides as rationals;
-* ``infinite-numeric`` -- sum the left side with a validated tail bound,
-  evaluate the right side, and require the absolute residual to stay below
-  10^(-digits);
-* ``jet-derived`` -- lift the record's active parameter to a second-order
-  jet and require equality of the jet components on both sides: exact when
-  the base identity terminates, within tolerance otherwise.  This is the
-  machine form of differentiating an identity with respect to a parameter.
+* the exact check sums both sides of a terminating identity over the
+  rationals and requires exact equality.  A ``terminating-exact`` record
+  compares values; a terminating ``jet-derived`` record first lifts its
+  active parameter to a second-order jet and compares all three jet
+  components, the machine form of differentiating the identity with
+  respect to a parameter.  ``operator_derive_check`` runs the same check
+  for a chosen parameter, order and substitution bindings.
+* the numeric check sums an infinite identity with a validated tail bound
+  and requires the residual to stay below 10^(-digits): absolute for an
+  ``infinite-numeric`` record, and per jet component, relative to
+  max(1, |left component|), for an infinite ``jet-derived`` record.
 
-Samplers draw from each record's declared domains with rejection of
-bindings that hit a pole anywhere in range (budget 1000 per sample); each
-record uses an independent deterministic stream derived from (seed, id).
+One sampler draws from each record's declared domains, rejecting bindings
+that hit a pole anywhere in range (budget 1000 per sample); each record
+uses an independent deterministic stream derived from (seed, id).
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import dsl
-from .corpus import Domain, IdentityRecord, get_identity, list_identities
-from .scalars import HighPrecision, Jet2, jet_lift, scalar_zero
+from .corpus import Domain, IdentityRecord, ParamSpec, get_identity, list_identities
+from .scalars import Jet2, jet_lift, scalar_zero
 from .series import (
     EvalError,
     JetContext,
@@ -200,26 +202,24 @@ def _sampled_params(rec: IdentityRecord) -> List:
     return [p for p in rec.params if not p.domain.enumerated]
 
 
-def _admissible(rec: IdentityRecord, options: VerifyOptions, rng: random.Random,
-                fixed: Sequence[Tuple[str, Fraction]], evaluate):
-    """Draw sampled params with rejection until ``evaluate`` avoids all poles.
+def _admissible(rid: str, params: Sequence[ParamSpec], options: VerifyOptions,
+                rng: random.Random, fixed: Sequence[Tuple[str, Fraction]], evaluate):
+    """Draw ``params`` in order, after the ``fixed`` bindings, until
+    ``evaluate(bindings)`` avoids every pole; return its result.
 
-    ``evaluate(bindings)`` must raise PoleInTermError or ZeroDivisionError on
-    an inadmissible binding.  Returns (bindings, result).
+    ``evaluate`` must raise PoleInTermError or ZeroDivisionError on an
+    inadmissible binding.  With nothing to draw, that pole propagates.
     """
-    sampled = _sampled_params(rec)
     for _ in range(REJECTION_BUDGET):
         bindings = dict(fixed)
-        for p in sampled:
+        for p in params:
             bindings[p.name] = _draw(p.domain, rng, options, bindings)
         try:
-            return bindings, evaluate(bindings)
+            return evaluate(bindings)
         except (PoleInTermError, ZeroDivisionError):
-            if not sampled:
+            if not params:
                 raise
-            continue
-    raise SampleExhaustedError(
-        f"{rec.id}: no admissible binding within {REJECTION_BUDGET} attempts")
+    raise SampleExhaustedError(f"{rid}: no admissible binding within {REJECTION_BUDGET} attempts")
 
 
 # ------------------------------------------------------------- verification
@@ -232,107 +232,72 @@ def _jet_components(v, order: int):
     return (v,) + (scalar_zero(v),) * order
 
 
-def _residual_fraction(lhs, rhs) -> Fraction:
-    def frac(x):
-        if isinstance(x, HighPrecision):
-            return x.to_fraction()
-        return Fraction(x)
-
-    return abs(frac(lhs) - frac(rhs))
-
-
 def _eval_rhs_exact(rec: IdentityRecord, bindings: dict, ctx) -> object:
     if isinstance(rec.rhs, dsl.SeriesSpec):
         return sum_terminating(rec.rhs, bindings, ctx)
     return evaluate_expr(rec.rhs.expr, bindings, ctx)
 
 
-def _verify_jet(rec: IdentityRecord, options: VerifyOptions) -> VerificationReport:
-    """Compare both sides as jets in the active parameter: exactly when the
-    left side terminates, within tolerance otherwise.
+def _exact_check(rec: IdentityRecord, options: VerifyOptions, rng: random.Random, count: int,
+                 params: Sequence[ParamSpec], fixed: Sequence[Tuple[str, Fraction]],
+                 active: Optional[str], order: int, subs: Optional[dict] = None):
+    """Sum both sides of a terminating identity exactly at ``count`` admissible
+    samples and compare their jet components up to ``order``.
 
-    A ``terminating-exact`` record is the order-0 case: no lift, and only
-    the values are compared.
+    ``active`` (when not None) is lifted to a jet at its sampled point, then
+    each ``subs`` binding -- a Fraction, or an expression that may use the
+    active parameter -- is evaluated.  Returns (worst residual, terms, samples).
     """
-    rng = record_rng(options.seed, rec.id)
-    worst = Fraction(0)
-    terms = 0
-    taken = 0
-    if rec.lhs.terminating:
-        active = rec.active if rec.kind == "jet-derived" else None
-        ctx = RationalContext() if active is None else JetContext(RationalContext())
-        order = 0 if active is None else 2
-        for _ in range(options.samples):
-            def evaluate(bindings):
-                env = dict(bindings)
-                if active is not None:
-                    env[active] = jet_lift(Fraction(env[active]))
-                return (sum_terminating(rec.lhs, env, ctx),
-                        _eval_rhs_exact(rec, env, ctx))
+    ctx = RationalContext() if active is None else JetContext(RationalContext())
 
-            bindings, (lv, rv) = _admissible(rec, options, rng, [], evaluate)
-            taken += 1
-            terms = max(terms, upper_bound(rec.lhs, bindings) + 1)
-            for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
-                worst = max(worst, abs(Fraction(lc) - Fraction(rc)))
-        verdict = "pass" if worst == 0 else "fail"
-        return VerificationReport(rec.id, rec.kind, verdict, residual=worst,
-                                  tolerance=Fraction(0), terms=terms, samples=taken)
+    def evaluate(bindings):
+        env = dict(bindings)
+        if active is not None:
+            env[active] = jet_lift(Fraction(env[active]))
+        for name, value in (subs or {}).items():
+            env[name] = value if isinstance(value, Fraction) else evaluate_expr(value, env, ctx)
+        return env, sum_terminating(rec.lhs, env, ctx), _eval_rhs_exact(rec, env, ctx)
 
-    # numeric jets over an infinite base identity
-    prec = options.work_prec
-    tol = options.tolerance
-    for combo in _enumerated_combos(rec, options):
-        for _ in range(options.numeric_draws):
-            def evaluate(bindings):
-                lv, tail, used = sum_infinite(rec.lhs, bindings, prec, active=rec.active,
-                                              terms_budget=options.terms_budget)
-                rv = _eval_rhs_numeric(rec, bindings, prec, options, active=rec.active)
-                return lv, rv, used
-
-            bindings, (lv, rv, used) = _admissible(rec, options, rng, combo, evaluate)
-            taken += 1
-            terms = max(terms, used)
-            for lc, rc in zip(_jet_components(lv, rec.order), _jet_components(rv, rec.order)):
-                scale = max(Fraction(1), abs(lc.to_fraction()))
-                worst = max(worst, _residual_fraction(lc, rc) / scale)
-    verdict = "pass" if worst <= tol else "fail"
-    return VerificationReport(rec.id, rec.kind, verdict, residual=worst,
-                              tolerance=tol, terms=terms, samples=taken)
+    worst, terms = Fraction(0), 0
+    for _ in range(count):
+        env, lv, rv = _admissible(rec.id, params, options, rng, fixed, evaluate)
+        terms = max(terms, upper_bound(rec.lhs, env) + 1)
+        for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
+            worst = max(worst, abs(Fraction(lc) - Fraction(rc)))
+    return worst, terms, count
 
 
-def _eval_rhs_numeric(rec: IdentityRecord, bindings: dict, prec: int,
-                      options: VerifyOptions, active: Optional[str] = None):
-    if isinstance(rec.rhs, dsl.SeriesSpec):
-        value, _, _ = sum_infinite(rec.rhs, bindings, prec, active=active,
+def _numeric_check(rec: IdentityRecord, options: VerifyOptions, rng: random.Random):
+    """Sum an infinite identity at the working precision, per enumerated combo
+    and sampled point, with ``rec.active`` lifted to a jet when it has one.
+
+    The residual is absolute for plain values; for jets, each component's
+    is divided by max(1, |left component|).  Returns (worst, terms, samples).
+    """
+    prec, params = options.work_prec, _sampled_params(rec)
+    active, order = (rec.active, rec.order) if rec.kind == "jet-derived" else (None, 0)
+
+    def evaluate(bindings):
+        lv, _, used = sum_infinite(rec.lhs, bindings, prec, active=active,
                                    terms_budget=options.terms_budget)
-        return value
-    return evaluate_closed(rec.rhs, bindings, prec, active=active)
+        if isinstance(rec.rhs, dsl.SeriesSpec):
+            rv, _, _ = sum_infinite(rec.rhs, bindings, prec, active=active,
+                                    terms_budget=options.terms_budget)
+        else:
+            rv = evaluate_closed(rec.rhs, bindings, prec, active=active)
+        return lv, rv, used
 
-
-def _verify_infinite(rec: IdentityRecord, options: VerifyOptions) -> VerificationReport:
-    rng = record_rng(options.seed, rec.id)
-    prec = options.work_prec
-    tol = options.tolerance
-    worst = Fraction(0)
-    terms = 0
-    taken = 0
-    draws = options.numeric_draws if _sampled_params(rec) else 1
+    worst, terms, taken = Fraction(0), 0, 0
     for combo in _enumerated_combos(rec, options):
-        for _ in range(draws):
-            def evaluate(bindings):
-                lv, tail, used = sum_infinite(rec.lhs, bindings, prec,
-                                              terms_budget=options.terms_budget)
-                rv = _eval_rhs_numeric(rec, bindings, prec, options)
-                return lv, rv, used
-
-            bindings, (lv, rv, used) = _admissible(rec, options, rng, combo, evaluate)
+        for _ in range(options.numeric_draws if params else 1):
+            lv, rv, used = _admissible(rec.id, params, options, rng, combo, evaluate)
             taken += 1
             terms = max(terms, used)
-            worst = max(worst, _residual_fraction(lv, rv))
-    verdict = "pass" if worst <= tol else "fail"
-    return VerificationReport(rec.id, rec.kind, verdict, residual=worst,
-                              tolerance=tol, terms=terms, samples=taken)
+            for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
+                left = lc.to_fraction()
+                residual = abs(left - rc.to_fraction())
+                worst = max(worst, residual / max(1, abs(left)) if order else residual)
+    return worst, terms, taken
 
 
 _CAUGHT = (ArithmeticError, EvalError, SampleExhaustedError)
@@ -352,10 +317,19 @@ def verify_identity(rec_or_id: Union[str, IdentityRecord],
     rec = get_identity(rec_or_id, path) if isinstance(rec_or_id, str) else rec_or_id
     start = time.perf_counter()
     try:
-        if rec.kind == "infinite-numeric":
-            report = _verify_infinite(rec, options)
+        rng = record_rng(options.seed, rec.id)
+        if rec.lhs.terminating:
+            # a terminating-exact record is the order-0 case: no lift, values only
+            active = rec.active if rec.kind == "jet-derived" else None
+            tol = Fraction(0)
+            worst, terms, taken = _exact_check(rec, options, rng, options.samples,
+                                               _sampled_params(rec), [], active,
+                                               0 if active is None else 2)
         else:
-            report = _verify_jet(rec, options)
+            tol = options.tolerance
+            worst, terms, taken = _numeric_check(rec, options, rng)
+        report = VerificationReport(rec.id, rec.kind, "pass" if worst <= tol else "fail",
+                                    residual=worst, tolerance=tol, terms=terms, samples=taken)
     except _CAUGHT as exc:
         report = VerificationReport(rec.id, rec.kind, "error",
                                     error=f"{type(exc).__name__}: {exc}")
@@ -419,45 +393,22 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
             f"{rec.id} has no parameter {parameter!r} and no point was given")
     bindings.pop(parameter, None)
 
-    ctx = JetContext(RationalContext())
     rng = record_rng(options.seed, rec.id, salt=f"derive:{parameter}:{order}")
     count = samples if samples is not None else (1 if point is not None else options.samples)
-    point_domain = rec.domain_of(parameter) if parameter in declared else Domain("rat7")
-
-    start = time.perf_counter()
-    worst = Fraction(0)
-    terms = 0
-    taken = 0
-    free = [p for p in rec.params if p.name != parameter and p.name not in bindings]
+    # free parameters first, then the point: the order of the derive RNG stream
+    params = [p for p in rec.params if p.name != parameter and p.name not in bindings]
+    if point is None:
+        domain = rec.domain_of(parameter) if parameter in declared else Domain("rat7")
+        params.append(ParamSpec(parameter, domain))
     # parsed (and so compiled) once, not once per attempt
     subs = {name: dsl.parse_closed_form(v).expr if isinstance(v, str) else Fraction(v)
             for name, v in bindings.items()}
-    for _ in range(count):
-        for _ in range(REJECTION_BUDGET):
-            env: dict = {}
-            try:
-                for p in free:
-                    env[p.name] = _draw(p.domain, rng, options, env)
-                pt = point if point is not None else _draw(point_domain, rng, options, env)
-                env[parameter] = jet_lift(Fraction(pt))
-                for name, value in subs.items():
-                    env[name] = value if isinstance(value, Fraction) else evaluate_expr(
-                        value, env, ctx)
-                lv = sum_terminating(rec.lhs, env, ctx)
-                rv = _eval_rhs_exact(rec, env, ctx)
-            except (PoleInTermError, ZeroDivisionError):
-                if point is not None and not free:
-                    raise
-                continue
-            break
-        else:
-            raise SampleExhaustedError(f"{rec.id}: no admissible derivative sample")
-        taken += 1
-        terms = max(terms, upper_bound(rec.lhs, env) + 1)
-        for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
-            worst = max(worst, abs(Fraction(lc) - Fraction(rc)))
-    verdict = "pass" if worst == 0 else "fail"
-    report = VerificationReport(rec.id, f"derive-{parameter}-d{order}", verdict,
+    start = time.perf_counter()
+    worst, terms, taken = _exact_check(rec, options, rng, count, params,
+                                       [] if point is None else [(parameter, point)],
+                                       parameter, order, subs)
+    report = VerificationReport(rec.id, f"derive-{parameter}-d{order}",
+                                "pass" if worst == 0 else "fail",
                                 residual=worst, terms=terms, samples=taken)
     report.elapsed_ms = (time.perf_counter() - start) * 1000
     return report
@@ -489,19 +440,10 @@ def divided_difference_check(m: int, u: Fraction, v: Fraction, x: Fraction) -> b
 # --------------------------------------------------------- mutation testing
 
 
-_EXPR_FIELDS = ("left", "right", "operand", "base", "exponent", "x", "count",
-                "offset", "arg", "term", "upper", "expr")
-
-
 def _count_literals(node) -> int:
     if isinstance(node, dsl.Num):
         return 1
-    total = 0
-    for name in _EXPR_FIELDS:
-        child = getattr(node, name, None)
-        if child is not None and not isinstance(child, (int, str)):
-            total += _count_literals(child)
-    return total
+    return sum(_count_literals(child) for _, child in dsl.children(node))
 
 
 def _bump_literal(node, target: int, counter: list):
@@ -512,12 +454,10 @@ def _bump_literal(node, target: int, counter: list):
             return dsl.Num(node.value + 1)
         return node
     changes = {}
-    for name in _EXPR_FIELDS:
-        child = getattr(node, name, None)
-        if child is not None and not isinstance(child, (int, str)):
-            new = _bump_literal(child, target, counter)
-            if new is not child:
-                changes[name] = new
+    for name, child in dsl.children(node):
+        new = _bump_literal(child, target, counter)
+        if new is not child:
+            changes[name] = new
     if changes:
         return replace(node, **changes)
     return node

@@ -89,6 +89,20 @@ class TestExitCodes:
     def test_negative_q_integer_is_three(self):
         self._assert_eval_error(run_cli("eval", "qint(-1)", "--param", "q=1/2"))
 
+    def test_negative_max_n_in_verify_is_two(self):
+        self._assert_domain_error(run_cli("verify", "GOS", "--max-n", "-1"))
+
+    def test_negative_max_n_in_derive_is_two(self):
+        self._assert_domain_error(run_cli("derive", "--id", "GOS", "--param", "b",
+                                          "--max-n", "-1"))
+
+    def test_work_digits_below_digits_is_two(self):
+        # at 0 working digits this deliberately wrong variant printed PASS
+        self._assert_domain_error(run_cli("verify", "QBB-VAR", "--work-digits", "0"))
+        out = run_cli("verify", "QBB-VAR", "--work-digits", "30", "--digits", "30")
+        assert out.returncode == 1
+        assert "FAIL" in out.stdout
+
 
 class TestEval:
     def test_exact_terminating(self):
@@ -101,6 +115,14 @@ class TestEval:
         assert out.returncode == 0
         assert out.stdout.startswith("1.570796326794896619231322")  # correctly rounded at 25 digits
         assert "tail bound" in out.stdout
+
+    def test_integer_valued_infinite_sum(self):
+        # every term is a Python int, so neither run of the double evaluation
+        # holds a float until the policy converts it (this used to raise
+        # AttributeError with a traceback)
+        out = run_cli("eval", "sum k=0..inf : 0^k")
+        assert out.returncode == 0
+        assert out.stdout.startswith("1.0\n")
 
     def test_closed_form(self):
         out = run_cli("eval", "4/pi", "--digits", "20")

@@ -192,6 +192,20 @@ class TestOperatorDeriveCheck:
         report = operator_derive_check("GOS-SPC", "u", 1, point=F(1, 3), samples=2)
         assert report.verdict == "pass"
 
+    @pytest.mark.parametrize("rid, parameter, order, kwargs, pinned", [
+        ("GOS", "b", 2, dict(bindings={"c": "2-b"}, options=VerifyOptions(seed=0, max_n=6),
+                             samples=3), (0, 1, 3)),
+        ("QB", "b", 2, dict(bindings={"c": "q^4/b"}, options=VerifyOptions(seed=3, max_n=6),
+                            samples=3), (0, 6, 3)),
+        ("GOS-SPC", "u", 1, dict(point=F(1, 3), samples=2), (0, 7, 2)),
+    ])
+    def test_reports_are_pinned(self, rid, parameter, order, kwargs, pinned):
+        # terms is the largest upper index + 1 over the drawn samples, so it
+        # pins the derive sampler's stream along with the verdict
+        report = operator_derive_check(rid, parameter, order, **kwargs)
+        assert (report.verdict, report.residual, report.terms, report.samples) == (
+            "pass", *pinned)
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(UnknownParameterError):
             operator_derive_check("GOS", "zz", 1)
@@ -261,6 +275,49 @@ class TestMutationSensitivity:
             assert report.verdict == "fail", (rec.id, report.text_line())
 
 
+def _fields_walk_bump(node, target: int, counter: list):
+    """Reference literal numbering from an explicit list of AST fields, in
+    which a series' term comes before its upper bound."""
+    if isinstance(node, dsl.Num):
+        counter[0] += 1
+        return dsl.Num(node.value + 1) if counter[0] - 1 == target else node
+    changes = {}
+    for name in ("left", "right", "operand", "base", "exponent", "x", "count",
+                 "offset", "arg", "term", "upper", "expr"):
+        child = getattr(node, name, None)
+        if child is not None and not isinstance(child, (int, str)):
+            new = _fields_walk_bump(child, target, counter)
+            if new is not child:
+                changes[name] = new
+    return replace(node, **changes) if changes else node
+
+
+class _FixedIndex:
+    """An rng whose ``randrange`` picks the given literal."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def randrange(self, total):
+        assert 0 <= self.index < total
+        return self.index
+
+
+class TestLiteralNumbering:
+    def test_every_literal_of_every_candidate(self):
+        checked = 0
+        for rec in mutation_candidates():
+            counter = [0]
+            _fields_walk_bump(rec.rhs, -1, counter)
+            assert counter[0] > 0
+            for target in range(counter[0]):
+                expected = replace(rec, id=f"{rec.id}+1", fallback=None,
+                                   rhs=_fields_walk_bump(rec.rhs, target, [0]))
+                assert perturb_rhs(rec, _FixedIndex(target)) == expected, (rec.id, target)
+                checked += 1
+        assert checked > 100
+
+
 class TestSampler:
     def test_pole_storm_raises(self):
         # an identity whose only denominator factor is identically zero
@@ -268,9 +325,9 @@ class TestSampler:
                 "lhs = sum k=0..n : 1/(a-a)\nrhs = 1\n"
                 "params = a in rat7, n in nmax\nanchor = t\n")
         rec = parse_corpus(text)[0]
-        with pytest.raises(SampleExhaustedError):
-            from hyperq.verify import _verify_jet
-            _verify_jet(rec, VerifyOptions(samples=1))
+        report = verify_identity(rec, VerifyOptions(samples=1))
+        assert report.verdict == "error"
+        assert report.error.startswith(f"{SampleExhaustedError.__name__}: ")
 
 
 class TestReports:

@@ -324,8 +324,10 @@ def test_corpus_sides_match_the_walker(rec, seed):
 K = dsl.Param("k")
 A = dsl.Param("a")
 
+# the counts in k stay >= 0 (a negative count compares only the exception
+# class); ``a`` and k/2 still reach the negative and non-integer count errors
 COUNTS = st.sampled_from([
-    K, dsl.Num(0), dsl.Num(2), dsl.Add(K, dsl.Num(1)), dsl.Sub(K, dsl.Num(1)),
+    K, dsl.Num(0), dsl.Num(2), dsl.Add(K, dsl.Num(1)), dsl.Add(K, dsl.Num(2)),
     dsl.Mul(dsl.Num(2), K), dsl.Param("n"), dsl.Div(K, dsl.Num(2)), A,
 ])
 EXPONENTS = st.sampled_from([
