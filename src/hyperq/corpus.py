@@ -77,26 +77,21 @@ class IdentityRecord:
 
 def _parse_domain(text: str) -> Domain:
     text = text.strip()
-    if text == "rat7":
-        return Domain("rat7")
-    if text == "qrat":
-        return Domain("qrat")
-    if text == "rat01":
-        return Domain("rat01")
-    if text == "nmax":
-        return Domain("nmax")
-    if text == "qvals":
-        return Domain("qvals")
-    if text.startswith("int(") and text.endswith(")"):
-        lo, hi = text[4:-1].split("..")
-        return Domain("int", lo=int(lo), hi=int(hi))
-    if text.startswith("qpow(") and text.endswith(")"):
-        lo, hi = text[5:-1].split("..")
-        return Domain("qpow", lo=int(lo), hi=int(hi))
-    if text.startswith("{") and text.endswith("}"):
-        values = tuple(Fraction(v.strip()) for v in text[1:-1].split(","))
-        return Domain("set", values=values)
-    raise CorpusError(f"unknown sampling domain {text!r}")
+    if text in ("rat7", "qrat", "rat01", "nmax", "qvals"):
+        return Domain(text)
+    if not (text.startswith(("int(", "qpow(")) and text.endswith(")")
+            or text.startswith("{") and text.endswith("}")):
+        raise CorpusError(f"unknown sampling domain {text!r}")
+    try:
+        if text.startswith("{"):
+            return Domain("set", values=tuple(Fraction(v) for v in text[1:-1].split(",")))
+        kind, _, bounds = text[:-1].partition("(")
+        lo, hi = (int(b) for b in bounds.split(".."))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CorpusError(f"malformed sampling domain {text!r}: {exc}") from None
+    if lo > hi:
+        raise CorpusError(f"empty sampling domain {text!r}")
+    return Domain(kind, lo=lo, hi=hi)
 
 
 def _split_params(text: str) -> List[str]:
@@ -168,6 +163,12 @@ def parse_corpus(text: str, origin: str = "<corpus>") -> List[IdentityRecord]:
             src = dsl.SourceText(fields[key], origin=origin, line_offset=field_lines[key] - 1)
             return dsl.parse_side(src)
 
+        def read(key, parse, default):
+            try:
+                return parse(fields[key]) if key in fields else default
+            except ValueError as exc:  # a CorpusError too
+                raise CorpusError(f"{origin}:{field_lines[key]}: {rid}: {key}: {exc}") from None
+
         lhs = side("lhs")
         if not isinstance(lhs, dsl.SeriesSpec):
             raise CorpusError(f"{origin}:{field_lines['lhs']}: {rid}: lhs must be a series")
@@ -176,11 +177,11 @@ def parse_corpus(text: str, origin: str = "<corpus>") -> List[IdentityRecord]:
             kind=fields["kind"],
             lhs=lhs,
             rhs=side("rhs"),
-            params=_parse_params(fields.get("params", "")),
+            params=read("params", _parse_params, ()),
             anchor=fields["anchor"],
             notes=fields.get("notes", ""),
             active=fields.get("active") or None,
-            order=int(fields.get("order", "0")),
+            order=read("order", int, 0),
             expect_fail=fields.get("expect", "pass") == "fail",
             fallback=fields.get("fallback") or None,
         )

@@ -8,33 +8,30 @@ comment that runs to end of line):
     closed  := expr
     expr    := term (("+" | "-") term)*
     term    := factor (("*" | "/") factor)*
-    factor  := "-" factor | power
-    power   := atom ["^" factor]
-    atom    := INT | IDENT | "(" expr ")"
-             | "poch" "(" expr "," expr ")"                  -- (x)_m
-             | "qpoch" "(" expr "," INT "," expr ")"         -- (x; q^s)_m
-             | "qpochinf" "(" expr "," INT ")"               -- (x; q^s)_oo
-             | "fact" "(" expr ")"                           -- m!
-             | "dfactodd" "(" expr ")"                       -- (2m+1)!!
-             | "qint" "(" expr ")"                           -- [m]
-             | "harm" "(" INT "," expr ")"                   -- H_m^(l)
-             | "harmx" "(" INT "," expr "," expr ")"         -- H_m^(l)(x)
-             | "qsum" "(" INT "," INT "," INT "," SIGN "," expr ")"
-                  -- sum_{i=1}^{m} SIGN^(i-1) q^(c*i+d) / [c*i+d]^l
-             | "qsuminf" "(" INT "," INT "," INT "," SIGN ")"
-                  -- the same sum taken to infinity
-             | "pi" | "sqrt" "(" INT ")"
-             | "sinpi" "(" expr ")" | "cospi" "(" expr ")"
+    factor  := "-" factor | atom ["^" factor]
+    atom    := INT | IDENT | "(" expr ")" | NAME ["(" arg ("," arg)* ")"]
+    INT     := [0-9]+                 IDENT := [A-Za-z_][A-Za-z0-9_]*
 
-    SIGN := "+" | "-"        INT := digits (signed where noted)
+Tokens are ASCII: a non-ASCII letter or digit (``é``, ``²``) is, like any
+other character outside these rules, a parse error at its column.
+
+The atoms are the AST node types ``Poch`` to ``CosPi`` below (``ATOMS``).
+An atom's NAME is its type's name in lower case (``pi`` for ``PiConst``),
+and its arguments are the type's fields, in order, in parentheses unless it
+has none.  An ``Expr`` field takes an expression, an ``int`` field a literal
+under the rule of the field's name: ``order`` and ``step`` >= 1, ``stride``
+>= 1 (>= 0 in ``qsum``), a signed ``shift`` >= 1 - stride (so the first
+q-sum index c+d is >= 1), ``sign`` "+" or "-", and any ``radicand``.  A
+literal outside its rule is a parse error at its position.  So is a tree
+deeper than ``MAX_DEPTH``, or parentheses, atoms and signs nested deeper:
+the evaluator, the renderer and ``parameters_of`` recurse on the tree.
 
 The exponent after ``^`` binds a single (possibly negated) primary, so
 ``fact(k)^3*4^k`` means ``(fact(k)^3)*(4^k)``; write ``q^(k*(k+1)/2)`` for
-polynomial exponents.  The q-atoms refer to the ambient parameter named
-``q``.  ``qsuminf`` extends the sketch grammar: the closed-form sides of the
-harmonic-weighted q-identities need infinite q-sum constants.  Orders and
-q-steps are at least 1, and so is a q-sum's first index c+d; a smaller
-literal is a parse error at its position.
+polynomial exponents.  The q-atoms (``Q_ATOMS``) refer to the ambient
+parameter named ``q``.  ``qsuminf`` extends the sketch grammar: the
+closed-form sides of the harmonic-weighted q-identities need infinite q-sum
+constants.
 
 Rationals are written with ``/`` (``1/2`` is exact division); ``sinpi`` and
 ``cospi`` accept only arguments that reduce to the rational points with
@@ -43,8 +40,9 @@ algebraic closed forms (checked at evaluation time).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -117,54 +115,54 @@ class Pow:
 
 
 @dataclass(frozen=True)
-class Poch:
+class Poch:  # (x)_m
     x: "Expr"
     count: "Expr"
 
 
 @dataclass(frozen=True)
-class QPoch:
-    x: "Expr"
-    step: int
-    count: "Expr"
-
-
-@dataclass(frozen=True)
-class QPochInf:
+class QPoch:  # (x; q^s)_m
     x: "Expr"
     step: int
-
-
-@dataclass(frozen=True)
-class Fact:
     count: "Expr"
 
 
 @dataclass(frozen=True)
-class DFactOdd:
+class QPochInf:  # (x; q^s)_oo
+    x: "Expr"
+    step: int
+
+
+@dataclass(frozen=True)
+class Fact:  # m!
     count: "Expr"
 
 
 @dataclass(frozen=True)
-class QInt:
+class DFactOdd:  # (2m+1)!!
     count: "Expr"
 
 
 @dataclass(frozen=True)
-class Harm:
+class QInt:  # [m]
+    count: "Expr"
+
+
+@dataclass(frozen=True)
+class Harm:  # H_m^(l)
     order: int
     count: "Expr"
 
 
 @dataclass(frozen=True)
-class HarmX:
+class HarmX:  # H_m^(l)(x)
     order: int
     count: "Expr"
     offset: "Expr"
 
 
 @dataclass(frozen=True)
-class QSum:
+class QSum:  # sum_{i=1}^{m} sign^(i-1) q^(c*i+d) / [c*i+d]^l
     order: int
     stride: int
     shift: int
@@ -173,7 +171,7 @@ class QSum:
 
 
 @dataclass(frozen=True)
-class QSumInf:
+class QSumInf:  # the same sum taken to infinity
     order: int
     stride: int
     shift: int
@@ -181,30 +179,31 @@ class QSumInf:
 
 
 @dataclass(frozen=True)
-class PiConst:
+class PiConst:  # pi
     pass
 
 
 @dataclass(frozen=True)
-class Sqrt:
+class Sqrt:  # sqrt(m)
     radicand: int
 
 
 @dataclass(frozen=True)
-class SinPi:
+class SinPi:  # sin(pi x)
     arg: "Expr"
 
 
 @dataclass(frozen=True)
-class CosPi:
+class CosPi:  # cos(pi x)
     arg: "Expr"
 
 
-Expr = Union[
-    Num, Param, Add, Sub, Mul, Div, Neg, Pow,
-    Poch, QPoch, QPochInf, Fact, DFactOdd, QInt,
-    Harm, HarmX, QSum, QSumInf, PiConst, Sqrt, SinPi, CosPi,
-]
+# the DSL name of each atom node type
+ATOMS = {cls: "pi" if cls is PiConst else cls.__name__.lower() for cls in (
+    Poch, QPoch, QPochInf, Fact, DFactOdd, QInt, Harm, HarmX, QSum, QSumInf,
+    PiConst, Sqrt, SinPi, CosPi)}
+Q_ATOMS = (QPoch, QPochInf, QInt, QSum, QSumInf)  # the atoms that read q
+Expr = Union[(Num, Param, Add, Sub, Mul, Div, Neg, Pow, *ATOMS)]
 
 
 @dataclass(frozen=True)
@@ -228,13 +227,43 @@ class ClosedForm:
     expr: Expr
 
 
+# ------------------------------------------------------------------ atom rules
+
+# how an atom's int field is read, by field name: "sign", or (signed,
+# minimum, what) for a literal; a shift's minimum is 1 - stride
+_INT_FIELDS = {"order": (False, 1, "an order"), "step": (False, 1, "a step"),
+               "stride": (False, 1, "a stride"), "shift": (True, None, "a shift"),
+               "sign": "sign", "radicand": (False, None, "an integer")}
+
+
+def _rule(cls, field):
+    """How an argument of an atom is read: None for an expression."""
+    if field.type != "int":
+        return None
+    if field.name == "stride" and "count" in cls.__dataclass_fields__:
+        return (False, 0, "a stride")  # a terminating q-sum may repeat one index
+    return _INT_FIELDS[field.name]
+
+
+# name -> (node type, its (field name, rule) pairs in field order)
+_GRAMMAR = {name: (cls, tuple((f.name, _rule(cls, f)) for f in cls.__dataclass_fields__.values()))
+            for cls, name in ATOMS.items()}
+_KEYWORDS = {"sum", "inf", *_GRAMMAR}
+_OPERATORS = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+
+# the height of the deepest tree the parser accepts: the evaluator, the renderer
+# and parameters_of recurse a few frames per level, far from the interpreter's
+# recursion limit; the deepest side in the corpus has height 17
+MAX_DEPTH = 64
+
+
 # ------------------------------------------------------------------------ lexer
 
-_PUNCT = {"(", ")", ",", "^", "*", "/", "+", "-", ":", "="}
+_LEXEME = re.compile(r"(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+                     r"|(?P<OP>\.\.|[(),^*/+\-:=])|(?P<NL>\n)|[ \t\r]+|(?P<COMMENT>#.*)|(?P<BAD>.)")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # INT | IDENT | OP | EOF
     text: str
     line: int
@@ -242,72 +271,31 @@ class _Token:
 
 
 def _tokenize(src: SourceText):
-    text = src.text
-    tokens = []
-    line = 1 + src.line_offset
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == "." and i + 1 < n and text[i + 1] == ".":
-            tokens.append(_Token("OP", "..", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(src.origin, line, col, "a token", repr(ch))
-    tokens.append(_Token("EOF", "<end of input>", line, col))
+    tokens, line, line_start, m = [], 1 + src.line_offset, 0, None
+    for m in _LEXEME.finditer(src.text):
+        kind = m.lastgroup
+        if kind in ("INT", "IDENT", "OP"):  # the lexemes that are tokens
+            tokens.append(_Token._make((kind, m.group(), line, m.start() - line_start + 1)))
+        elif kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD":
+            raise ParseError(src.origin, line, m.start() - line_start + 1, "a token", repr(m.group()))
+    # the end of input is where a trailing comment starts
+    end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(src.text)
+    tokens.append(_Token("EOF", "<end of input>", line, end - line_start + 1))
     return tokens
 
 
 # ----------------------------------------------------------------------- parser
 
-_ATOM_NAMES = {
-    "poch", "qpoch", "qpochinf", "fact", "dfactodd", "qint",
-    "harm", "harmx", "qsum", "qsuminf", "pi", "sqrt", "sinpi", "cospi",
-}
-_KEYWORDS = {"sum", "inf"} | _ATOM_NAMES
-
 
 class _Parser:
-    def __init__(self, src: SourceText):
-        self.src = src
+    def __init__(self, src: Union[str, SourceText]):
+        self.src = src = SourceText(src) if isinstance(src, str) else src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0  # factors being parsed, one inside the other
+        self.height = 0  # height of the node parsed last
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -317,87 +305,81 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, ops: str) -> Optional[_Token]:
+        """The next token, consumed, if it is one of the operators ``ops``."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "OP" and tok.text in ops:
+            self.pos += 1
+            return tok
+        return None
+
     def error(self, expected: str, tok: Optional[_Token] = None):
         tok = tok or self.peek()
         raise ParseError(self.src.origin, tok.line, tok.column, expected, repr(tok.text))
 
+    def made(self, height: int, tok: _Token):
+        """Record the height of the node made at ``tok``, up to MAX_DEPTH
+        (the chains, which make most nodes, check theirs inline)."""
+        if height > MAX_DEPTH:
+            self.too_deep(tok)
+        self.height = height
+
+    def too_deep(self, tok: _Token):
+        self.error(f"at most {MAX_DEPTH} levels of nesting", tok)
+
     def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == op:
-            return self.advance()
-        self.error(f"'{op}'")
+        return self.accept(op) or self.error(f"'{op}'")
+
+    def integer(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # beyond the interpreter's limit on integer strings
+            self.error("a shorter integer", tok)
 
     def expect_int(self, signed: bool = False, minimum: Optional[int] = None,
                    what: str = "an integer") -> int:
         """An integer literal; ``minimum`` rejects smaller ones at their position."""
-        neg = False
-        start = tok = self.peek()
-        if signed and tok.kind == "OP" and tok.text in "+-":
-            neg = tok.text == "-"
-            self.advance()
-            tok = self.peek()
-        if tok.kind != "INT":
+        start = self.peek()
+        sign = signed and self.accept("+-")
+        if self.peek().kind != "INT":
             self.error("an integer")
-        self.advance()
-        value = -int(tok.text) if neg else int(tok.text)
+        value = self.integer(self.advance())
+        value = -value if sign and sign.text == "-" else value
         if minimum is not None and value < minimum:
             raise ParseError(self.src.origin, start.line, start.column,
                              f"{what} >= {minimum}", repr(str(value)))
         return value
 
-    def expect_q_sum_indices(self, infinite: bool):
-        """order, stride, shift of a q-sum; orders and indices start at 1."""
-        order = self.expect_int(minimum=1, what="an order")
-        self.expect_op(",")
-        stride = self.expect_int(minimum=1 if infinite else 0, what="a stride")
-        self.expect_op(",")
-        # the first summand has index stride + shift
-        shift = self.expect_int(signed=True, minimum=1 - stride, what="a shift")
-        self.expect_op(",")
-        return order, stride, shift
-
     def expect_sign(self) -> int:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text in "+-":
-            self.advance()
-            return 1 if tok.text == "+" else -1
-        self.error("a sign ('+' or '-')")
-
-    def expect_ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.error("an identifier")
-        self.advance()
-        return tok.text
+        tok = self.accept("+-") or self.error("a sign ('+' or '-')")
+        return 1 if tok.text == "+" else -1
 
     # grammar productions --------------------------------------------------
 
     def parse_series(self) -> SeriesSpec:
-        tok = self.peek()
-        if not (tok.kind == "IDENT" and tok.text == "sum"):
+        if self.peek()[:2] != ("IDENT", "sum"):
             self.error("'sum'")
-        self.advance()
-        idx_tok = self.peek()
-        index = self.expect_ident()
-        if index in _KEYWORDS:
-            self.error("an index name", idx_tok)
+        index = self.tokens[self.pos + 1]
+        if index.kind != "IDENT":
+            self.error("an identifier", index)
+        if index.text in _KEYWORDS:
+            self.error("an index name", index)
+        self.pos += 2
         self.expect_op("=")
-        low_tok = self.peek()
-        lower = self.expect_int()
-        if lower != 0:
-            raise ParseError(self.src.origin, low_tok.line, low_tok.column,
-                             "lower bound 0", repr(low_tok.text))
+        lower = self.peek()
+        if self.expect_int() != 0:
+            raise ParseError(self.src.origin, lower.line, lower.column,
+                             "lower bound 0", repr(lower.text))
         self.expect_op("..")
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "inf":
-            self.advance()
+        if self.peek()[:2] == ("IDENT", "inf"):
+            self.pos += 1
             upper = None
         else:
             upper = self.parse_expr()
         self.expect_op(":")
         term = self.parse_expr()
         self.expect_eof()
-        return SeriesSpec(index, lower, upper, term)
+        return SeriesSpec(index.text, 0, upper, term)
 
     def parse_closed(self) -> ClosedForm:
         expr = self.parse_expr()
@@ -409,145 +391,100 @@ class _Parser:
             self.error("end of input")
 
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.advance()
-                right = self.parse_term()
-                node = Add(node, right) if tok.text == "+" else Sub(node, right)
-            else:
-                return node
+        node, height = self.parse_term(), self.height
+        while tok := self.accept("+-"):
+            right = self.parse_term()
+            height = 1 + (height if height > self.height else self.height)
+            if height > MAX_DEPTH:
+                self.too_deep(tok)
+            node = _OPERATORS[tok.text](node, right)
+        self.height = height
+        return node
 
     def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "*/":
-                self.advance()
-                right = self.parse_factor()
-                node = Mul(node, right) if tok.text == "*" else Div(node, right)
-            else:
-                return node
+        node, height = self.parse_factor(), self.height
+        while tok := self.accept("*/"):
+            right = self.parse_factor()
+            height = 1 + (height if height > self.height else self.height)
+            if height > MAX_DEPTH:
+                self.too_deep(tok)
+            node = _OPERATORS[tok.text](node, right)
+        self.height = height
+        return node
 
     def parse_factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
-            self.advance()
-            return Pow(base, self.parse_factor())
-        return base
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.too_deep(self.peek())
+        if tok := self.accept("-"):
+            node = Neg(self.parse_factor())
+            self.made(1 + self.height, tok)
+        else:
+            node = self.parse_atom()
+            if tok := self.accept("^"):
+                height = self.height
+                exponent = self.parse_factor()
+                self.made(1 + max(height, self.height), tok)
+                node = Pow(node, exponent)
+        self.depth -= 1
+        return node
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "INT":
-            self.advance()
-            return Num(int(tok.text))
-        if tok.kind == "OP" and tok.text == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
+            self.height = 1
+            return Num(self.integer(tok))
         if tok.kind == "IDENT":
-            name = tok.text
-            if name in _ATOM_NAMES:
-                self.advance()
-                return self.parse_call(name)
-            self.advance()
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.text == "(":
+            if tok.text in _GRAMMAR:
+                return self.parse_call(tok)
+            if nxt := self.accept("("):
                 raise ParseError(self.src.origin, nxt.line, nxt.column,
-                                 "a known atom before '('", repr(name))
-            return Param(name)
-        self.error("a number, parameter, or atom")
-
-    def parse_call(self, name: str) -> Expr:
-        if name == "pi":
-            return PiConst()
-        self.expect_op("(")
-        if name == "poch":
-            x = self.parse_expr()
-            self.expect_op(",")
-            count = self.parse_expr()
-            node = Poch(x, count)
-        elif name == "qpoch":
-            x = self.parse_expr()
-            self.expect_op(",")
-            step = self.expect_int(minimum=1, what="a step")
-            self.expect_op(",")
-            count = self.parse_expr()
-            node = QPoch(x, step, count)
-        elif name == "qpochinf":
-            x = self.parse_expr()
-            self.expect_op(",")
-            step = self.expect_int(minimum=1, what="a step")
-            node = QPochInf(x, step)
-        elif name == "fact":
-            node = Fact(self.parse_expr())
-        elif name == "dfactodd":
-            node = DFactOdd(self.parse_expr())
-        elif name == "qint":
-            node = QInt(self.parse_expr())
-        elif name == "harm":
-            order = self.expect_int(minimum=1, what="an order")
-            self.expect_op(",")
-            count = self.parse_expr()
-            node = Harm(order, count)
-        elif name == "harmx":
-            order = self.expect_int(minimum=1, what="an order")
-            self.expect_op(",")
-            count = self.parse_expr()
-            self.expect_op(",")
-            offset = self.parse_expr()
-            node = HarmX(order, count, offset)
-        elif name == "qsum":
-            order, stride, shift = self.expect_q_sum_indices(infinite=False)
-            sign = self.expect_sign()
-            self.expect_op(",")
-            count = self.parse_expr()
-            node = QSum(order, stride, shift, sign, count)
-        elif name == "qsuminf":
-            order, stride, shift = self.expect_q_sum_indices(infinite=True)
-            sign = self.expect_sign()
-            node = QSumInf(order, stride, shift, sign)
-        elif name == "sqrt":
-            node = Sqrt(self.expect_int())
-        elif name == "sinpi":
-            node = SinPi(self.parse_expr())
-        elif name == "cospi":
-            node = CosPi(self.parse_expr())
-        else:  # pragma: no cover - _ATOM_NAMES is exhaustive
-            self.error("a known atom")
+                                 "a known atom before '('", repr(tok.text))
+            self.height = 1
+            return Param(tok.text)
+        if tok[:2] != ("OP", "("):
+            self.error("a number, parameter, or atom", tok)
+        node = self.parse_expr()
         self.expect_op(")")
         return node
 
-
-def _as_source(text: Union[str, SourceText]) -> SourceText:
-    if isinstance(text, SourceText):
-        return text
-    return SourceText(text)
+    def parse_call(self, name: _Token) -> Expr:
+        """An atom: its arguments are its node's fields, in order."""
+        kind, rules = _GRAMMAR[name.text]
+        args, height = [], 0
+        if rules:
+            self.expect_op("(")
+            for field, rule in rules:
+                if args:
+                    self.expect_op(",")
+                if rule is None:
+                    args.append(self.parse_expr())
+                    height = max(height, self.height)
+                elif rule == "sign":
+                    args.append(self.expect_sign())
+                else:
+                    signed, minimum, what = rule
+                    if field == "shift":  # the first summand has index stride + shift
+                        minimum = 1 - args[-1]
+                    args.append(self.expect_int(signed, minimum, what))
+            self.expect_op(")")
+        self.made(1 + height, name)
+        return kind(*args)
 
 
 def parse_series_spec(text: Union[str, SourceText]) -> SeriesSpec:
     """Parse a ``sum`` header plus term expression into a SeriesSpec."""
-    return _Parser(_as_source(text)).parse_series()
+    return _Parser(text).parse_series()
 
 
 def parse_closed_form(text: Union[str, SourceText]) -> ClosedForm:
     """Parse a closed-form expression (no ``sum`` header)."""
-    return _Parser(_as_source(text)).parse_closed()
+    return _Parser(text).parse_closed()
 
 
 def parse_side(text: Union[str, SourceText]) -> Union[SeriesSpec, ClosedForm]:
     """Parse either side of an identity: a series if it starts with ``sum``."""
-    src = _as_source(text)
+    src = SourceText(text) if isinstance(text, str) else text
     if src.text.lstrip().startswith("sum "):
         return parse_series_spec(src)
     return parse_closed_form(src)
@@ -556,81 +493,50 @@ def parse_side(text: Union[str, SourceText]) -> Union[SeriesSpec, ClosedForm]:
 # --------------------------------------------------------------------- renderer
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(node: Expr) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(node, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    if isinstance(node, Pow):
-        return _LEVEL_POW
-    return _LEVEL_ATOM
+_LEVELS = {Add: _LEVEL_ADD, Sub: _LEVEL_ADD, Mul: _LEVEL_MUL, Div: _LEVEL_MUL,
+           Neg: _LEVEL_UNARY, Pow: _LEVEL_POW}
+_SYMBOLS = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
 
 def _wrap(node: Expr, min_level: int) -> str:
     text = render(node)
-    if _level(node) < min_level:
+    if _LEVELS.get(type(node), _LEVEL_ATOM) < min_level:
         return f"({text})"
     return text
 
 
+def _render_arg(rule, value) -> str:
+    if rule is None:
+        return render(value)
+    if rule == "sign":
+        return "+" if value == 1 else "-"
+    return str(value)
+
+
 def render(node) -> str:
     """Canonical text for an AST node; ``parse(render(x))`` equals x structurally."""
-    if isinstance(node, SeriesSpec):
+    kind = type(node)
+    if kind is SeriesSpec:
         upper = "inf" if node.upper is None else render(node.upper)
         return f"sum {node.index}={node.lower}..{upper} : {render(node.term)}"
-    if isinstance(node, ClosedForm):
+    if kind is ClosedForm:
         return render(node.expr)
-    if isinstance(node, Num):
+    if kind is Num:
         return str(node.value)
-    if isinstance(node, Param):
+    if kind is Param:
         return node.name
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, _LEVEL_ADD)} + {_wrap(node.right, _LEVEL_ADD + 1)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, _LEVEL_ADD)} - {_wrap(node.right, _LEVEL_ADD + 1)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, _LEVEL_MUL)}*{_wrap(node.right, _LEVEL_MUL + 1)}"
-    if isinstance(node, Div):
-        return f"{_wrap(node.left, _LEVEL_MUL)}/{_wrap(node.right, _LEVEL_MUL + 1)}"
-    if isinstance(node, Neg):
+    if kind in _SYMBOLS:
+        level = _LEVELS[kind]
+        return f"{_wrap(node.left, level)}{_SYMBOLS[kind]}{_wrap(node.right, level + 1)}"
+    if kind is Neg:
         return f"-{_wrap(node.operand, _LEVEL_UNARY)}"
-    if isinstance(node, Pow):
+    if kind is Pow:
         return f"{_wrap(node.base, _LEVEL_ATOM)}^{_wrap(node.exponent, _LEVEL_UNARY)}"
-    if isinstance(node, Poch):
-        return f"poch({render(node.x)},{render(node.count)})"
-    if isinstance(node, QPoch):
-        return f"qpoch({render(node.x)},{node.step},{render(node.count)})"
-    if isinstance(node, QPochInf):
-        return f"qpochinf({render(node.x)},{node.step})"
-    if isinstance(node, Fact):
-        return f"fact({render(node.count)})"
-    if isinstance(node, DFactOdd):
-        return f"dfactodd({render(node.count)})"
-    if isinstance(node, QInt):
-        return f"qint({render(node.count)})"
-    if isinstance(node, Harm):
-        return f"harm({node.order},{render(node.count)})"
-    if isinstance(node, HarmX):
-        return f"harmx({node.order},{render(node.count)},{render(node.offset)})"
-    if isinstance(node, QSum):
-        sign = "+" if node.sign == 1 else "-"
-        return f"qsum({node.order},{node.stride},{node.shift},{sign},{render(node.count)})"
-    if isinstance(node, QSumInf):
-        sign = "+" if node.sign == 1 else "-"
-        return f"qsuminf({node.order},{node.stride},{node.shift},{sign})"
-    if isinstance(node, PiConst):
-        return "pi"
-    if isinstance(node, Sqrt):
-        return f"sqrt({node.radicand})"
-    if isinstance(node, SinPi):
-        return f"sinpi({render(node.arg)})"
-    if isinstance(node, CosPi):
-        return f"cospi({render(node.arg)})"
-    raise TypeError(f"cannot render {type(node).__name__}")
+    if kind in ATOMS:
+        name = ATOMS[kind]
+        args = [_render_arg(rule, getattr(node, field)) for field, rule in _GRAMMAR[name][1]]
+        return f"{name}({','.join(args)})" if args else name
+    raise TypeError(f"cannot render {kind.__name__}")
 
 
 def children(node) -> list:
@@ -649,7 +555,7 @@ def parameters_of(node) -> set:
     names = set()
     for _, child in children(node):
         names |= parameters_of(child)
-    if isinstance(node, (QPoch, QPochInf, QInt, QSum, QSumInf)):
+    if isinstance(node, Q_ATOMS):
         names.add("q")
     if isinstance(node, SeriesSpec):
         names.discard(node.index)

@@ -221,7 +221,7 @@ class _AmbientQ:
 
 
 _Q = _AmbientQ()
-_Q_NODES = (_AmbientQ, dsl.QPoch, dsl.QPochInf, dsl.QInt, dsl.QSum, dsl.QSumInf)
+_Q_NODES = (_AmbientQ, *dsl.Q_ATOMS)
 
 
 def evaluate_expr(node, env, ctx, cache: Optional[dict] = None) -> Scalar:
@@ -347,8 +347,7 @@ class _Compiler:
             recurrence, args = partial(_qsum, node), [sub(_Q)]
         else:
             return partial(_raise, f"cannot evaluate node {kind.__name__}")
-        # the atom's DSL name is its lowercased node type
-        return partial(_atom, kind.__name__.lower(), recurrence, args, integer(node.count),
+        return partial(_atom, dsl.ATOMS[kind], recurrence, args, integer(node.count),
                        next(self.slots))
 
 

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "hyperq"]
 
 
@@ -76,6 +78,22 @@ class TestExitCodes:
 
     def test_q_product_step_zero_is_two(self):
         self._assert_parse_error(run_cli("eval", "qpochinf(q,0)", "--param", "q=1/2"), "1:12")
+
+    def test_non_ascii_digit_is_two(self):
+        # '²' passes str.isdigit() but not int(): this was a ValueError traceback
+        self._assert_parse_error(run_cli("eval", "2²"), "1:2")
+
+    def test_overlong_integer_literal_is_two(self):
+        # beyond the interpreter's limit on integer strings
+        self._assert_parse_error(run_cli("eval", "1" * 5000), "1:1")
+
+    def test_deep_parentheses_are_two(self):
+        # 3000 levels overflowed the parser's recursion
+        self._assert_parse_error(run_cli("eval", "(" * 3000 + "1" + ")" * 3000), "1:65")
+
+    def test_long_sum_chain_is_two(self):
+        # a 3000-term chain parsed, then overflowed the compiler's recursion
+        self._assert_parse_error(run_cli("eval", "+".join(["1"] * 3000)), "1:128")
 
     def _assert_eval_error(self, out):
         assert out.returncode == 3
@@ -164,6 +182,35 @@ class TestList:
         assert "R1" not in out.stdout
         out = run_cli("verify", "MINI", "--digits", "20", env={"HYPERQ_CORPUS": str(alt)})
         assert out.returncode == 0
+
+
+class TestMalformedCorpus:
+    """A malformed corpus field is a CorpusError naming its file and line."""
+
+    @pytest.mark.parametrize("params,extra,error", [
+        ("n in int(0..x), a in rat7", "", ":6: BAD: params: malformed"),
+        ("n in qpow(0..x), a in rat7", "", ":6: BAD: params: malformed"),
+        # passed parsing, then failed in random.randint at sampling time
+        ("n in int(5..1), a in rat7", "", ":6: BAD: params: empty"),
+        # ended in ZeroDivisionError with exit 3
+        ("n in nmax, a in {1/0}", "", ":6: BAD: params: malformed"),
+        ("n in nmax, a in rat7", "order = two\n", ":8: BAD: order: "),
+    ])
+    def test_field_error_is_two(self, tmp_path, params, extra, error):
+        alt = tmp_path / "bad.txt"
+        alt.write_text(
+            "[identity]\n"
+            "id = BAD\n"
+            "kind = terminating-exact\n"
+            "lhs = sum k=0..n : poch(a,k)\n"
+            "rhs = 1\n"
+            f"params = {params}\n"
+            "anchor = test corpus\n" + extra)
+        out = run_cli("list", env={"HYPERQ_CORPUS": str(alt)})
+        assert out.returncode == 2
+        assert out.stderr.startswith(f"error: {alt}{error}")
+        assert len(out.stderr.splitlines()) == 1
+        assert "Traceback" not in out.stderr
 
 
 class TestReproducibility:

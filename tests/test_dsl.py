@@ -16,9 +16,7 @@ from hyperq.dsl import (
     Num,
     Param,
     ParseError,
-    Poch,
     Pow,
-    QPoch,
     QSum,
     SeriesSpec,
     SourceText,
@@ -162,12 +160,40 @@ class TestRoundTrip:
             assert parse_side(render(node)) == node
 
 
-def _exprs():
-    atoms = st.one_of(
-        st.integers(min_value=0, max_value=30).map(Num),
-        st.sampled_from(list("abcnqx")).map(Param),
-    )
+# literals for an atom's int fields, by field name; a shift is drawn so
+# that the first index stride + shift is at least 1
+_INT_FIELDS = {
+    "order": st.integers(1, 3),
+    "step": st.integers(1, 4),
+    "sign": st.sampled_from([1, -1]),
+    "radicand": st.integers(0, 12),
+}
 
+
+@st.composite
+def _atom(draw, kind, children):
+    """Any atom node type, its fields drawn as the parser reads them."""
+    fields = kind.__dataclass_fields__
+    args = []
+    for name, field in fields.items():
+        if field.type != "int":
+            args.append(draw(children))
+        elif name == "stride":
+            args.append(draw(st.integers(0 if "count" in fields else 1, 3)))
+        elif name == "shift":
+            args.append(draw(st.integers(1 - args[-1], 3)))
+        else:
+            args.append(draw(_INT_FIELDS[name]))
+    return kind(*args)
+
+
+_LEAVES = st.one_of(
+    st.integers(min_value=0, max_value=30).map(Num),
+    st.sampled_from(list("abcnqx")).map(Param),
+)
+
+
+def _exprs():
     def extend(children):
         return st.one_of(
             st.tuples(children, children).map(lambda t: Add(*t)),
@@ -176,12 +202,11 @@ def _exprs():
             st.tuples(children, children).map(lambda t: Div(*t)),
             children.map(Neg),
             st.tuples(children, st.integers(0, 5).map(Num)).map(lambda t: Pow(*t)),
-            st.tuples(children, children).map(lambda t: Poch(*t)),
-            st.tuples(children, st.integers(1, 4), children).map(lambda t: QPoch(*t)),
-            st.tuples(st.integers(1, 3), children).map(lambda t: Harm(*t)),
+            # every atom of the DSL, so that a new one is covered by default
+            st.sampled_from(list(dsl.ATOMS)).flatmap(lambda kind: _atom(kind, children)),
         )
 
-    return st.recursive(atoms, extend, max_leaves=20)
+    return st.recursive(_LEAVES, extend, max_leaves=20)
 
 
 class TestRendererProperty:
@@ -190,10 +215,82 @@ class TestRendererProperty:
         text = render(expr)
         assert parse_side(text) == ClosedForm(expr)
 
+    @pytest.mark.parametrize("kind", list(dsl.ATOMS), ids=lambda kind: dsl.ATOMS[kind])
+    @given(data=st.data())
+    def test_every_atom_round_trips(self, kind, data):
+        expr = data.draw(_atom(kind, st.one_of(_LEAVES, _LEAVES.map(Neg))))
+        assert parse_side(render(expr)) == ClosedForm(expr)
+
     @given(expr=_exprs())
     def test_parse_is_deterministic(self, expr):
         text = render(expr)
         assert parse_side(text) == parse_side(text)
+
+
+# DSL fragments, so that arbitrary text also reaches deep into the grammar
+_FRAGMENTS = st.sampled_from(
+    [*dsl.ATOMS.values(), "sum k=0..", "inf", " : ", "q", "k", "0", "12", "(", ")",
+     ",", "+", "-", "*", "/", "^", "..", "=", "#", "\n", " ", "²", "é", "\u0661"])
+
+
+class TestArbitraryText:
+    """Parsing any text returns a node or raises ParseError, nothing else."""
+
+    @given(text=st.one_of(st.text(), st.lists(_FRAGMENTS, max_size=40).map("".join)))
+    def test_parse_side_is_total(self, text):
+        try:
+            node = parse_side(text)
+        except ParseError as err:
+            assert err.line >= 1 and err.column >= 1
+        else:
+            assert isinstance(node, (SeriesSpec, ClosedForm))
+
+
+class TestTokens:
+    @pytest.mark.parametrize("text,column", [("2²", 2), ("x\u0661", 2), ("é", 1), ("1 . 2", 3)])
+    def test_non_ascii_and_stray_characters_rejected(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_closed_form(text)
+        assert (err.value.line, err.value.column, err.value.expected) == (1, column, "a token")
+
+    def test_end_of_input_after_a_trailing_comment(self):
+        # the end of input is where the trailing comment starts
+        with pytest.raises(ParseError) as err:
+            parse_closed_form("1 +\n 2 *  # more to come")
+        assert (err.value.line, err.value.column, err.value.found) == (2, 7, "'<end of input>'")
+
+    def test_line_and_column_after_newlines(self):
+        with pytest.raises(ParseError) as err:
+            parse_closed_form(SourceText("1 +\n\t(2 *\n  )", line_offset=9))
+        assert (err.value.line, err.value.column) == (12, 3)
+
+
+class TestDepthLimit:
+    """An AST deeper than MAX_DEPTH is a parse error where the limit is crossed."""
+
+    @pytest.mark.parametrize("build,column", [
+        (lambda n: "(" * n + "1" + ")" * n, 65),   # nesting of the parser itself
+        (lambda n: "-" * n + "1", 65),
+        (lambda n: "2^" * n + "1", 129),
+        (lambda n: "fact(" * n + "1" + ")" * n, 321),
+        (lambda n: "+".join(["1"] * (n + 1)), 128),  # no recursion, but a deep AST
+        (lambda n: "*".join(["x"] * (n + 1)), 128),
+    ])
+    def test_limit(self, build, column):
+        parse_side(build(dsl.MAX_DEPTH - 1))
+        with pytest.raises(ParseError) as err:
+            parse_side(build(3000))
+        assert (err.value.line, err.value.column) == (1, column)
+        assert err.value.expected == f"at most {dsl.MAX_DEPTH} levels of nesting"
+
+    def test_chains_nested_in_chains_are_measured_whole(self):
+        # each chain has 9 operators, but the first operand of each is the
+        # chain before it: the tree is 9 levels deeper per parenthesis
+        def nest(n):
+            return "(" * n + "1" + "+1" * 9 + ")+1+1+1+1+1+1+1+1+1" * n
+        assert render(parse_side(nest(5))) == nest(5).replace("(", "").replace(")", "").replace("+", " + ")
+        with pytest.raises(ParseError):
+            parse_side(nest(7))
 
 
 def _token_texts(text):
