@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import corpus, dsl, series, verify
@@ -179,14 +180,21 @@ def _parse_bindings(pairs, allow_expr: bool):
     return bindings
 
 
+def _exact_text(value) -> str:
+    """``str`` of an exact value of any size: ``Decimal`` prints integers past
+    the interpreter's limit on converting an int to a decimal string."""
+    value = Fraction(value)
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+
+
 def _cmd_eval(args) -> int:
     bindings = _parse_bindings(args.param, allow_expr=False)
     side = dsl.parse_side(args.text)
     prec = verify.VerifyOptions(digits=args.digits).work_prec
     if isinstance(side, dsl.SeriesSpec):
         if side.terminating:
-            value = series.sum_terminating(side, bindings)
-            print(value)
+            print(_exact_text(series.sum_terminating(side, bindings)))
         else:
             value, tail, terms = series.sum_infinite(side, bindings, prec,
                                                      terms_budget=args.terms_budget)
@@ -196,8 +204,7 @@ def _cmd_eval(args) -> int:
     else:
         exact_ok = True
         try:
-            value = series.evaluate_closed(side, bindings)
-            print(value)
+            print(_exact_text(series.evaluate_closed(side, bindings)))
         except series.EvalError:
             exact_ok = False
         if not exact_ok:

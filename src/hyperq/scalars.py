@@ -175,6 +175,11 @@ class HighPrecision:
     def __hash__(self):
         return hash((self.raw, self.prec))
 
+    def scaled_le(self, m: int, other: "HighPrecision", n: int) -> bool:
+        """Whether m*self <= n*other, compared exactly."""
+        return libmp.mpf_cmp(libmp.mpf_mul(self.raw, libmp.from_int(m)),
+                             libmp.mpf_mul(other.raw, libmp.from_int(n))) <= 0
+
     # -- conversion ----------------------------------------------------------
 
     def to_fraction(self) -> Fraction:

@@ -5,10 +5,11 @@ regime; infinite sums run in the HighPrecision regime under an empirical
 geometric ratio test:
 
 * after a warm-up of 32 terms, a sliding window of 16 consecutive term
-  ratios must all stay below 63/64;
+  ratios must all stay below 63/64, each tested exactly as
+  64*|t_k| <= 63*|t_(k-1)|;
 * once the window passes, the tail beyond term K is bounded by
-  |t_K| * rho / (1 - rho) with rho = 63/64, the admission cap itself, and
-  summation stops when that bound drops below 2^(-prec-4);
+  |t_K| * rho / (1 - rho) = 63*|t_K| with rho = 63/64, the admission cap
+  itself, and summation stops when that bound drops below 2^(-prec-4);
 * every infinite sum, and every closed form at a working precision, is
   evaluated twice, 32 bits apart, and ``_validated`` -- the one place of
   this double-evaluation policy -- accepts the value only when the two runs
@@ -19,6 +20,28 @@ program with one step per node (``_Compiler``).  A summation evaluates the
 parts of its term that do not mention the index once, and the product and
 sum atoms advance running states between consecutive terms, so harmonic-
 weighted double series cost O(1) extra work per term rather than O(k).
+
+Programs are shared by every regime; a step that differs by regime
+branches on ``ctx.exact``.  A float regime (``FloatContext``, and jets over
+it) keeps every running state at working precision, so a term costs O(p)
+per small-integer factor plus a few p-bit products, whatever its index:
+
+1. ``fact`` and ``dfactodd`` start from a float 1; an int base under an
+   index-dependent exponent (``4^k``) is lifted before it is raised;
+   ``harm`` adds each 1/i^l, rounded, to a running float sum.
+2. A ``poch`` argument or ``harmx`` offset that does not mention the index
+   and evaluates to an exact a/b (not an active jet) enters as the integers
+   a and b, evaluated once per sum: the steps are p*(a+(i-1)*b)/b and
+   + b^l/(a+i*b)^l rounded once, a pole exactly when a+i*b == 0.
+3. ``poch``, ``qpoch``, ``fact`` and ``dfactodd`` under a literal power
+   e >= 2 multiply the running product by factor^e (then divide by b^e) at
+   each step, instead of raising the product to the power e at every term.
+
+In every regime ``qpoch`` keeps x*q^(s*i) as its running power, one product
+per step fewer than multiplying x by a running q^(s*i).
+
+An exact power whose result would exceed ``MAX_EXACT_BITS`` bits is an
+``EvalError`` before it is computed.
 """
 
 from __future__ import annotations
@@ -57,8 +80,10 @@ from .scalars import (
 WARMUP_TERMS = 32
 WINDOW_TERMS = 16
 RATIO_CAP = Fraction(63, 64)
+TAIL_FACTOR = int(RATIO_CAP / (1 - RATIO_CAP))  # rho/(1-rho), an integer for rho = 63/64
 DEFAULT_TERMS_BUDGET = 10 ** 6
 GUARD_BITS = 16
+MAX_EXACT_BITS = 1 << 20  # an exact power beyond this is an input that runs away
 
 
 class EvalError(ValueError):
@@ -244,10 +269,16 @@ def evaluate_expr(node, env, ctx, cache: Optional[dict] = None) -> Scalar:
 
 def upper_bound(spec: dsl.SeriesSpec, bindings: dict) -> int:
     """The last index of the terminating series ``spec`` under ``bindings``."""
-    attrs = spec.upper.__dict__  # compiled once per node, as term programs are
-    if "_bound" not in attrs:
-        attrs["_bound"] = _Compiler(None).operand(spec.upper, exact="int")
-    return attrs["_bound"](bindings, None, None)
+    return _exact_step(spec.upper, "_bound", "int")(bindings, None, None)
+
+
+def _exact_step(node, name, exact):
+    """``node`` compiled for an exact position (``exact``: True, or "int"), on
+    first use and once per node, as term programs are."""
+    attrs = node.__dict__
+    if name not in attrs:
+        attrs[name] = _Compiler(None).operand(node, exact=exact)
+    return attrs[name]
 
 
 class _Compiler:
@@ -311,7 +342,11 @@ class _Compiler:
         if kind is dsl.Div:
             return partial(_divide, exact, sub(node.left), sub(node.right))
         if kind is dsl.Pow:
-            return partial(_power, exact, integer(node.exponent), sub(node.base))
+            e = node.exponent
+            if (not exact and isinstance(node.base, _FOLDING) and isinstance(e, dsl.Num)
+                    and e.value >= 2):
+                return self.atom(node.base, e.value)
+            return partial(_power, exact, self.depends(e), integer(e), sub(node.base))
         if exact:
             return partial(_raise, f"{kind.__name__} is not valid in an integer position")
         if kind is dsl.QPochInf:
@@ -327,9 +362,16 @@ class _Compiler:
         if kind is dsl.SinPi or kind is dsl.CosPi:
             method, x = ("sinpi" if kind is dsl.SinPi else "cospi"), sub(node.arg, exact=True)
             return lambda env, ctx, cache: getattr(ctx, method)(Fraction(x(env, ctx, cache)))
-        # atoms with a running state: arguments first, then the count
+        return self.atom(node)
+
+    def atom(self, node, power=1):
+        """Step for an atom with a running state: arguments first, then the
+        count.  A product atom raises its factors to ``power`` (rule 3)."""
+        kind = type(node)
+        sub = partial(self.operand, hoist=self.depends(node))
+        argument = partial(self.argument, hoist=self.depends(node))
         if kind is dsl.Poch:
-            recurrence, args = _poch, [sub(node.x, lift=True)]
+            recurrence, args = _poch, [argument(node.x)]
         elif kind is dsl.QPoch:
             qs = dsl.Pow(_Q, dsl.Num(node.step))
             recurrence, args = _qpoch, [sub(node.x, lift=True), sub(qs)]
@@ -342,13 +384,30 @@ class _Compiler:
         elif kind is dsl.Harm:
             recurrence, args = partial(_harm, node.order), []
         elif kind is dsl.HarmX:
-            recurrence, args = partial(_harmx, node.order), [sub(node.offset, lift=True)]
+            recurrence, args = partial(_harmx, node.order), [argument(node.offset)]
         elif kind is dsl.QSum:
             recurrence, args = partial(_qsum, node), [sub(_Q)]
         else:
             return partial(_raise, f"cannot evaluate node {kind.__name__}")
-        return partial(_atom, dsl.ATOMS[kind], recurrence, args, integer(node.count),
-                       next(self.slots))
+        if power != 1:
+            recurrence = partial(_folded, recurrence, power)
+        return partial(_atom, dsl.ATOMS[kind], recurrence, args,
+                       self.operand(node.count, exact="int"), next(self.slots))
+
+    def argument(self, node, hoist):
+        """Step for an atom's argument: lifted, or, when it does not mention
+        the index, its exact value in a float regime (rule 2; the lifted
+        value when it has none)."""
+        if self.depends(node):
+            return self.operand(node, hoist, lift=True)
+        key = (node, hoist, "argument")
+        if key not in self.operands:
+            step = partial(_exact_argument, node, self.operand(node, lift=True))
+            self.operands[key] = partial(_once, step, next(self.slots)) if hoist else step
+        return self.operands[key]
+
+
+_FOLDING = (dsl.Poch, dsl.QPoch, dsl.Fact, dsl.DFactOdd)  # atoms that fold a literal power
 
 
 def _param(name, exact, env, ctx, cache):
@@ -391,17 +450,36 @@ def _divide(exact, num, den, env, ctx, cache):
     return ctx.lift(n) / d
 
 
-def _power(exact, exponent, base, env, ctx, cache):
+def _exact_argument(node, lifted, env, ctx, cache):
+    if not ctx.exact:  # the exact regime never compiles the exact step
+        try:
+            return Fraction(_exact_step(node, "_exact", True)(env, ctx, cache))
+        except (EvalError, ArithmeticError):
+            pass  # an active jet, a constant, a name unbound, a pole: the lifted step decides
+    return lifted(env, ctx, cache)
+
+
+def _power(exact, indexed, exponent, base, env, ctx, cache):
     e = exponent(env, ctx, cache)
     b = base(env, ctx, cache)
-    if exact or isinstance(b, int):
-        if e >= 0:
-            return b ** e
-        b = Fraction(b) if exact else ctx.lift(b)
+    if isinstance(b, int) and not exact and (e < 0 or indexed and not ctx.exact):
+        b = ctx.lift(b)  # a float regime raises c^k at working precision
+    _check_size(b, e)
     try:
         return int_pow(b, e)
     except ZeroDivisionError:
         raise PoleInTermError("zero base with negative exponent")
+
+
+def _check_size(b, e):
+    """Refuse an exact b^e of more than MAX_EXACT_BITS bits before it is built."""
+    value = b.value if isinstance(b, Jet2) else b
+    if isinstance(value, HighPrecision) or -1 <= e <= 1:  # no larger than b itself
+        return
+    magnitude = abs(value) if isinstance(value, int) else max(abs(value.numerator),
+                                                               value.denominator)
+    if magnitude > 1 and abs(e) > MAX_EXACT_BITS / math.log2(magnitude):
+        raise EvalError(f"an exact power of more than {MAX_EXACT_BITS} bits")
 
 
 def _integer(exact, env, ctx, cache):
@@ -435,19 +513,59 @@ def _advance(cache, slot, key: tuple, target: int, start, extend):
     return payload
 
 
-# the running atoms: (ctx, cache, slot, *arguments, count) -> value
+# the running atoms: (ctx, cache, slot, *arguments, count) -> value.  In a
+# float regime an exact Fraction argument is an a/b of rule 2, and the
+# products take the literal power of rule 3 (see the module docstring).
 
-def _poch(ctx, cache, slot, x, n):
-    return _advance(cache, slot, (x,), n, lambda: scalar_one(x), lambda p, i: p * (x + (i - 1)))
+def _times(p, factor, power, den=1):
+    """One step of a running product: p * factor^power / den, each operation rounded."""
+    if power != 1:
+        _check_size(factor, power)
+        factor = factor ** power
+    p = p * factor
+    return p if den == 1 else p / den
 
 
-def _qpoch(ctx, cache, slot, x, qs, n):
-    return _advance(cache, slot, (x, qs), n, lambda: (scalar_one(qs), scalar_one(qs)),
-                    lambda st, i: (st[0] * (1 - x * st[1]), st[1] * qs))[0]
+def _folded(recurrence, power, ctx, cache, slot, *args):
+    """A product atom under a literal power: folded into the recurrence in a
+    float regime (rule 3), the plain product raised to it in the exact one."""
+    if not ctx.exact:
+        return recurrence(ctx, cache, slot, *args, power=power)
+    p = recurrence(ctx, cache, slot, *args)
+    _check_size(p, power)
+    return int_pow(p, power)
 
 
-def _factorial(odd, ctx, cache, slot, n):
-    return _advance(cache, slot, (), n, lambda: 1, lambda p, i: p * (2 * i + 1 if odd else i))
+def _ratio(x, ctx):
+    """An exact argument a/b as the integers (a, b) in a float regime (rule 2); else (x, 1)."""
+    if type(x) is Fraction and not ctx.exact:
+        return x.numerator, x.denominator
+    return x, 1
+
+
+def _poch(ctx, cache, slot, x, n, power=1):
+    if power == 1 and (ctx.exact or type(x) is not Fraction):  # the plain recurrence
+        return _advance(cache, slot, (x,), n, lambda: scalar_one(x),
+                        lambda p, i: p * (x + (i - 1)))
+    a, b = _ratio(x, ctx)
+    den = b ** power
+    return _advance(cache, slot, (x,), n,
+                    partial(scalar_one, x) if a is x else partial(ctx.lift, 1),
+                    lambda p, i: _times(p, a + (i - 1) * b, power, den))
+
+
+def _qpoch(ctx, cache, slot, x, qs, n, power=1):
+    # the state (product, x*q^(s*i)) saves multiplying x by q^(s*i) at each step
+    return _advance(cache, slot, (x, qs), n, lambda: (scalar_one(qs), x),
+                    lambda st, i: (_times(st[0], 1 - st[1], power), st[1] * qs))[0]
+
+
+def _factorial(odd, ctx, cache, slot, n, power=1):
+    start = (lambda: 1) if ctx.exact else partial(ctx.lift, 1)
+    if power == 1:
+        return _advance(cache, slot, (), n, start, lambda p, i: p * (2 * i + 1 if odd else i))
+    return _advance(cache, slot, (), n, start,
+                    lambda p, i: _times(p, 2 * i + 1 if odd else i, power))
 
 
 def _qint(ctx, cache, slot, q, n):
@@ -457,11 +575,22 @@ def _qint(ctx, cache, slot, q, n):
 
 
 def _harm(order, ctx, cache, slot, n):
-    exact = _advance(cache, slot, (), n, Fraction, lambda s, i: s + Fraction(1, i ** order))
-    return ctx.from_fraction(exact)
+    return _advance(cache, slot, (), n, partial(ctx.lift, 0),
+                    lambda s, i: s + ctx.from_fraction(Fraction(1, i ** order)))
 
 
 def _harmx(order, ctx, cache, slot, offset, n):
+    a, b = _ratio(offset, ctx)
+    if a is not offset:  # rule 2
+        num = b ** order
+
+        def extend(s, i):
+            if a + i * b == 0:
+                raise PoleInTermError("zero denominator factor")
+            return s + ctx.from_fraction(Fraction(num, (a + i * b) ** order))
+
+        return _advance(cache, slot, (offset,), n, partial(ctx.lift, 0), extend)
+
     def extend(s, i):
         d = int_pow(offset + i, order)
         _div_check(d)
@@ -570,7 +699,8 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, mi
         total = t if total is None else total + t
         mag = _norm(t, work_prec)
         if last_mag is not None:
-            capped = not last_mag.is_zero() and mag / last_mag <= cap
+            capped = not last_mag.is_zero() and mag.scaled_le(
+                RATIO_CAP.denominator, last_mag, RATIO_CAP.numerator)
             capped_run = capped_run + 1 if capped else 0
         last_mag = mag
         if mag.is_zero():
@@ -586,7 +716,7 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, mi
                 # window maxima undercover series whose ratios still climb
                 # toward their limit; the cap is an empirical rule too, false
                 # for a series whose ratios pass 1 only after the window
-                bound = mag * cap / (1 - cap)
+                bound = mag * TAIL_FACTOR
                 if bound < threshold:
                     return total, TailBound(k, cap, bound), k + 1
         k += 1

@@ -107,6 +107,11 @@ class TestExitCodes:
     def test_negative_q_integer_is_three(self):
         self._assert_eval_error(run_cli("eval", "qint(-1)", "--param", "q=1/2"))
 
+    def test_power_tower_is_three(self):
+        # 2^(2^65536) ran until killed, its memory growing
+        self._assert_eval_error(run_cli("eval", "2^2^2^2^2^2"))
+        self._assert_eval_error(run_cli("eval", "sum k=0..n : 3^(n*n)", "--param", "n=1000"))
+
     def test_negative_max_n_in_verify_is_two(self):
         self._assert_domain_error(run_cli("verify", "GOS", "--max-n", "-1"))
 
@@ -141,6 +146,19 @@ class TestEval:
         out = run_cli("eval", "sum k=0..inf : 0^k")
         assert out.returncode == 0
         assert out.stdout.startswith("1.0\n")
+
+    @pytest.mark.parametrize("args, expected", [
+        (["10^5000"], "1" + "0" * 5000),
+        (["sum k=0..n : 10^k", "--param", "n=5000"], "1" * 5001),
+        (["(0-10)^4301/3"], "-1" + "0" * 4301 + "/3"),
+        (["1/10^4400"], "1/1" + "0" * 4400),
+    ])
+    def test_exact_values_past_the_string_limit(self, args, expected):
+        # these printed a ValueError traceback with exit 1: str(int) refuses
+        # more than 4300 digits
+        out = run_cli("eval", *args)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == expected + "\n"
 
     def test_closed_form(self):
         out = run_cli("eval", "4/pi", "--digits", "20")

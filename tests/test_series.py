@@ -14,6 +14,7 @@ from hyperq.corpus import get_identity
 from hyperq.functions import pi_constant
 from hyperq.scalars import agree_to, to_precision
 from hyperq.series import (
+    MAX_EXACT_BITS,
     EvalError,
     FloatContext,
     NonGeometricTailError,
@@ -52,6 +53,47 @@ class TestEvaluateTerm:
         spec = dsl.parse_series_spec("sum k=0..n : 1/(k-2)")
         with pytest.raises(PoleInTermError):
             evaluate_expr(spec.term, {"n": 4, spec.index: 2}, RationalContext())
+
+
+class TestExactPowerGuard:
+    """An exact power of more than MAX_EXACT_BITS bits is refused before it is
+    built; each case sits just over the limit."""
+
+    @pytest.mark.parametrize("text, exact_in_floats", [
+        (f"2^{MAX_EXACT_BITS + 1}", True),
+        (f"3^{math.floor(MAX_EXACT_BITS / math.log2(3)) + 1}", True),
+        ("2^2^2^2^2^2", True),
+        (f"2^(-{MAX_EXACT_BITS + 1})", False),
+        (f"(1/2)^{MAX_EXACT_BITS + 1}", False),
+    ])
+    def test_over_the_limit(self, text, exact_in_floats):
+        cf = dsl.parse_closed_form(text)
+        with pytest.raises(EvalError, match="exact power"):
+            evaluate_closed(cf, {})
+        # a float regime keeps an int base with a literal exponent exact, and
+        # lifts a negative power or a rational base
+        if exact_in_floats:
+            with pytest.raises(EvalError, match="exact power"):
+                evaluate_closed(cf, {}, 64)
+        else:
+            assert not evaluate_closed(cf, {}, 64).is_zero()
+
+    def test_at_the_limit(self):
+        assert evaluate_closed(dsl.parse_closed_form(f"2^{MAX_EXACT_BITS}"), {}) == \
+            1 << MAX_EXACT_BITS
+
+    def test_index_expression(self):
+        spec = dsl.parse_series_spec(f"sum k=0..2^{MAX_EXACT_BITS + 1} : k")
+        with pytest.raises(EvalError, match="exact power"):
+            sum_terminating(spec, {})
+
+    def test_float_regime_lifts_an_indexed_power(self):
+        # a float regime raises c^k at working precision, so no exact size applies
+        spec = dsl.parse_series_spec("sum k=0..n : 2^(k*k)")
+        value = sum_terminating(spec, {"n": 1100}, FloatContext(64))
+        assert value.raw == (0, 1, 1100 ** 2, 1)  # 2^(1100^2), the others rounded away
+        with pytest.raises(EvalError, match="exact power"):
+            sum_terminating(spec, {"n": 1100})
 
 
 class TestSumTerminating:

@@ -2,13 +2,17 @@
 
 ``_walk`` below walks the AST on every term: one ``isinstance`` dispatch
 per node per term, every index-free subtree evaluated again at each index,
-atom states keyed by (node id, argument).  It is the reference the
+atom states keyed by (node id, power, argument).  It is the reference the
 compiled programs must reproduce: exactly over the rationals and rational
 jets, bit for bit over HighPrecision and its jets, and with the same
 exception classes.  Like the programs, it takes a negative count of any
-atom for an ``EvalError``.
+atom for an ``EvalError``.  The float-regime rules of ``_walk``'s docstring
+are the specification of the programs' HighPrecision bits; a separate law,
+``test_float_prefix_sums_match_the_exact_sum``, checks the values they give
+against exact sums without the walker.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +24,7 @@ from hyperq.corpus import list_identities
 from hyperq.functions import QIntegers
 from hyperq.scalars import HighPrecision, Jet2, int_pow, jet_lift, scalar_one, scalar_zero
 from hyperq.series import (
+    MAX_EXACT_BITS,
     EvalError,
     FloatContext,
     JetContext,
@@ -111,7 +116,91 @@ def _q_integers(cache, key, q):
     return q_ints
 
 
+_FOLDING = (dsl.Poch, dsl.QPoch, dsl.Fact, dsl.DFactOdd)
+
+
+def _mentions(node, index):
+    """Whether ``node`` mentions the summation ``index`` (None: any parameter);
+    a q-atom mentions q."""
+    if isinstance(node, dsl.Param):
+        return index in (None, node.name)
+    return (isinstance(node, dsl.Q_ATOMS) and index in (None, "q")) or any(
+        _mentions(child, index) for _, child in dsl.children(node))
+
+
+def _argument(node, env, ctx, cache):
+    """An atom's argument: lifted, or in a float regime, when it does not
+    mention the index and has an exact value a/b, that Fraction."""
+    if not ctx.exact and not _mentions(node, cache.get("index")):
+        try:
+            return F(_walk_exact(node, env))
+        except (EvalError, ArithmeticError):
+            pass
+    return ctx.lift(_walk(node, env, ctx, cache))
+
+
+def _check_size(base, e):
+    value = base.value if isinstance(base, Jet2) else base
+    if isinstance(value, (int, F)):
+        size = max(abs(F(value).numerator), F(value).denominator)
+        if size > 1 and abs(e) * math.log2(size) > MAX_EXACT_BITS:
+            raise EvalError("an exact power too large")
+
+
+def _times(p, factor, power, den=1):
+    if power != 1:
+        _check_size(factor, power)
+        factor = factor ** power
+    p = p * factor
+    return p if den == 1 else p / den
+
+
+def _product_atom(node, env, ctx, cache, power):
+    """``poch``, ``qpoch``, ``fact`` or ``dfactodd``, its factors raised to ``power``."""
+    if isinstance(node, (dsl.Fact, dsl.DFactOdd)):
+        odd = isinstance(node, dsl.DFactOdd)
+        n = _walk_count(node, env)
+        return _incremental(cache, (id(node), power), n, 1 if ctx.exact else ctx.lift(1),
+                            lambda p, i: _times(p, 2 * i + 1 if odd else i, power))
+    if isinstance(node, dsl.Poch):
+        x = _argument(node.x, env, ctx, cache)
+        n = _walk_count(node, env)
+        if isinstance(x, F) and not ctx.exact:
+            a, b = x.numerator, x.denominator
+            return _incremental(cache, (id(node), power, x), n, ctx.lift(1),
+                                lambda p, i: _times(p, a + (i - 1) * b, power, b ** power))
+        return _incremental(cache, (id(node), power, x), n, scalar_one(x),
+                            lambda p, i: _times(p, x + (i - 1), power))
+    x = ctx.lift(_walk(node.x, env, ctx, cache))
+    q = _ambient_q(env, ctx)
+    qs = int_pow(q, node.step)
+    n = _walk_count(node, env)
+    return _incremental(cache, (id(node), power, x, q), n, (scalar_one(qs), x),
+                        lambda st, i: (_times(st[0], 1 - st[1], power), st[1] * qs))[0]
+
+
 def _walk(node, env, ctx, cache):
+    """The value of ``node``; ``cache["index"]`` names the summation index.
+
+    In a float regime (``ctx.exact`` false):
+
+    1. ``fact`` and ``dfactodd`` start from ``ctx.lift(1)`` and multiply by
+       their integer factor; an integer base whose exponent mentions the
+       index is lifted before it is raised; ``harm(l,k)`` starts from
+       ``ctx.lift(0)`` and adds ``ctx.from_fraction(1/i^l)``.
+    2. An argument of ``poch`` or an offset of ``harmx`` that does not
+       mention the index and evaluates exactly to a/b is that Fraction:
+       ``poch`` starts from ``ctx.lift(1)`` and steps p*(a+(i-1)*b)/b, and
+       ``harmx`` starts from ``ctx.lift(0)`` and adds
+       ``ctx.from_fraction(b^l/(a+i*b)^l)``, a pole when a+i*b == 0.
+    3. ``poch``, ``qpoch``, ``fact`` and ``dfactodd`` raised to a literal
+       power e >= 2 step p*factor^e (and then divide by b^e under rule 2).
+
+    Each p*f/d above is two operations, each rounded.  In every regime
+    ``qpoch`` keeps (p, x*q^(s*j)) and steps to (p*(1-x*q^(s*j)),
+    x*q^(s*j)*q^s); the exact regime runs the plain recurrences of the
+    other atoms, and every exact power checks its size.
+    """
     if isinstance(node, dsl.Num):
         return node.value
     if isinstance(node, dsl.Param):
@@ -134,49 +223,45 @@ def _walk(node, env, ctx, cache):
     if isinstance(node, dsl.Neg):
         return -_walk(node.operand, env, ctx, cache)
     if isinstance(node, dsl.Pow):
-        e = _walk_int(node.exponent, env)
+        e = node.exponent
+        if (not ctx.exact and isinstance(node.base, _FOLDING) and isinstance(e, dsl.Num)
+                and e.value >= 2):
+            return _product_atom(node.base, env, ctx, cache, e.value)
+        e = _walk_int(e, env)
         base = _walk(node.base, env, ctx, cache)
-        if isinstance(base, int):
-            if e >= 0:
-                return base ** e
+        if isinstance(base, int) and (e < 0 or not ctx.exact and _mentions(
+                node.exponent, cache.get("index"))):
             base = ctx.lift(base)
+        _check_size(base, e)
         try:
             return int_pow(base, e)
         except ZeroDivisionError:
             raise PoleInTermError("zero base with negative exponent")
-    if isinstance(node, dsl.Poch):
-        x = ctx.lift(_walk(node.x, env, ctx, cache))
-        n = _walk_count(node, env)
-        return _incremental(cache, (id(node), x), n, scalar_one(x),
-                            lambda p, i: p * (x + (i - 1)))
-    if isinstance(node, dsl.QPoch):
-        x = ctx.lift(_walk(node.x, env, ctx, cache))
-        q = _ambient_q(env, ctx)
-        qs = int_pow(q, node.step)
-        n = _walk_count(node, env)
-        return _incremental(cache, (id(node), x, q), n, (scalar_one(qs), scalar_one(qs)),
-                            lambda st, i: (st[0] * (1 - x * st[1]), st[1] * qs))[0]
+    if isinstance(node, _FOLDING):
+        return _product_atom(node, env, ctx, cache, 1)
     if isinstance(node, dsl.QPochInf):
         x = ctx.lift(_walk(node.x, env, ctx, cache))
         q = _ambient_q(env, ctx)
         return ctx.qpochinf(x, int_pow(q, node.step))
-    if isinstance(node, dsl.Fact):
-        n = _walk_count(node, env)
-        return _incremental(cache, (id(node),), n, 1, lambda p, i: p * i)
-    if isinstance(node, dsl.DFactOdd):
-        n = _walk_count(node, env)
-        return _incremental(cache, (id(node),), n, 1, lambda p, i: p * (2 * i + 1))
     if isinstance(node, dsl.QInt):
         q = _ambient_q(env, ctx)
         return _q_integers(cache, (id(node), q), q)(_walk_count(node, env))
     if isinstance(node, dsl.Harm):
         n = _walk_count(node, env)
-        exact = _incremental(cache, (id(node),), n, F(0),
-                             lambda s, i: s + F(1, i ** node.order))
-        return ctx.from_fraction(exact)
+        return _incremental(cache, (id(node),), n, ctx.lift(0),
+                            lambda s, i: s + ctx.from_fraction(F(1, i ** node.order)))
     if isinstance(node, dsl.HarmX):
-        offset = ctx.lift(_walk(node.offset, env, ctx, cache))
+        offset = _argument(node.offset, env, ctx, cache)
         n = _walk_count(node, env)
+        if isinstance(offset, F) and not ctx.exact:
+            a, b, order = offset.numerator, offset.denominator, node.order
+
+            def extend_small(s, i):
+                if a + i * b == 0:
+                    raise PoleInTermError("zero denominator factor")
+                return s + ctx.from_fraction(F(b ** order, (a + i * b) ** order))
+
+            return _incremental(cache, (id(node), offset), n, ctx.lift(0), extend_small)
 
         def extend(s, i):
             d = int_pow(offset + i, node.order)
@@ -219,7 +304,7 @@ def _walk_sum(spec, bindings, ctx, n=None):
     """The summation loop of ``sum_terminating`` over the reference walker."""
     upper = n if n is not None else _walk_int(spec.upper, bindings)
     env = dict(bindings)
-    cache = {}
+    cache = {"index": spec.index}
     total = None
     for k in range(upper + 1):
         env[spec.index] = k
@@ -369,6 +454,86 @@ def test_random_terms_match_the_walker(term, a, q, n, prec):
     ctx = RationalContext() if prec is None else FloatContext(prec)
     program = _outcome(lambda: sum_terminating(spec, env, ctx))
     _assert_same(program, _outcome(lambda: _walk_sum(spec, env, _fresh(ctx))))
+
+
+# ------------------------------------------------ float sums against exact
+
+def _literal(x):
+    """The DSL node of the rational ``x``."""
+    node = dsl.Num(abs(x.numerator))
+    if x.denominator != 1:
+        node = dsl.Div(node, dsl.Num(x.denominator))
+    return dsl.Neg(node) if x < 0 else node
+
+
+SPAN = st.sampled_from([K, dsl.Add(K, dsl.Num(1)), dsl.Mul(dsl.Num(2), K)])
+ORDERS = st.integers(1, 2)
+# |x| <= 1/2 keeps each factor 1 - x*q^j of a q-Pochhammer away from 0, and an
+# offset above -1 keeps every summand of harmx positive: both keep the float
+# values within a small relative error of the exact ones
+PRODUCTS = st.one_of(
+    st.builds(dsl.Poch, st.fractions(-3, 3, max_denominator=6).map(_literal), SPAN),
+    st.builds(dsl.QPoch, st.fractions(F(-1, 2), F(1, 2), max_denominator=6).map(_literal),
+              st.integers(1, 2), SPAN),
+    st.builds(dsl.Fact, SPAN),
+    st.builds(dsl.DFactOdd, SPAN),
+    st.builds(dsl.Pow, st.sampled_from([2, 3, 9, F(1, 3), F(-2, 3)]).map(lambda c: _literal(F(c))),
+              st.just(K)),
+)
+FACTORS = st.one_of(
+    PRODUCTS,
+    st.builds(dsl.Pow, PRODUCTS, st.integers(2, 4).map(dsl.Num)),
+)
+WEIGHTS = st.one_of(
+    st.builds(dsl.Harm, ORDERS, SPAN),
+    st.builds(dsl.HarmX, ORDERS, SPAN,
+              st.fractions(F(-5, 6), 3, max_denominator=6).map(_literal)),
+)
+
+
+def _product(nodes):
+    node = nodes[0]
+    for other in nodes[1:]:
+        node = dsl.Mul(node, other)
+    return node
+
+
+def _quotient(numerator, denominator):
+    term = _product(numerator)
+    return dsl.Div(term, _product(denominator)) if denominator else term
+
+
+def _exact_terms(term, env, n):
+    return _outcome(lambda: [evaluate_expr(term, {**env, "k": k}, RationalContext(),
+                                           {"index": "k"}) for k in range(n + 1)])
+
+
+@given(numerator=st.lists(st.one_of(FACTORS, WEIGHTS), min_size=1, max_size=3),
+       denominator=st.lists(FACTORS, max_size=2),
+       q=st.sampled_from([F(1, 2), F(2, 3), F(-1, 3)]), n=st.integers(0, 12))
+def test_float_prefix_sums_match_the_exact_sum(numerator, denominator, q, n):
+    term = _quotient(numerator, denominator)
+    spec = dsl.SeriesSpec("k", 0, dsl.Param("n"), term)
+    env = {"q": q, "n": n}
+    exact_terms = _exact_terms(term, env, n)
+    for prec in (64, 3400):
+        value = _outcome(lambda: sum_terminating(spec, env, FloatContext(prec)))
+        if isinstance(exact_terms, type):  # a pole: the float sum meets it too
+            assert value is exact_terms
+            continue
+        error = abs(value.to_fraction() - sum(exact_terms))
+        assert error <= F(2) ** (8 - prec) * sum(map(abs, exact_terms)) * (n + 2)
+
+
+def test_factorial_regime():
+    # a float regime keeps the running factorial at working precision, the
+    # exact regime as an exact int
+    node, env = dsl.Fact(K), {"k": 2000}
+    value = evaluate_expr(node, env, FloatContext(128), {"index": "k"})
+    assert isinstance(value, HighPrecision) and value.prec == 128
+    exact = evaluate_expr(node, env, RationalContext(), {"index": "k"})
+    assert type(exact) is int and exact == math.factorial(2000)
+    assert abs(value.to_fraction() / exact - 1) <= F(2000, 2 ** 128)
 
 
 # ------------------------------------------------------------ regressions
