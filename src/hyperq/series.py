@@ -33,15 +33,16 @@ per small-integer factor plus a few p-bit products, whatever its index:
    and evaluates to an exact a/b (not an active jet) enters as the integers
    a and b, evaluated once per sum: the steps are p*(a+(i-1)*b)/b and
    + b^l/(a+i*b)^l rounded once, a pole exactly when a+i*b == 0.
-3. ``poch``, ``qpoch``, ``fact`` and ``dfactodd`` under a literal power
-   e >= 2 multiply the running product by factor^e (then divide by b^e) at
-   each step, instead of raising the product to the power e at every term.
+3. An int power too large to build exactly (more than ``MAX_EXACT_BITS``
+   bits) is raised at working precision instead, up to a binary exponent
+   of ``MAX_FLOAT_BITS``.
 
 In every regime ``qpoch`` keeps x*q^(s*i) as its running power, one product
 per step fewer than multiplying x by a running q^(s*i).
 
 An exact power whose result would exceed ``MAX_EXACT_BITS`` bits is an
-``EvalError`` before it is computed.
+``EvalError`` before it is computed, in the exact regime and in the exact
+positions (counts, exponents, bounds) of every regime.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ TAIL_FACTOR = int(RATIO_CAP / (1 - RATIO_CAP))  # rho/(1-rho), an integer for rh
 DEFAULT_TERMS_BUDGET = 10 ** 6
 GUARD_BITS = 16
 MAX_EXACT_BITS = 1 << 20  # an exact power beyond this is an input that runs away
+MAX_FLOAT_BITS = 1 << 24  # binary exponent of a lifted int power: its exact value stays small
 
 
 class EvalError(ValueError):
@@ -343,9 +345,6 @@ class _Compiler:
             return partial(_divide, exact, sub(node.left), sub(node.right))
         if kind is dsl.Pow:
             e = node.exponent
-            if (not exact and isinstance(node.base, _FOLDING) and isinstance(e, dsl.Num)
-                    and e.value >= 2):
-                return self.atom(node.base, e.value)
             return partial(_power, exact, self.depends(e), integer(e), sub(node.base))
         if exact:
             return partial(_raise, f"{kind.__name__} is not valid in an integer position")
@@ -364,9 +363,8 @@ class _Compiler:
             return lambda env, ctx, cache: getattr(ctx, method)(Fraction(x(env, ctx, cache)))
         return self.atom(node)
 
-    def atom(self, node, power=1):
-        """Step for an atom with a running state: arguments first, then the
-        count.  A product atom raises its factors to ``power`` (rule 3)."""
+    def atom(self, node):
+        """Step for an atom with a running state: arguments first, then the count."""
         kind = type(node)
         sub = partial(self.operand, hoist=self.depends(node))
         argument = partial(self.argument, hoist=self.depends(node))
@@ -389,8 +387,6 @@ class _Compiler:
             recurrence, args = partial(_qsum, node), [sub(_Q)]
         else:
             return partial(_raise, f"cannot evaluate node {kind.__name__}")
-        if power != 1:
-            recurrence = partial(_folded, recurrence, power)
         return partial(_atom, dsl.ATOMS[kind], recurrence, args,
                        self.operand(node.count, exact="int"), next(self.slots))
 
@@ -405,9 +401,6 @@ class _Compiler:
             step = partial(_exact_argument, node, self.operand(node, lift=True))
             self.operands[key] = partial(_once, step, next(self.slots)) if hoist else step
         return self.operands[key]
-
-
-_FOLDING = (dsl.Poch, dsl.QPoch, dsl.Fact, dsl.DFactOdd)  # atoms that fold a literal power
 
 
 def _param(name, exact, env, ctx, cache):
@@ -462,24 +455,30 @@ def _exact_argument(node, lifted, env, ctx, cache):
 def _power(exact, indexed, exponent, base, env, ctx, cache):
     e = exponent(env, ctx, cache)
     b = base(env, ctx, cache)
-    if isinstance(b, int) and not exact and (e < 0 or indexed and not ctx.exact):
-        b = ctx.lift(b)  # a float regime raises c^k at working precision
-    _check_size(b, e)
+    # a float regime raises 1/c^k, c^k and a c^e too large to build exactly at
+    # working precision; the exact regime and exact positions keep ints exact
+    lift = isinstance(b, int) and not (exact or ctx.exact) and (
+        e < 0 or indexed or _too_large(b, e, MAX_EXACT_BITS))
+    if lift:
+        if _too_large(b, e, MAX_FLOAT_BITS):
+            raise EvalError(f"a float power beyond 2^{MAX_FLOAT_BITS} in magnitude")
+        b = ctx.lift(b)
+    elif _too_large(b, e, MAX_EXACT_BITS):
+        raise EvalError(f"an exact power of more than {MAX_EXACT_BITS} bits")
     try:
         return int_pow(b, e)
     except ZeroDivisionError:
         raise PoleInTermError("zero base with negative exponent")
 
 
-def _check_size(b, e):
-    """Refuse an exact b^e of more than MAX_EXACT_BITS bits before it is built."""
+def _too_large(b, e, limit) -> bool:
+    """Whether b^e is exact and |e| * log2 max(|numerator|, denominator) > ``limit``."""
     value = b.value if isinstance(b, Jet2) else b
     if isinstance(value, HighPrecision) or -1 <= e <= 1:  # no larger than b itself
-        return
+        return False
     magnitude = abs(value) if isinstance(value, int) else max(abs(value.numerator),
                                                                value.denominator)
-    if magnitude > 1 and abs(e) > MAX_EXACT_BITS / math.log2(magnitude):
-        raise EvalError(f"an exact power of more than {MAX_EXACT_BITS} bits")
+    return magnitude > 1 and abs(e) > limit / math.log2(magnitude)
 
 
 def _integer(exact, env, ctx, cache):
@@ -514,27 +513,8 @@ def _advance(cache, slot, key: tuple, target: int, start, extend):
 
 
 # the running atoms: (ctx, cache, slot, *arguments, count) -> value.  In a
-# float regime an exact Fraction argument is an a/b of rule 2, and the
-# products take the literal power of rule 3 (see the module docstring).
-
-def _times(p, factor, power, den=1):
-    """One step of a running product: p * factor^power / den, each operation rounded."""
-    if power != 1:
-        _check_size(factor, power)
-        factor = factor ** power
-    p = p * factor
-    return p if den == 1 else p / den
-
-
-def _folded(recurrence, power, ctx, cache, slot, *args):
-    """A product atom under a literal power: folded into the recurrence in a
-    float regime (rule 3), the plain product raised to it in the exact one."""
-    if not ctx.exact:
-        return recurrence(ctx, cache, slot, *args, power=power)
-    p = recurrence(ctx, cache, slot, *args)
-    _check_size(p, power)
-    return int_pow(p, power)
-
+# float regime an exact Fraction argument is an a/b of rule 2 (see the
+# module docstring).
 
 def _ratio(x, ctx):
     """An exact argument a/b as the integers (a, b) in a float regime (rule 2); else (x, 1)."""
@@ -543,29 +523,26 @@ def _ratio(x, ctx):
     return x, 1
 
 
-def _poch(ctx, cache, slot, x, n, power=1):
-    if power == 1 and (ctx.exact or type(x) is not Fraction):  # the plain recurrence
-        return _advance(cache, slot, (x,), n, lambda: scalar_one(x),
-                        lambda p, i: p * (x + (i - 1)))
+def _poch(ctx, cache, slot, x, n):
     a, b = _ratio(x, ctx)
-    den = b ** power
+
+    def extend(p, i):  # p * (a + (i-1)*b) / b, each operation rounded
+        p = p * (a + (i - 1) * b)
+        return p if b == 1 else p / b
+
     return _advance(cache, slot, (x,), n,
-                    partial(scalar_one, x) if a is x else partial(ctx.lift, 1),
-                    lambda p, i: _times(p, a + (i - 1) * b, power, den))
+                    partial(scalar_one, x) if a is x else partial(ctx.lift, 1), extend)
 
 
-def _qpoch(ctx, cache, slot, x, qs, n, power=1):
+def _qpoch(ctx, cache, slot, x, qs, n):
     # the state (product, x*q^(s*i)) saves multiplying x by q^(s*i) at each step
     return _advance(cache, slot, (x, qs), n, lambda: (scalar_one(qs), x),
-                    lambda st, i: (_times(st[0], 1 - st[1], power), st[1] * qs))[0]
+                    lambda st, i: (st[0] * (1 - st[1]), st[1] * qs))[0]
 
 
-def _factorial(odd, ctx, cache, slot, n, power=1):
-    start = (lambda: 1) if ctx.exact else partial(ctx.lift, 1)
-    if power == 1:
-        return _advance(cache, slot, (), n, start, lambda p, i: p * (2 * i + 1 if odd else i))
-    return _advance(cache, slot, (), n, start,
-                    lambda p, i: _times(p, 2 * i + 1 if odd else i, power))
+def _factorial(odd, ctx, cache, slot, n):
+    return _advance(cache, slot, (), n, (lambda: 1) if ctx.exact else partial(ctx.lift, 1),
+                    lambda p, i: p * (2 * i + 1 if odd else i))
 
 
 def _qint(ctx, cache, slot, q, n):

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from hyperq import dsl
 from hyperq.corpus import get_identity
 from hyperq.functions import pi_constant
-from hyperq.scalars import agree_to, to_precision
+from hyperq.scalars import HighPrecision, agree_to, to_precision
 from hyperq.series import (
     MAX_EXACT_BITS,
+    MAX_FLOAT_BITS,
     EvalError,
     FloatContext,
     NonGeometricTailError,
@@ -57,26 +58,48 @@ class TestEvaluateTerm:
 
 class TestExactPowerGuard:
     """An exact power of more than MAX_EXACT_BITS bits is refused before it is
-    built; each case sits just over the limit."""
+    built, and a float regime raises an int power past it at working precision
+    up to a magnitude of 2^MAX_FLOAT_BITS; each case sits just over a limit."""
 
-    @pytest.mark.parametrize("text, exact_in_floats", [
-        (f"2^{MAX_EXACT_BITS + 1}", True),
-        (f"3^{math.floor(MAX_EXACT_BITS / math.log2(3)) + 1}", True),
+    @pytest.mark.parametrize("text, refused_in_floats", [
+        (f"2^{MAX_EXACT_BITS + 1}", False),
+        (f"3^{math.floor(MAX_EXACT_BITS / math.log2(3)) + 1}", False),
         ("2^2^2^2^2^2", True),
         (f"2^(-{MAX_EXACT_BITS + 1})", False),
         (f"(1/2)^{MAX_EXACT_BITS + 1}", False),
     ])
-    def test_over_the_limit(self, text, exact_in_floats):
+    def test_over_the_limit(self, text, refused_in_floats):
         cf = dsl.parse_closed_form(text)
         with pytest.raises(EvalError, match="exact power"):
             evaluate_closed(cf, {})
-        # a float regime keeps an int base with a literal exponent exact, and
-        # lifts a negative power or a rational base
-        if exact_in_floats:
-            with pytest.raises(EvalError, match="exact power"):
+        # a float regime raises the power at working precision instead, up to
+        # a magnitude of 2^MAX_FLOAT_BITS
+        if refused_in_floats:
+            with pytest.raises(EvalError, match="float power"):
                 evaluate_closed(cf, {}, 64)
         else:
             assert not evaluate_closed(cf, {}, 64).is_zero()
+
+    def test_float_limit(self):
+        value = evaluate_closed(dsl.parse_closed_form(f"2^{MAX_FLOAT_BITS}"), {}, 64)
+        assert value.raw == (0, 1, MAX_FLOAT_BITS, 1)
+        for text in (f"2^{MAX_FLOAT_BITS + 1}", f"2^(-{MAX_FLOAT_BITS + 1})"):
+            with pytest.raises(EvalError, match="float power"):
+                evaluate_closed(dsl.parse_closed_form(text), {}, 64)
+
+    def test_float_regime_lifts_a_huge_power(self):
+        # the exact numerator would have 2,000,001 bits; each term is rounded
+        spec = dsl.parse_series_spec("sum k=0..inf : 2^2000000/3^(1261860+k)")
+        value, _, _ = sum_infinite(spec, {}, 64)
+        two, three = HighPrecision.from_int(2, 128), HighPrecision.from_int(3, 128)
+        expected = two ** 2000000 / three ** 1261860 * 3 / 2  # the sum of 3^-k is 3/2
+        assert agree_to(value, expected.round_to(64), 56)  # a value near 0.87
+
+    def test_exact_position_keeps_the_limit(self):
+        # an exponent is an exact position in every regime
+        cf = dsl.parse_closed_form(f"2^(2^{MAX_EXACT_BITS + 1})")
+        with pytest.raises(EvalError, match="exact power"):
+            evaluate_closed(cf, {}, 64)
 
     def test_at_the_limit(self):
         assert evaluate_closed(dsl.parse_closed_form(f"2^{MAX_EXACT_BITS}"), {}) == \

@@ -2,7 +2,7 @@
 
 ``_walk`` below walks the AST on every term: one ``isinstance`` dispatch
 per node per term, every index-free subtree evaluated again at each index,
-atom states keyed by (node id, power, argument).  It is the reference the
+atom states keyed by (node id, argument).  It is the reference the
 compiled programs must reproduce: exactly over the rationals and rational
 jets, bit for bit over HighPrecision and its jets, and with the same
 exception classes.  Like the programs, it takes a negative count of any
@@ -25,6 +25,7 @@ from hyperq.functions import QIntegers
 from hyperq.scalars import HighPrecision, Jet2, int_pow, jet_lift, scalar_one, scalar_zero
 from hyperq.series import (
     MAX_EXACT_BITS,
+    MAX_FLOAT_BITS,
     EvalError,
     FloatContext,
     JetContext,
@@ -116,9 +117,6 @@ def _q_integers(cache, key, q):
     return q_ints
 
 
-_FOLDING = (dsl.Poch, dsl.QPoch, dsl.Fact, dsl.DFactOdd)
-
-
 def _mentions(node, index):
     """Whether ``node`` mentions the summation ``index`` (None: any parameter);
     a q-atom mentions q."""
@@ -139,44 +137,13 @@ def _argument(node, env, ctx, cache):
     return ctx.lift(_walk(node, env, ctx, cache))
 
 
-def _check_size(base, e):
+def _too_large(base, e, limit):
+    """Whether base^e is exact and of more than ``limit`` bits."""
     value = base.value if isinstance(base, Jet2) else base
     if isinstance(value, (int, F)):
         size = max(abs(F(value).numerator), F(value).denominator)
-        if size > 1 and abs(e) * math.log2(size) > MAX_EXACT_BITS:
-            raise EvalError("an exact power too large")
-
-
-def _times(p, factor, power, den=1):
-    if power != 1:
-        _check_size(factor, power)
-        factor = factor ** power
-    p = p * factor
-    return p if den == 1 else p / den
-
-
-def _product_atom(node, env, ctx, cache, power):
-    """``poch``, ``qpoch``, ``fact`` or ``dfactodd``, its factors raised to ``power``."""
-    if isinstance(node, (dsl.Fact, dsl.DFactOdd)):
-        odd = isinstance(node, dsl.DFactOdd)
-        n = _walk_count(node, env)
-        return _incremental(cache, (id(node), power), n, 1 if ctx.exact else ctx.lift(1),
-                            lambda p, i: _times(p, 2 * i + 1 if odd else i, power))
-    if isinstance(node, dsl.Poch):
-        x = _argument(node.x, env, ctx, cache)
-        n = _walk_count(node, env)
-        if isinstance(x, F) and not ctx.exact:
-            a, b = x.numerator, x.denominator
-            return _incremental(cache, (id(node), power, x), n, ctx.lift(1),
-                                lambda p, i: _times(p, a + (i - 1) * b, power, b ** power))
-        return _incremental(cache, (id(node), power, x), n, scalar_one(x),
-                            lambda p, i: _times(p, x + (i - 1), power))
-    x = ctx.lift(_walk(node.x, env, ctx, cache))
-    q = _ambient_q(env, ctx)
-    qs = int_pow(q, node.step)
-    n = _walk_count(node, env)
-    return _incremental(cache, (id(node), power, x, q), n, (scalar_one(qs), x),
-                        lambda st, i: (_times(st[0], 1 - st[1], power), st[1] * qs))[0]
+        return size > 1 and abs(e) > limit / math.log2(size)
+    return False
 
 
 def _walk(node, env, ctx, cache):
@@ -190,16 +157,18 @@ def _walk(node, env, ctx, cache):
        ``ctx.lift(0)`` and adds ``ctx.from_fraction(1/i^l)``.
     2. An argument of ``poch`` or an offset of ``harmx`` that does not
        mention the index and evaluates exactly to a/b is that Fraction:
-       ``poch`` starts from ``ctx.lift(1)`` and steps p*(a+(i-1)*b)/b, and
-       ``harmx`` starts from ``ctx.lift(0)`` and adds
-       ``ctx.from_fraction(b^l/(a+i*b)^l)``, a pole when a+i*b == 0.
-    3. ``poch``, ``qpoch``, ``fact`` and ``dfactodd`` raised to a literal
-       power e >= 2 step p*factor^e (and then divide by b^e under rule 2).
+       ``poch`` starts from ``ctx.lift(1)`` and steps p*(a+(i-1)*b)/b (no
+       division when b = 1), and ``harmx`` starts from ``ctx.lift(0)`` and
+       adds ``ctx.from_fraction(b^l/(a+i*b)^l)``, a pole when a+i*b == 0.
+    3. An integer base whose exact power would exceed ``MAX_EXACT_BITS``
+       bits is lifted before it is raised, unless the power would pass
+       2^``MAX_FLOAT_BITS`` in magnitude.
 
     Each p*f/d above is two operations, each rounded.  In every regime
     ``qpoch`` keeps (p, x*q^(s*j)) and steps to (p*(1-x*q^(s*j)),
     x*q^(s*j)*q^s); the exact regime runs the plain recurrences of the
-    other atoms, and every exact power checks its size.
+    other atoms, and refuses an exact power of more than ``MAX_EXACT_BITS``
+    bits.
     """
     if isinstance(node, dsl.Num):
         return node.value
@@ -223,22 +192,44 @@ def _walk(node, env, ctx, cache):
     if isinstance(node, dsl.Neg):
         return -_walk(node.operand, env, ctx, cache)
     if isinstance(node, dsl.Pow):
-        e = node.exponent
-        if (not ctx.exact and isinstance(node.base, _FOLDING) and isinstance(e, dsl.Num)
-                and e.value >= 2):
-            return _product_atom(node.base, env, ctx, cache, e.value)
-        e = _walk_int(e, env)
+        e = _walk_int(node.exponent, env)
         base = _walk(node.base, env, ctx, cache)
-        if isinstance(base, int) and (e < 0 or not ctx.exact and _mentions(
-                node.exponent, cache.get("index"))):
+        if isinstance(base, int) and not ctx.exact and (e < 0 or _mentions(
+                node.exponent, cache.get("index")) or _too_large(base, e, MAX_EXACT_BITS)):
+            if _too_large(base, e, MAX_FLOAT_BITS):
+                raise EvalError("a float power too large")
             base = ctx.lift(base)
-        _check_size(base, e)
+        elif _too_large(base, e, MAX_EXACT_BITS):
+            raise EvalError("an exact power too large")
         try:
             return int_pow(base, e)
         except ZeroDivisionError:
             raise PoleInTermError("zero base with negative exponent")
-    if isinstance(node, _FOLDING):
-        return _product_atom(node, env, ctx, cache, 1)
+    if isinstance(node, dsl.Poch):
+        x = _argument(node.x, env, ctx, cache)
+        n = _walk_count(node, env)
+        if isinstance(x, F) and not ctx.exact:
+            a, b = x.numerator, x.denominator
+            return _incremental(cache, (id(node), x), n, ctx.lift(1),
+                                lambda p, i: p * (a + (i - 1) * b) / b if b != 1
+                                else p * (a + (i - 1)))
+        return _incremental(cache, (id(node), x), n, scalar_one(x),
+                            lambda p, i: p * (x + (i - 1)))
+    if isinstance(node, dsl.QPoch):
+        x = ctx.lift(_walk(node.x, env, ctx, cache))
+        q = _ambient_q(env, ctx)
+        qs = int_pow(q, node.step)
+        n = _walk_count(node, env)
+        return _incremental(cache, (id(node), x, q), n, (scalar_one(qs), x),
+                            lambda st, i: (st[0] * (1 - st[1]), st[1] * qs))[0]
+    if isinstance(node, dsl.Fact):
+        n = _walk_count(node, env)
+        return _incremental(cache, (id(node),), n, 1 if ctx.exact else ctx.lift(1),
+                            lambda p, i: p * i)
+    if isinstance(node, dsl.DFactOdd):
+        n = _walk_count(node, env)
+        return _incremental(cache, (id(node),), n, 1 if ctx.exact else ctx.lift(1),
+                            lambda p, i: p * (2 * i + 1))
     if isinstance(node, dsl.QPochInf):
         x = ctx.lift(_walk(node.x, env, ctx, cache))
         q = _ambient_q(env, ctx)
