@@ -188,9 +188,28 @@ def _exact_text(value) -> str:
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
+def _shield_minus(argv):
+    """``argv`` with the DSL text of ``eval`` kept positional when it starts with a minus.
+
+    argparse takes "-10^5000/3" for an unknown option.  Each ``eval`` token
+    of one dash and more that is not an option string gets a leading space,
+    which argparse leaves positional and ``_cmd_eval`` strips; ``--bogus``,
+    ``-h`` and everything after ``--`` are untouched.
+    """
+    if argv[:1] != ["eval"]:
+        return argv
+    shielded = argv[:1]
+    for i, token in enumerate(argv[1:], 1):
+        if token == "--":
+            return shielded + argv[i:]
+        dashed = token.startswith("-") and not token.startswith("--") and token != "-h"
+        shielded.append(" " + token if dashed and len(token) > 1 else token)
+    return shielded
+
+
 def _cmd_eval(args) -> int:
     bindings = _parse_bindings(args.param, allow_expr=False)
-    side = dsl.parse_side(args.text)
+    side = dsl.parse_side(args.text[1:] if args.text.startswith(" -") else args.text)
     prec = verify.VerifyOptions(digits=args.digits).work_prec
     if isinstance(side, dsl.SeriesSpec):
         if side.terminating:
@@ -243,7 +262,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_shield_minus(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

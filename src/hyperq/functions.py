@@ -47,32 +47,49 @@ class NonConvergentBaseError(DomainError):
 
 
 def q_pochhammer_infinite(x, qs, prec: Optional[int] = None):
-    """(x; qs)_infinity, truncated once the remaining factors are below 2^(-prec-8).
+    """(x; Q)_infinity for Q = ``qs``, in two phases, with a proven tail.
 
-    ``qs`` is the base itself (q^s for a step s) and requires 0 < qs < 1.
-    ``x`` and ``qs`` may be ``HighPrecision`` or jets over it; the truncation
-    rule uses the value components.
+    ``qs`` is the base itself (q^s for a step s) and requires 0 < Q < 1.
+    ``x`` and ``qs`` may be ``HighPrecision`` or jets over it; every test
+    reads the value components, and jet components follow the same steps.
+
+    1. Explicit factors (1 - x Q^j), one by one, while |x Q^j| > (1-Q)/2.
+       Their number depends on x and Q, not on the precision.
+    2. Euler's series (Gasper-Rahman (1.3.16)) for the rest, (y; Q)_infinity
+       with y = x Q^m:  sum_n u_n,  u_0 = 1,  u_(n+1) = -u_n y Q^n/(1-Q^(n+1)).
+       As |y| <= (1-Q)/2, every |u_(n+1)/u_n| <= Q^n/2, so the terms after
+       u_N sum to at most |u_N| Q^N.  Summation stops once that drops below
+       2^(-prec-8), after about sqrt(2 prec/log2(1/Q)) terms.  The series
+       value lies in [1/2, e^(1/2)] and the |u_n| sum to at most e^(1/2), so
+       cancellation costs under 2 bits and the dropped tail is a relative
+       error below 2^(-prec-7).
     """
-    qs_val = qs.value if isinstance(qs, Jet2) else qs
+    qs_val = _value(qs)
     if not isinstance(qs_val, HighPrecision):
         raise TypeError("infinite q-products are evaluated in the HighPrecision regime")
     if prec is None:
         prec = qs_val.prec
     if not (0 < qs_val and qs_val < 1):
         raise NonConvergentBaseError("infinite q-product requires 0 < q^s < 1")
-    x_val = x.value if isinstance(x, Jet2) else x
-    if isinstance(x_val, int):
-        x_val = HighPrecision.from_int(x_val, qs_val.prec)
+    gap = 1 - qs_val
+    product, y = 1, x
+    while 2 * abs(_value(y)) > gap:
+        product = (1 - y) * product
+        y = y * qs
     threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 8)), qs_val.prec)
-    result = scalar_one(x if not isinstance(x, int) else qs)
-    p = scalar_one(qs)
-    p_val = scalar_one(qs_val)
-    mag = abs(x_val)
-    while mag * p_val > threshold:
-        result = result * (1 - x * p)
-        p = p * qs
-        p_val = p_val * qs_val
-    return result
+    # w = u_n Q^n is both the tail bound after u_n and the next step's numerator
+    total = w = power = 1
+    while abs(_value(w)) >= threshold:
+        power = power * qs
+        u = w * y / (power - 1)
+        total = total + u
+        w = u * power
+    return product * total
+
+
+def _value(v):
+    """The value component of a jet, or the value itself."""
+    return v.value if isinstance(v, Jet2) else v
 
 
 class QIntegers:

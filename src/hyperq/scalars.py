@@ -180,6 +180,23 @@ class HighPrecision:
         return libmp.mpf_cmp(libmp.mpf_mul(self.raw, libmp.from_int(m)),
                              libmp.mpf_mul(other.raw, libmp.from_int(n))) <= 0
 
+    def power_beyond(self, e: int, bits: int) -> bool:
+        """Whether |self^e| lies outside [2^-bits, 2^bits], i.e. |e log2|self|| > bits.
+
+        Decided from the binary exponent alone unless the power is near a
+        limit; there log|self| is taken to 53 bits, which libmp computes
+        accurately near 1 too, and a power of two stays exact.
+        """
+        _, man, exp, bc = self.raw
+        top = exp + bc  # 2^(top-1) <= |self| < 2^top
+        if not man or abs(e) * max(abs(top), abs(top - 1)) <= bits:
+            return False
+        if man == 1:
+            return abs(e * exp) > bits
+        log = libmp.mpf_log(libmp.mpf_abs(self.raw), 53, _RND)
+        return libmp.mpf_cmp(libmp.mpf_abs(libmp.mpf_mul(log, libmp.from_int(e))),
+                             libmp.mpf_mul(libmp.mpf_ln2(53, _RND), libmp.from_int(bits))) > 0
+
     # -- conversion ----------------------------------------------------------
 
     def to_fraction(self) -> Fraction:

@@ -34,8 +34,9 @@ per small-integer factor plus a few p-bit products, whatever its index:
    a and b, evaluated once per sum: the steps are p*(a+(i-1)*b)/b and
    + b^l/(a+i*b)^l rounded once, a pole exactly when a+i*b == 0.
 3. An int power too large to build exactly (more than ``MAX_EXACT_BITS``
-   bits) is raised at working precision instead, up to a binary exponent
-   of ``MAX_FLOAT_BITS``.
+   bits) is raised at working precision instead.  Every float power, of a
+   lifted int or a float base, is refused past a binary exponent of
+   ``MAX_FLOAT_BITS``.
 
 In every regime ``qpoch`` keeps x*q^(s*i) as its running power, one product
 per step fewer than multiplying x by a running q^(s*i).
@@ -85,7 +86,7 @@ TAIL_FACTOR = int(RATIO_CAP / (1 - RATIO_CAP))  # rho/(1-rho), an integer for rh
 DEFAULT_TERMS_BUDGET = 10 ** 6
 GUARD_BITS = 16
 MAX_EXACT_BITS = 1 << 20  # an exact power beyond this is an input that runs away
-MAX_FLOAT_BITS = 1 << 24  # binary exponent of a lifted int power: its exact value stays small
+MAX_FLOAT_BITS = 1 << 24  # binary exponent of a float power: its exact value stays small
 
 
 class EvalError(ValueError):
@@ -457,13 +458,14 @@ def _power(exact, indexed, exponent, base, env, ctx, cache):
     b = base(env, ctx, cache)
     # a float regime raises 1/c^k, c^k and a c^e too large to build exactly at
     # working precision; the exact regime and exact positions keep ints exact
-    lift = isinstance(b, int) and not (exact or ctx.exact) and (
-        e < 0 or indexed or _too_large(b, e, MAX_EXACT_BITS))
-    if lift:
-        if _too_large(b, e, MAX_FLOAT_BITS):
-            raise EvalError(f"a float power beyond 2^{MAX_FLOAT_BITS} in magnitude")
+    if isinstance(b, int) and not (exact or ctx.exact) and (
+            e < 0 or indexed or _too_large(b, e, MAX_EXACT_BITS)):
         b = ctx.lift(b)
-    elif _too_large(b, e, MAX_EXACT_BITS):
+    value = b.value if isinstance(b, Jet2) else b
+    if isinstance(value, HighPrecision):
+        if value.power_beyond(e, MAX_FLOAT_BITS):
+            raise EvalError(f"a float power beyond 2^{MAX_FLOAT_BITS} in magnitude")
+    elif _too_large(value, e, MAX_EXACT_BITS):
         raise EvalError(f"an exact power of more than {MAX_EXACT_BITS} bits")
     try:
         return int_pow(b, e)
@@ -472,12 +474,10 @@ def _power(exact, indexed, exponent, base, env, ctx, cache):
 
 
 def _too_large(b, e, limit) -> bool:
-    """Whether b^e is exact and |e| * log2 max(|numerator|, denominator) > ``limit``."""
-    value = b.value if isinstance(b, Jet2) else b
-    if isinstance(value, HighPrecision) or -1 <= e <= 1:  # no larger than b itself
+    """Whether |e| * log2 max(|numerator|, denominator) of the exact b exceeds ``limit``."""
+    if -1 <= e <= 1:  # no larger than b itself
         return False
-    magnitude = abs(value) if isinstance(value, int) else max(abs(value.numerator),
-                                                               value.denominator)
+    magnitude = abs(b) if isinstance(b, int) else max(abs(b.numerator), b.denominator)
     return magnitude > 1 and abs(e) > limit / math.log2(magnitude)
 
 

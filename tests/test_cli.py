@@ -111,6 +111,8 @@ class TestExitCodes:
         # 2^(2^65536) ran until killed, its memory growing
         self._assert_eval_error(run_cli("eval", "2^2^2^2^2^2"))
         self._assert_eval_error(run_cli("eval", "sum k=0..n : 3^(n*n)", "--param", "n=1000"))
+        # a float base: this ended in "error: OverflowError: too many digits in integer"
+        self._assert_eval_error(run_cli("eval", "(1/2)^2^2^2^2^2"))
 
     def test_negative_max_n_in_verify_is_two(self):
         self._assert_domain_error(run_cli("verify", "GOS", "--max-n", "-1"))
@@ -159,6 +161,35 @@ class TestEval:
         out = run_cli("eval", *args)
         assert out.returncode == 0, out.stderr
         assert out.stdout == expected + "\n"
+
+    def test_leading_minus(self):
+        # argparse took this for an option: a usage error, exit 2
+        out = run_cli("eval", "-10^5000/3")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "-1" + "0" * 5000 + "/3\n"
+
+    @pytest.mark.parametrize("args, expected", [
+        (["--", "-1/3"], "-1/3"),
+        (["-q^2", "--param", "q=1/3"], "-1/9"),
+        (["--param", "q=1/3", "-q^2"], "-1/9"),
+    ])
+    def test_leading_minus_beside_other_arguments(self, args, expected):
+        out = run_cli("eval", *args)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == expected + "\n"
+
+    def test_leading_minus_keeps_error_positions(self):
+        for args in (["-1+"], ["--", "-1+"]):
+            out = run_cli("eval", *args)
+            assert out.returncode == 2
+            assert ":1:4:" in out.stderr
+
+    @pytest.mark.parametrize("args", [["--bogus", "1"], ["-1/3", "--bogus"]])
+    def test_unknown_option_is_two(self, args):
+        out = run_cli("eval", *args)
+        assert out.returncode == 2
+        assert "--bogus" in out.stderr or "usage" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_closed_form(self):
         out = run_cli("eval", "4/pi", "--digits", "20")

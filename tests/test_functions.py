@@ -135,7 +135,121 @@ class TestQPochhammer:
         assert j.d1 == -ev("qpoch(x,1,n)", x=x, q=q, n=n) * weight
 
 
+unit_qs = st.fractions(min_value=0, max_value=F(9, 10), max_denominator=100).filter(
+    lambda v: v > 0)
+wide_rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+
+
+def _fixed(v: F, w: int) -> int:
+    """v * 2^w, an integer for the dyadic values the engine's floats hold."""
+    scaled = v * (1 << w)
+    assert scaled.denominator == 1
+    return scaled.numerator
+
+
+def _qpoch_reference(x: F, q: F, prec: int):
+    """(x; q)_N and the scale prod_(j<N) (1 + |x q^j|), at dyadic x and 0 < q <= 9/10.
+
+    N makes the dropped factors provably tiny: 2|x| q^N/(1-q) < 2^(-prec-20)
+    bounds their deviation from 1, so (x; q)_infinity is within scale *
+    2^(-prec-20) of (x; q)_N.  An exact ``Fraction`` product of N factors
+    grows to about N^2/2 * log2(denominator of q) bits (90 million at q = 9/10
+    and 1100 bits), so the factors, each exact, are applied in w = prec+64
+    bit fixed point: a floor costs under one unit, and x q^j carries at most
+    1/(1-q) <= 10 of them, so the reference is within 11 N * scale units of
+    2^-w, which is below scale * 2^(-prec-40).
+    """
+    n = max(1, math.ceil((prec + 21 + math.log2(2 * max(abs(x), 1) / (1 - q))) / -math.log2(q)))
+    w = prec + 64
+    one, qf = 1 << w, _fixed(q, w)
+    p, y, log_scale = one, _fixed(x, w), 0.0
+    for _ in range(n):
+        p = p * (one - y) >> w
+        log_scale += math.log1p(abs(y) / one)
+        y = y * qf >> w
+    return F(p, one), F(math.exp(log_scale)), n
+
+
+def _bits(x, q, prec):
+    """x and q as the engine's floats at prec bits, and their exact values."""
+    xs, qs_ = to_precision(x, prec), to_precision(q, prec)
+    return xs, qs_, xs.to_fraction(), qs_.to_fraction()
+
+
 class TestQPochhammerInfinite:
+    """(x; q)_infinity against independent values: an exact product, the
+    exact jet of a finite one, and Euler's pentagonal theorem."""
+
+    @given(x=wide_rationals, q=unit_qs, prec=st.sampled_from([64, 200, 1100]))
+    def test_against_the_exact_product(self, x, q, prec):
+        xs, qs_, xb, qb = _bits(x, q, prec)
+        reference, scale, _ = _qpoch_reference(xb, qb, prec)
+        value = q_pochhammer_infinite(xs, qs_).to_fraction()
+        assert abs(value - reference) <= scale / 2 ** (prec - 12)
+
+    @pytest.mark.parametrize("x, q, s, prec", [
+        (F(1, 4), F(1, 2), 1, 64),
+        (F(-3, 2), F(3, 4), 1, 64),
+        (F(5, 2), F(1, 2), 2, 200),
+        (F(1, 3), F(1, 2), 1, 64),
+        (F(7), F(5, 8), 1, 64),
+    ])
+    def test_jet_against_the_exact_jet(self, x, q, s, prec):
+        xs, qs_, xb, qb = _bits(x, q, prec)
+        base = qs_ ** s
+        assert base.to_fraction() == qb ** s  # so the two sides share the base
+        _, scale, n = _qpoch_reference(xb, qb ** s, prec)
+        exact = ev_jet(f"qpoch(x,{s},n)", "x", x=xb, q=qb, n=n)
+        jet = q_pochhammer_infinite(jet_lift(xs), base)
+        # the k-th derivative of a product of N factors is at most k! scale/(1-q^s)^k
+        for k, (got, want) in enumerate(zip((jet.value, jet.d1, jet.d2),
+                                            (exact.value, exact.d1, exact.d2))):
+            bound = 2 * scale / (1 - qb ** s) ** k / 2 ** (prec - 12)
+            assert abs(got.to_fraction() - want) <= bound
+
+    @pytest.mark.parametrize("q, prec", [
+        (F(1, 2), 64), (F(7, 10), 213), (F(9, 10), 400), (F(99, 100), 1100)])
+    def test_pentagonal_theorem(self, q, prec):
+        """(q; q)_infinity = sum over all integers k of (-1)^k q^(k(3k-1)/2).
+
+        The sum is taken in w = prec+320 bit fixed point: a value near
+        2^-232 at q = 99/100 cancels from terms near 1.  The product agrees
+        to prec-16 bits: its explicit factors 1 - q^j each lose up to
+        log2(1/(1-q)) bits to the rounding of q^j."""
+        _, qs_, _, qb = _bits(q, q, prec)
+        w = prec + 320
+        one, qf = 1 << w, _fixed(qb, w)
+        total, power, m, k = one, one, 0, 1
+        while power:
+            for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):  # the k-th and (-k)-th
+                while m < e:
+                    power = power * qf >> w
+                    m += 1
+                total += -power if k % 2 else power
+            k += 1
+        reference = F(total, one)
+        value = q_pochhammer_infinite(qs_, qs_).to_fraction()
+        assert abs(value - reference) <= reference / 2 ** (prec - 16)
+
+    def test_exact_zero_factor(self):
+        # (4; 1/2) has the factor 1 - 4/2^2
+        q = to_precision(F(1, 2), 64)
+        assert q_pochhammer_infinite(to_precision(F(4), 64), q).is_zero()
+        assert q_pochhammer_infinite(4, q).is_zero()
+
+    @given(x=st.one_of(wide_rationals, st.fractions(-1, 1, max_denominator=64)),
+           q=unit_qs, prec=st.sampled_from([64, 200]), near=st.booleans())
+    def test_split(self, x, q, prec, near):
+        """(x; q) = (1-x)(xq; q), here also with x near (1-q)/2, where the
+        explicit factors give way to the series."""
+        if near:
+            x = (1 - q) / 2 * (1 + x / 64)
+        xs, qs_, xb, qb = _bits(x, q, prec)
+        _, scale, _ = _qpoch_reference(xb, qb, prec)
+        whole = q_pochhammer_infinite(xs, qs_).to_fraction()
+        split = ((1 - xs) * q_pochhammer_infinite(xs * qs_, qs_)).to_fraction()
+        assert abs(whole - split) <= scale / 2 ** (prec - 13)
+
     def test_zero_argument(self):
         q = to_precision(F(1, 2), 80)
         assert q_pochhammer_infinite(to_precision(F(0), 80), q).to_fraction() == 1

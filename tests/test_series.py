@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperq import dsl
+from hyperq import dsl, series
 from hyperq.corpus import get_identity
 from hyperq.functions import pi_constant
 from hyperq.scalars import HighPrecision, agree_to, to_precision
@@ -86,6 +86,31 @@ class TestExactPowerGuard:
         for text in (f"2^{MAX_FLOAT_BITS + 1}", f"2^(-{MAX_FLOAT_BITS + 1})"):
             with pytest.raises(EvalError, match="float power"):
                 evaluate_closed(dsl.parse_closed_form(text), {}, 64)
+
+    @pytest.mark.parametrize("text", [
+        "(1/2)^2^2^2^2^2",
+        f"(1/2)^{MAX_FLOAT_BITS + 1}",
+        f"(3/2)^{math.floor(MAX_FLOAT_BITS / math.log2(3 / 2)) + 1}",
+        f"(1+2^(-40))^(2^{24 + 40})",  # log2 of the base is 1.44*2^-40
+    ])
+    def test_float_base_limit(self, text, monkeypatch):
+        # a float base is refused before the power is raised, so no huge
+        # value reaches the exact conversion of the validation either
+        exact_pow = series.int_pow
+
+        def exact_only(base, e):
+            assert not (isinstance(base, HighPrecision) and abs(e) > 2 ** 20), \
+                "the huge float power was raised"
+            return exact_pow(base, e)
+        monkeypatch.setattr(series, "int_pow", exact_only)
+        with pytest.raises(EvalError, match="float power"):
+            evaluate_closed(dsl.parse_closed_form(text), {}, 64)
+
+    def test_float_base_at_the_limit(self):
+        value = evaluate_closed(dsl.parse_closed_form(f"(1/2)^{MAX_FLOAT_BITS}"), {}, 64)
+        assert value.raw == (0, 1, -MAX_FLOAT_BITS, 1)
+        value = evaluate_closed(dsl.parse_closed_form(f"(1+2^(-40))^(2^{23 + 40})"), {}, 64)
+        assert value.raw[2] + value.raw[3] == math.floor(2 ** 23 / math.log(2)) + 1
 
     def test_float_regime_lifts_a_huge_power(self):
         # the exact numerator would have 2,000,001 bits; each term is rounded

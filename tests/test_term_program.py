@@ -15,6 +15,7 @@ against exact sums without the walker.
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -146,6 +147,15 @@ def _too_large(base, e, limit):
     return False
 
 
+def _float_too_large(base, e, limit):
+    """Whether the float power base^e passes 2^``limit`` in magnitude."""
+    value = base.value if isinstance(base, Jet2) else base
+    if not isinstance(value, HighPrecision) or value.is_zero():
+        return False
+    with mpmath.workprec(64):
+        return abs(e * mpmath.log(abs(mpmath.mpf(value.raw)), 2)) > limit
+
+
 def _walk(node, env, ctx, cache):
     """The value of ``node``; ``cache["index"]`` names the summation index.
 
@@ -161,8 +171,9 @@ def _walk(node, env, ctx, cache):
        division when b = 1), and ``harmx`` starts from ``ctx.lift(0)`` and
        adds ``ctx.from_fraction(b^l/(a+i*b)^l)``, a pole when a+i*b == 0.
     3. An integer base whose exact power would exceed ``MAX_EXACT_BITS``
-       bits is lifted before it is raised, unless the power would pass
-       2^``MAX_FLOAT_BITS`` in magnitude.
+       bits is lifted before it is raised.  A float power, of a lifted or a
+       float base, that would pass 2^``MAX_FLOAT_BITS`` in magnitude is
+       refused.
 
     Each p*f/d above is two operations, each rounded.  In every regime
     ``qpoch`` keeps (p, x*q^(s*j)) and steps to (p*(1-x*q^(s*j)),
@@ -196,10 +207,10 @@ def _walk(node, env, ctx, cache):
         base = _walk(node.base, env, ctx, cache)
         if isinstance(base, int) and not ctx.exact and (e < 0 or _mentions(
                 node.exponent, cache.get("index")) or _too_large(base, e, MAX_EXACT_BITS)):
-            if _too_large(base, e, MAX_FLOAT_BITS):
-                raise EvalError("a float power too large")
             base = ctx.lift(base)
-        elif _too_large(base, e, MAX_EXACT_BITS):
+        if _float_too_large(base, e, MAX_FLOAT_BITS):
+            raise EvalError("a float power too large")
+        if _too_large(base, e, MAX_EXACT_BITS):
             raise EvalError("an exact power too large")
         try:
             return int_pow(base, e)
