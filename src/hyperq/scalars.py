@@ -20,10 +20,26 @@ coercion, with two exceptions:
 
 Every other mix, such as a jet over ``Fraction`` with a ``HighPrecision``,
 raises.
+
+The exact jet is a ``RationalJet``: the ``Jet2`` over ``Fraction`` that
+``jet_lift``, ``scalar_one`` and ``scalar_zero`` build for rational input.
+It keeps three integer numerators over one positive denominator,
+(n0, n1, n2)/den, in canonical form: gcd(n0, n1, n2, den) = 1.  Each
+operation computes the integer numerators of its result over a common
+denominator and divides out their one ``math.gcd``, where three
+``Fraction`` components would normalise every product and sum on its own
+(the fraction-free form of Taylor-mode propagation); an integer power takes
+a second gcd, which keeps its intermediates at the size of its value.  Its components read
+as ``Fraction`` values, and it compares and hashes equal to the ``Jet2``
+with the same components.  Its operands are ints, ``Fraction`` values and
+other rational jets; a ``Jet2`` built with ``Fraction`` components stays
+constructible as a reference of the same values (the tests compare against
+it), but is not an operand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -311,6 +327,143 @@ class Jet2:
             base = base * base
 
 
+class RationalJet(Jet2):
+    """The exact jet: (n0, n1, n2)/den in canonical form, held as the tuple ``ints``.
+
+    Constructed from rational components like a ``Jet2``; every operation
+    returns a new canonical jet (see the module docstring).
+    """
+
+    __slots__ = ("ints",)
+
+    def __init__(self, value, d1, d2):
+        parts = [Fraction(value), Fraction(d1), Fraction(d2)]
+        den = math.lcm(*(c.denominator for c in parts))  # canonical: no prime divides all four
+        _set_ints(self, tuple(c.numerator * (den // c.denominator) for c in parts) + (den,))
+
+    value = property(lambda self: Fraction(self.ints[0], self.ints[3]))
+    d1 = property(lambda self: Fraction(self.ints[1], self.ints[3]))
+    d2 = property(lambda self: Fraction(self.ints[2], self.ints[3]))
+
+    def __eq__(self, other):
+        if type(other) is RationalJet:
+            return self.ints == other.ints
+        if isinstance(other, Jet2):
+            return (self.value, self.d1, self.d2) == (other.value, other.d1, other.d2)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value, self.d1, self.d2))
+
+    def __add__(self, other):
+        a0, a1, a2, a = self.ints
+        if type(other) is RationalJet:
+            b0, b1, b2, b = other.ints
+            if a == b:
+                return _jet(a0 + b0, a1 + b1, a2 + b2, a)
+            return _jet(a0 * b + b0 * a, a1 * b + b1 * a, a2 * b + b2 * a, a * b)
+        p, q = _ratio(other)
+        if q == 1:  # adding a multiple of den keeps the gcd
+            return _canonical((a0 + p * a, a1, a2, a))
+        return _jet(a0 * q + p * a, a1 * q, a2 * q, a * q)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        a0, a1, a2, a = self.ints
+        if type(other) is RationalJet:
+            b0, b1, b2, b = other.ints
+            return _jet(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + 2 * a1 * b1 + a2 * b0, a * b)
+        p, q = _ratio(other)
+        return _jet(a0 * p, a1 * p, a2 * p, a * q)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        a0, a1, a2, a = self.ints
+        if type(other) is not RationalJet:
+            p, q = _ratio(other)
+            if p == 0:
+                raise ZeroDivisionError("jet division by zero")
+            return _jet(a0 * q, a1 * q, a2 * q, a * p)
+        b0, b1, b2, b = other.ints
+        if b0 == 0:
+            raise ZeroDivisionError("jet division by a jet with zero value component")
+        # (a0, a1, a2)/(b0, b1, b2) over b0^3, by the quotient rules; times b/a
+        return _jet(b * a0 * b0 * b0, b * (a1 * b0 - a0 * b1) * b0,
+                    b * (a2 * b0 * b0 - 2 * a1 * b0 * b1 - a0 * b0 * b2 + 2 * a0 * b1 * b1),
+                    a * b0 * b0 * b0)
+
+    def __rtruediv__(self, other):
+        a0, a1, a2, a = self.ints
+        p, q = _ratio(other)
+        if a0 == 0:
+            raise ZeroDivisionError("jet division by a jet with zero value component")
+        p *= a
+        return _jet(p * a0 * a0, -p * a0 * a1, p * (2 * a1 * a1 - a0 * a2), q * a0 * a0 * a0)
+
+    def __neg__(self):
+        a0, a1, a2, a = self.ints
+        return _canonical((-a0, -a1, -a2, a))
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            raise RegimeMismatchError("jet exponents must be integers")
+        if n < 0:
+            return (1 / self) ** -n
+        if n < 2:
+            return self if n else _ONE
+        # (f^n)' = n f^(n-1) f' and (f^n)'' = n f^(n-1) f'' + n(n-1) f^(n-2) f'^2.
+        # With f = v/w in lowest terms and den = w*g, they lie over w^n g^2: a
+        # second gcd, as den^n can be far larger than the result (f = 1, den = 2)
+        a0, a1, a2, a = self.ints
+        g = math.gcd(a0, a)
+        v, w = a0 // g, a // g
+        t = v ** (n - 2)
+        u = t * v
+        return _jet(u * v * g * g, n * u * a1 * g, n * (u * a2 * g + (n - 1) * t * a1 * a1),
+                    w ** n * g * g)
+
+
+_set_ints = RationalJet.ints.__set__
+_new = object.__new__
+
+
+def _canonical(ints: tuple) -> RationalJet:
+    """The jet of ``ints``, already in canonical form."""
+    j = _new(RationalJet)
+    _set_ints(j, ints)
+    return j
+
+
+def _jet(n0: int, n1: int, n2: int, den: int) -> RationalJet:
+    """The canonical jet (n0, n1, n2)/den, den != 0: one gcd."""
+    if den < 0:
+        n0, n1, n2, den = -n0, -n1, -n2, -den
+    g = math.gcd(n0, n1, n2, den)
+    if g != 1:
+        n0, n1, n2, den = n0 // g, n1 // g, n2 // g, den // g
+    return _canonical((n0, n1, n2, den))
+
+
+def _ratio(c):
+    """The exact constant ``c`` as (numerator, denominator); other values are another regime."""
+    if isinstance(c, int):
+        return c, 1
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    raise RegimeMismatchError(f"cannot combine a rational jet with {type(c).__name__}")
+
+
+_ZERO = _canonical((0, 0, 0, 1))
+_ONE = _canonical((1, 0, 0, 1))
+
 Scalar = Union[Fraction, HighPrecision, Jet2]
 
 
@@ -334,6 +487,8 @@ def _one_like(x):
 
 def scalar_zero(x: Scalar):
     """Additive identity in the regime of ``x``."""
+    if isinstance(x, RationalJet):
+        return _ZERO
     if isinstance(x, Jet2):
         z = _zero_like(x.value)
         return Jet2(z, z, z)
@@ -342,6 +497,8 @@ def scalar_zero(x: Scalar):
 
 def scalar_one(x: Scalar):
     """Multiplicative identity in the regime of ``x``."""
+    if isinstance(x, RationalJet):
+        return _ONE
     if isinstance(x, Jet2):
         z = _zero_like(x.value)
         return Jet2(_one_like(x.value), z, z)
@@ -360,10 +517,12 @@ def int_pow(x: Scalar, n: int) -> Scalar:
 
 
 def jet_lift(x: Union[Fraction, HighPrecision, int], active: bool = True) -> Jet2:
-    """Seed a jet at the point x: (x, 1, 0) when active, (x, 0, 0) otherwise."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if not isinstance(x, (Fraction, HighPrecision)):
+    """Seed a jet at the point x: (x, 1, 0) when active, (x, 0, 0) otherwise;
+    a ``RationalJet`` for a rational x."""
+    if isinstance(x, (int, Fraction)):
+        p, q = _ratio(x)
+        return _canonical((p, q if active else 0, 0, q))
+    if not isinstance(x, HighPrecision):
         raise RegimeMismatchError("jets lift rationals or HighPrecision values")
     one = _one_like(x)
     zero = _zero_like(x)

@@ -43,7 +43,10 @@ per step fewer than multiplying x by a running q^(s*i).
 
 An exact power whose result would exceed ``MAX_EXACT_BITS`` bits is an
 ``EvalError`` before it is computed, in the exact regime and in the exact
-positions (counts, exponents, bounds) of every regime.
+positions (counts, exponents, bounds) of every regime.  In the exact regime,
+so is a running ``poch``, ``qpoch``, ``fact`` or ``dfactodd`` product, plain
+or a rational jet, at the step where a numerator or denominator of its state
+passes that size.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from .functions import (
 from .scalars import (
     HighPrecision,
     Jet2,
+    RationalJet,
     Scalar,
     _is_zero,
     agree_to,
@@ -85,7 +89,7 @@ RATIO_CAP = Fraction(63, 64)
 TAIL_FACTOR = int(RATIO_CAP / (1 - RATIO_CAP))  # rho/(1-rho), an integer for rho = 63/64
 DEFAULT_TERMS_BUDGET = 10 ** 6
 GUARD_BITS = 16
-MAX_EXACT_BITS = 1 << 20  # an exact power beyond this is an input that runs away
+MAX_EXACT_BITS = 1 << 20  # an exact power or running product beyond this is an input that runs away
 MAX_FLOAT_BITS = 1 << 24  # binary exponent of a float power: its exact value stays small
 
 
@@ -496,20 +500,68 @@ def _atom(name, recurrence, args, count, slot, env, ctx, cache):
     return recurrence(ctx, cache, slot, *values, n)
 
 
-def _advance(cache, slot, key: tuple, target: int, start, extend):
+def _advance(cache, slot, key: tuple, target: int, start, extend, free=None):
     """The payload at count ``target``: ``start()`` at 0, ``extend(payload, i)``
     from i-1 to i.  The state in the slot resumes while ``key`` (the atom's
-    arguments) is unchanged, which hoisted arguments show by identity."""
+    arguments) is unchanged, which hoisted arguments show by identity.
+
+    ``free(*key)``, given for a running product of the exact regime, is a
+    count up to which no state can have a numerator or denominator of more
+    than ``MAX_EXACT_BITS`` bits, bounded from the sizes of the arguments.
+    Each later state is measured, and one past the limit is an ``EvalError``.
+    """
     state = cache.get(slot)
     if state is None or state[1] > target or state[0] != key:
-        count, payload = 0, start()
+        count, payload, unmeasured = 0, start(), free(*key) if free else math.inf
     else:
-        _, count, payload = state
+        _, count, payload, unmeasured = state
     while count < target:
         count += 1
         payload = extend(payload, count)
-    cache[slot] = (key, count, payload)
+        if count > unmeasured and _exact_bits(payload) > MAX_EXACT_BITS:
+            raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
+    cache[slot] = (key, count, payload, unmeasured)
     return payload
+
+
+def _exact_bits(v) -> int:
+    """Bit length of the largest numerator or denominator in the exact ``v``
+    (a jet's: over the common denominator of its components; a tuple's: of
+    its parts)."""
+    if type(v) is Fraction:
+        return max(v.numerator.bit_length(), v.denominator.bit_length())
+    if isinstance(v, tuple):
+        return max(map(_exact_bits, v))
+    if isinstance(v, RationalJet):
+        return max(map(int.bit_length, v.ints))
+    if isinstance(v, Jet2):  # a reference jet with Fraction components
+        return _exact_bits(RationalJet(v.value, v.d1, v.d2))
+    return v.bit_length()  # an int
+
+
+# Counts up to which a running product of the exact regime stays within
+# MAX_EXACT_BITS.  They rest on these sizes, in bits of the largest numerator
+# or denominator: a product of jets has at most 2 more than its factors
+# together (of plain values, none more), a sum or a difference 1 more than its
+# larger term, and the start 1.  B is the bit length of MAX_EXACT_BITS; no
+# count up to a free one has more bits.
+
+def _poch_free(x) -> int:
+    # step i multiplies by x+i-1, of at most bits(x) + B + 1 bits
+    return MAX_EXACT_BITS // (_exact_bits(x) + MAX_EXACT_BITS.bit_length() + 4)
+
+
+def _qpoch_free(x, qs) -> int:
+    # after F steps the power x*q^(s*F) has at most bits(x) + F*(bits(q^s) + 2)
+    # bits, and the product F*(bits(x) + 4) + F^2*(bits(q^s) + 2)/2: each at most
+    # MAX_EXACT_BITS when both terms are at most half of it
+    sx, sq = _exact_bits(x), _exact_bits(qs) + 2
+    return min(MAX_EXACT_BITS // (2 * (sx + 4)), math.isqrt(MAX_EXACT_BITS // (2 * sq)))
+
+
+def _factorial_free() -> int:
+    # step i multiplies by at most 2i+1, of at most B + 1 bits
+    return MAX_EXACT_BITS // (MAX_EXACT_BITS.bit_length() + 2)
 
 
 # the running atoms: (ctx, cache, slot, *arguments, count) -> value.  In a
@@ -531,18 +583,21 @@ def _poch(ctx, cache, slot, x, n):
         return p if b == 1 else p / b
 
     return _advance(cache, slot, (x,), n,
-                    partial(scalar_one, x) if a is x else partial(ctx.lift, 1), extend)
+                    partial(scalar_one, x) if a is x else partial(ctx.lift, 1), extend,
+                    _poch_free if ctx.exact else None)
 
 
 def _qpoch(ctx, cache, slot, x, qs, n):
     # the state (product, x*q^(s*i)) saves multiplying x by q^(s*i) at each step
     return _advance(cache, slot, (x, qs), n, lambda: (scalar_one(qs), x),
-                    lambda st, i: (st[0] * (1 - st[1]), st[1] * qs))[0]
+                    lambda st, i: (st[0] * (1 - st[1]), st[1] * qs),
+                    _qpoch_free if ctx.exact else None)[0]
 
 
 def _factorial(odd, ctx, cache, slot, n):
     return _advance(cache, slot, (), n, (lambda: 1) if ctx.exact else partial(ctx.lift, 1),
-                    lambda p, i: p * (2 * i + 1 if odd else i))
+                    lambda p, i: p * (2 * i + 1 if odd else i),
+                    _factorial_free if ctx.exact else None)
 
 
 def _qint(ctx, cache, slot, q, n):

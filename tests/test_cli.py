@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -113,6 +114,17 @@ class TestExitCodes:
         self._assert_eval_error(run_cli("eval", "sum k=0..n : 3^(n*n)", "--param", "n=1000"))
         # a float base: this ended in "error: OverflowError: too many digits in integer"
         self._assert_eval_error(run_cli("eval", "(1/2)^2^2^2^2^2"))
+
+    def test_nested_running_products_stop_early(self):
+        # 63 nested poch: the value at k = 2 squares at each level; this ran
+        # until a 10 s timeout killed it
+        term = "k"
+        for _ in range(63):
+            term = f"poch({term},k)"
+        start = time.perf_counter()
+        out = run_cli("eval", f"sum k=0..n : {term}", "--param", "n=3")
+        assert time.perf_counter() - start < 2
+        self._assert_eval_error(out)
 
     def test_negative_max_n_in_verify_is_two(self):
         self._assert_domain_error(run_cli("verify", "GOS", "--max-n", "-1"))

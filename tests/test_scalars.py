@@ -1,5 +1,6 @@
 """Scalar regimes: exact rationals, working-precision floats, second-order jets."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hyperq.scalars import (
     HighPrecision,
     Jet2,
+    RationalJet,
     RegimeMismatchError,
     agree_to,
     int_pow,
@@ -69,6 +71,13 @@ class TestCombine:
 class TestJetLift:
     def test_active(self):
         assert jet_lift(F(3, 2)) == Jet2(F(3, 2), F(1), F(0))
+
+    def test_rational_input_makes_rational_jets(self):
+        x = jet_lift(F(3, 2))
+        assert type(x) is RationalJet and x.ints == (3, 2, 0, 2)
+        assert type(scalar_one(x)) is RationalJet and scalar_one(x) == Jet2(F(1), F(0), F(0))
+        assert type(scalar_zero(x)) is RationalJet and scalar_zero(x) == Jet2(F(0), F(0), F(0))
+        assert type(jet_lift(to_precision(F(3, 2), 64))) is Jet2
 
     def test_constant(self):
         assert jet_lift(5, active=False) == Jet2(F(5), F(0), F(0))
@@ -221,6 +230,8 @@ def _is_zero(x):
 
 def _constant_jet(c, like):
     """c as the dense constant jet (c, 0, 0) in the regime of the jet ``like``."""
+    if isinstance(like, RationalJet):
+        return jet_lift(c, active=False)
     z = scalar_zero(like.value)
     if isinstance(c, int):
         c = z + c
@@ -235,14 +246,31 @@ OPS = {
 }
 
 
+def _lifted_jet(value, d1, d2):
+    """The jet (value, d1, d2) built from ``jet_lift``: value + d1*e + (d2/2)*e^2
+    with e the active jet at 0, exactly (a RationalJet for rational components)."""
+    e = jet_lift(scalar_zero(value))
+    return value + d1 * e + d2 / 2 * (e * e)
+
+
 class TestMixedOperands:
-    """A plain operand of the jet's base regime acts exactly as Jet2(c, 0, 0)."""
+    """A plain operand of the jet's base regime acts exactly as the constant jet (c, 0, 0)."""
 
     @pytest.mark.parametrize("prec", [None, 64, 3400])
     @given(data=st.data())
     def test_plain_equals_constant_jet(self, prec, data):
+        self._check(prec, Jet2, data)
+
+    @pytest.mark.parametrize("prec", [None, 64, 3400])
+    @given(data=st.data())
+    def test_plain_equals_constant_lifted_jet(self, prec, data):
+        self._check(prec, _lifted_jet, data)
+
+    @staticmethod
+    def _check(prec, build, data):
         values = _regime_values(prec)
-        j = Jet2(data.draw(values), data.draw(values), data.draw(values))
+        j = build(data.draw(values), data.draw(values), data.draw(values))
+        assert isinstance(j, RationalJet) == (build is _lifted_jet and prec is None)
         c = data.draw(st.one_of(values, st.integers(-50, 50)))
         dense = _constant_jet(c, j)
         for op, fn in OPS.items():
@@ -268,8 +296,77 @@ class TestMixedOperands:
         exact_jet = jet_lift(F(2, 5))
         float_jet = jet_lift(to_precision(F(2, 5), prec))
         other_prec = to_precision(F(1, 3), prec + 32)
-        for jet, plain in ((exact_jet, h), (float_jet, F(1, 3)), (float_jet, other_prec)):
+        reference = Jet2(F(2, 5), F(1), F(0))  # a reference of the exact jet, not its operand
+        for jet, plain in ((exact_jet, h), (exact_jet, float_jet), (exact_jet, reference),
+                           (float_jet, F(1, 3)), (float_jet, other_prec)):
             with pytest.raises(RegimeMismatchError):
                 fn(jet, plain)
             with pytest.raises(RegimeMismatchError):
                 fn(plain, jet)
+
+
+def _is_canonical(r) -> bool:
+    n0, n1, n2, den = r.ints
+    return type(r) is RationalJet and den > 0 and math.gcd(n0, n1, n2, den) == 1
+
+
+def _assert_matches(got, want):
+    """``got()``, a RationalJet, has exactly the components of the reference
+    ``want()`` in canonical form, or both raise ZeroDivisionError."""
+    try:
+        expected = want()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            got()
+        return
+    result = got()
+    assert _is_canonical(result), result.ints
+    assert (result.value, result.d1, result.d2) == (expected.value, expected.d1, expected.d2)
+    assert result == expected and expected == result and hash(result) == hash(expected)
+
+
+class TestRationalJet:
+    """The exact jet against the Jet2 with Fraction components: every operation
+    gives exactly the reference's components, in canonical form."""
+
+    @given(data=st.data())
+    def test_matches_the_fraction_reference(self, data):
+        parts = [data.draw(rationals) for _ in range(3)]
+        jet, ref = RationalJet(*parts), Jet2(*parts)
+        assert _is_canonical(jet) and jet == ref
+        kind = data.draw(st.sampled_from(["int", "Fraction", "RationalJet"]))
+        if kind == "RationalJet":
+            other_parts = [data.draw(small_rationals) for _ in range(3)]
+            other, other_ref = RationalJet(*other_parts), Jet2(*other_parts)
+        else:
+            other = other_ref = data.draw(st.integers(-50, 50) if kind == "int" else rationals)
+        for fn in OPS.values():
+            _assert_matches(lambda: fn(jet, other), lambda: fn(ref, other_ref))
+            _assert_matches(lambda: fn(other, jet), lambda: fn(other_ref, ref))
+        _assert_matches(lambda: -jet, lambda: -ref)
+        n = data.draw(st.integers(-4, 6))
+        _assert_matches(lambda: jet ** n, lambda: ref ** n)
+        _assert_matches(lambda: int_pow(jet, n), lambda: int_pow(ref, n))
+
+    def test_power_of_a_value_in_lowest_terms(self):
+        # (1, 1/2, 0) is (2, 1, 0)/2: the power must not build 2^n
+        jet = RationalJet(1, F(1, 2), 0)
+        n = 2 ** 30
+        _assert_matches(lambda: jet ** n, lambda: Jet2(F(1), F(1, 2), F(0)) ** n)
+        _assert_matches(lambda: jet ** -n, lambda: Jet2(F(1), F(1, 2), F(0)) ** -n)
+
+    def test_construction_is_canonical(self):
+        assert RationalJet(F(1, 2), F(1, 3), 0).ints == (3, 2, 0, 6)
+        assert RationalJet(F(-4, 6), 2, F(2, 3)).ints == (-2, 6, 2, 3)
+        assert RationalJet(0, 0, 0).ints == (0, 0, 0, 1)
+
+    def test_division_by_a_zero_value(self):
+        zero_value = RationalJet(0, F(1, 2), 5)  # nonzero derivatives
+        for numerator in (RationalJet(1, 2, 3), F(1, 3), 2, 0):
+            with pytest.raises(ZeroDivisionError):
+                numerator / zero_value
+        with pytest.raises(ZeroDivisionError):
+            zero_value ** -1
+        for zero in (0, F(0)):
+            with pytest.raises(ZeroDivisionError):
+                RationalJet(1, 2, 3) / zero

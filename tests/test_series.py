@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from hyperq import dsl, series
 from hyperq.corpus import get_identity
 from hyperq.functions import pi_constant
-from hyperq.scalars import HighPrecision, agree_to, to_precision
+from hyperq.scalars import HighPrecision, RationalJet, agree_to, jet_lift, to_precision
 from hyperq.series import (
     MAX_EXACT_BITS,
     MAX_FLOAT_BITS,
     EvalError,
     FloatContext,
+    JetContext,
     NonGeometricTailError,
     PoleInTermError,
     RationalContext,
@@ -142,6 +143,61 @@ class TestExactPowerGuard:
         assert value.raw == (0, 1, 1100 ** 2, 1)  # 2^(1100^2), the others rounded away
         with pytest.raises(EvalError, match="exact power"):
             sum_terminating(spec, {"n": 1100})
+
+
+class TestRunningProductGuard:
+    """In the exact regime, plain and as a rational jet, a running product is
+    refused at the step where a numerator or denominator of its state passes
+    MAX_EXACT_BITS bits.  The bases below are under the power limit, so the
+    product crosses it at its second step; no integer much beyond 2^20 bits
+    is built."""
+
+    OVER, UNDER = MAX_EXACT_BITS // 2 + 8, MAX_EXACT_BITS // 2 - 16
+
+    @staticmethod
+    def _evaluate(text, jet, **env):
+        """``text`` with ``a`` bound to 1: exactly, or as the rational jet of a at 1."""
+        if jet:
+            return evaluate_expr(dsl.parse_closed_form(text).expr,
+                                 {**env, "a": jet_lift(1)}, JetContext(RationalContext()))
+        return evaluate_expr(dsl.parse_closed_form(text).expr, {**env, "a": F(1)},
+                             RationalContext())
+
+    @pytest.mark.parametrize("jet", [False, True])
+    @pytest.mark.parametrize("atom", ["poch(a*2^{e},2)", "qpoch(a*2^{e},1,2)"])
+    def test_second_step_crosses_the_limit(self, atom, jet):
+        with pytest.raises(EvalError, match="running product"):
+            self._evaluate(atom.format(e=self.OVER), jet, q=F(1, 2))
+        value = self._evaluate(atom.format(e=self.UNDER), jet, q=F(1, 2))
+        x = 1 << self.UNDER
+        expected = x * (x + 1) if atom.startswith("poch") else (1 - x) * (1 - F(x, 2))
+        assert isinstance(value, RationalJet) == jet
+        assert (value.value if jet else value) == expected
+
+    @pytest.mark.parametrize("jet", [False, True])
+    def test_lowered_limit(self, jet, monkeypatch):
+        # the factors of fact and dfactodd are small, so the limit is lowered
+        # rather than a product of a million bits built; their running
+        # products are plain in the jet regime too
+        monkeypatch.setattr(series, "MAX_EXACT_BITS", 64)
+        assert math.factorial(20).bit_length() <= 64 < math.factorial(21).bit_length()
+        assert self._evaluate("fact(20)", jet) == math.factorial(20)
+        odd = math.prod(range(1, 34, 2))  # dfactodd(16)
+        assert odd.bit_length() <= 64 < (odd * 35).bit_length()
+        assert self._evaluate("dfactodd(16)", jet) == odd
+        for text in ("fact(21)", "dfactodd(17)", "poch(a,21)"):
+            with pytest.raises(EvalError, match="running product"):
+                self._evaluate(text, jet)
+        # a q-product's sizes grow with the square of its count: its
+        # denominator is about 3^n 2^(5n(n-1)) at q = 2^-10
+        q = F(1, 2 ** 10)
+        assert self._evaluate("qpoch(a/3,1,3)", jet, q=q) != 0
+        with pytest.raises(EvalError, match="running product"):
+            self._evaluate("qpoch(a/3,1,4)", jet, q=q)
+
+    def test_float_regime_has_no_such_limit(self):
+        value = evaluate_closed(dsl.parse_closed_form(f"poch(2^{self.OVER},2)"), {}, 64)
+        assert value.raw[2] + value.raw[3] == 2 * self.OVER + 1
 
 
 class TestSumTerminating:

@@ -2,7 +2,7 @@
 
 Production jet evaluation keeps every constant a plain value of the base
 regime; only the active parameter and what is computed from it are jets.
-``DenseJetContext`` lifts every constant to Jet2(c, 0, 0) instead, so each
+``DenseJetContext`` lifts every constant to the jet (c, 0, 0) instead, so each
 constant goes through the full jet product and quotient rules.  Both must
 give the same (value, d1, d2) on both sides of the derivative records:
 exactly over the rationals, and bit for bit at the returned precision over
@@ -15,7 +15,7 @@ import pytest
 
 from hyperq import dsl, series, verify
 from hyperq.corpus import get_identity
-from hyperq.scalars import HighPrecision, Jet2, jet_lift, scalar_zero
+from hyperq.scalars import HighPrecision, Jet2, jet_lift
 from hyperq.series import (
     EvalError,
     FloatContext,
@@ -34,8 +34,7 @@ class DenseJetContext(JetContext):
     """Every constant becomes a constant jet (c, 0, 0)."""
 
     def _const(self, v):
-        z = scalar_zero(v)
-        return Jet2(v, z, z)
+        return jet_lift(v, active=False)
 
     def lift(self, v):
         if isinstance(v, int):
