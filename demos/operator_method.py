@@ -12,14 +12,14 @@ Run:  python demos/operator_method.py
 from fractions import Fraction as F
 
 from hyperq import get_identity, jet_lift, sum_terminating
-from hyperq.series import JetContext, RationalContext, evaluate_expr
-from hyperq.verify import VerifyOptions, divided_difference_check, operator_derive_check
+from hyperq.series import RationalContext, evaluate_expr
+from hyperq.verify import VerifyOptions, operator_derive_check, verify_identity
 
 
 def gosper_by_hand():
     """Lift b on Gosper's summation with c = 2 - b and compare all jet parts."""
     rec = get_identity("GOS")
-    ctx = JetContext(RationalContext())
+    ctx = RationalContext()  # the jet travels in env; constants stay plain
     env = {"a": F(3, 2), "n": 3, "b": jet_lift(F(1))}
     env["c"] = 2 - env["b"]  # substitution rides along with the jet
     lhs = sum_terminating(rec.lhs, env, ctx)
@@ -47,10 +47,8 @@ def harness_checks():
 
 
 def divided_difference():
-    print("divided-difference relation used to clear 1/(1-2x) factors:")
-    m, u, v, x = 5, F(0), F(1), F(1, 3)
-    print(f"  m={m}, u={u}, v={v}, x={x}: "
-          f"{divided_difference_check(m, u, v, x)}")
+    print("divided-difference relation used to clear 1/(1-2x) factors (record REL):")
+    print(" ", verify_identity("REL", VerifyOptions(seed=1)).text_line())
 
 
 if __name__ == "__main__":

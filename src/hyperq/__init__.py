@@ -37,7 +37,6 @@ from .series import (
 from .verify import (
     VerificationReport,
     VerifyOptions,
-    divided_difference_check,
     operator_derive_check,
     perturb_rhs,
     verify_all,

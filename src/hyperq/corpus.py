@@ -4,7 +4,7 @@ embedded corpus.
 A corpus file is a sequence of ``[identity]`` blocks of ``key = value``
 lines (see ``data/corpus.txt`` for the field inventory).  The default
 corpus is embedded in the package; the ``HYPERQ_CORPUS`` environment
-variable, or an explicit path, selects an alternate file.
+variable selects an alternate file.
 """
 
 from __future__ import annotations
@@ -225,9 +225,9 @@ def _default_text() -> str:
 _cache: Dict[str, List[IdentityRecord]] = {}
 
 
-def load_corpus(path: Optional[str] = None) -> List[IdentityRecord]:
-    """Load a corpus: explicit path, else $HYPERQ_CORPUS, else the embedded one."""
-    path = path or os.environ.get("HYPERQ_CORPUS")
+def load_corpus() -> List[IdentityRecord]:
+    """Load the corpus: $HYPERQ_CORPUS if set, else the embedded one."""
+    path = os.environ.get("HYPERQ_CORPUS")
     key = path or "<embedded>"
     if key not in _cache:
         if path:
@@ -238,16 +238,16 @@ def load_corpus(path: Optional[str] = None) -> List[IdentityRecord]:
     return _cache[key]
 
 
-def list_identities(path: Optional[str] = None, include_variants: bool = True) -> List[IdentityRecord]:
+def list_identities(include_variants: bool = True) -> List[IdentityRecord]:
     """All records in corpus order; ids are unique."""
-    records = load_corpus(path)
+    records = load_corpus()
     if include_variants:
         return list(records)
     return [r for r in records if not r.expect_fail]
 
 
-def get_identity(rid: str, path: Optional[str] = None) -> IdentityRecord:
-    for rec in load_corpus(path):
+def get_identity(rid: str) -> IdentityRecord:
+    for rec in load_corpus():
         if rec.id == rid:
             return rec
     raise KeyError(f"unknown identity id {rid!r}")

@@ -21,9 +21,15 @@ parts of its term that do not mention the index once, and the product and
 sum atoms advance running states between consecutive terms, so harmonic-
 weighted double series cost O(1) extra work per term rather than O(k).
 
+Derivatives flow only from the active parameter: the caller binds it to a
+``Jet2``, and only values computed from it become jets.  Constants (literals,
+bound rationals, pi, infinite q-sums, ...) stay plain values of the regime,
+which ``Jet2`` arithmetic takes as constant jets, so jets need no context of
+their own.  An infinite q-sum refuses a q that carries derivatives.
+
 Programs are shared by every regime; a step that differs by regime
-branches on ``ctx.exact``.  A float regime (``FloatContext``, and jets over
-it) keeps every running state at working precision, so a term costs O(p)
+branches on ``ctx.exact``.  A float regime (``FloatContext``, with or without
+jets) keeps every running state at working precision, so a term costs O(p)
 per small-integer factor plus a few p-bit products, whatever its index:
 
 1. ``fact`` and ``dfactodd`` start from a float 1; an int base under an
@@ -46,7 +52,8 @@ An exact power whose result would exceed ``MAX_EXACT_BITS`` bits is an
 positions (counts, exponents, bounds) of every regime.  In the exact regime,
 so is a running ``poch``, ``qpoch``, ``fact`` or ``dfactodd`` product, plain
 or a rational jet, at the step where a numerator or denominator of its state
-passes that size.
+passes that size; ``fact`` and ``dfactodd`` at once, when the count alone
+shows it would.
 """
 
 from __future__ import annotations
@@ -195,41 +202,15 @@ class FloatContext:
         return self._cached(("cospi", x), lambda: cospi_constant(x, self.prec))
 
     def qsuminf(self, order, stride, shift, sign, q):
+        if isinstance(q, Jet2):
+            if not (_is_zero(q.d1) and _is_zero(q.d2)):
+                raise EvalError("infinite q-sums do not support an active q")
+            q = q.value
         return self._cached(("qsuminf", order, stride, shift, sign, q),
                             lambda: q_sum_infinite(order, stride, shift, sign, q))
 
     def qpochinf(self, x, qs):
         return q_pochhammer_infinite(x, qs, self.prec)
-
-
-class JetContext:
-    """Jet evaluation over a rational or float base context.
-
-    Derivatives flow only from the active parameter: the caller binds it to
-    a ``Jet2``, and only values computed from it become jets.  Constants
-    (literals, bound rationals, powers of q, pi, square roots, infinite
-    q-sums) stay plain values of the base regime, which ``Jet2`` arithmetic
-    takes as constant jets without computing their zero derivatives.  So
-    every method is the base context's own, except that an infinite q-sum
-    refuses a q that carries derivatives.
-    """
-
-    def __init__(self, base):
-        self.base = base
-
-    def __getattr__(self, name):
-        # reached only for names this class lacks; keeping the base's bound
-        # method on the instance spares later lookups this slow path
-        value = getattr(self.base, name)
-        setattr(self, name, value)
-        return value
-
-    def qsuminf(self, order, stride, shift, sign, q):
-        if isinstance(q, Jet2):
-            if not (_is_zero(q.d1) and _is_zero(q.d2)):
-                raise EvalError("infinite q-sums do not support an active q")
-            q = q.value
-        return self.base.qsuminf(order, stride, shift, sign, q)
 
 
 def _value_of(x):
@@ -595,6 +576,9 @@ def _qpoch(ctx, cache, slot, x, qs, n):
 
 
 def _factorial(odd, ctx, cache, slot, n):
+    # n! >= (n/e)^n and (2n+1)!! > 2^n n!: past this lower bound nothing fits
+    if ctx.exact and n > 2 and n * math.log2((1 + odd) * n / math.e) > MAX_EXACT_BITS:
+        raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
     return _advance(cache, slot, (), n, (lambda: 1) if ctx.exact else partial(ctx.lift, 1),
                     lambda p, i: p * (2 * i + 1 if odd else i),
                     _factorial_free if ctx.exact else None)
@@ -682,16 +666,15 @@ def _norm(t, prec: int) -> HighPrecision:
 
 
 def _numeric_env(bindings, active, prec):
-    """The bindings and context of one run at ``prec`` bits: float, or jets
-    over floats with the ``active`` parameter lifted at its exact point."""
+    """The bindings and context of one run at ``prec`` bits, with the
+    ``active`` parameter, if any, lifted to a jet at its exact point."""
     env = dict(bindings)
-    if active is None:
-        return env, FloatContext(prec)
-    point = env[active]
-    if not isinstance(point, (int, Fraction)):
-        raise EvalError("active parameter must be bound to an exact point")
-    env[active] = jet_lift(HighPrecision.from_fraction(Fraction(point), prec))
-    return env, JetContext(FloatContext(prec))
+    if active is not None:
+        point = env[active]
+        if not isinstance(point, (int, Fraction)):
+            raise EvalError("active parameter must be bound to an exact point")
+        env[active] = jet_lift(HighPrecision.from_fraction(Fraction(point), prec))
+    return env, FloatContext(prec)
 
 
 def _validated(low, high, prec, what):
@@ -715,7 +698,7 @@ def _validated(low, high, prec, what):
     return high.round_to(prec)
 
 
-def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, min_terms):
+def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
     env, ctx = _numeric_env(bindings, active, work_prec)
     threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 4)), work_prec)
     cap = HighPrecision.from_fraction(RATIO_CAP, work_prec)
@@ -743,7 +726,7 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, mi
                 return total, TailBound(k, zero, zero), k + 1
         else:
             zero_run = 0
-            if k >= WARMUP_TERMS and capped_run >= WINDOW_TERMS and k + 1 >= min_terms:
+            if k >= WARMUP_TERMS and capped_run >= WINDOW_TERMS:
                 # bound the tail with the admission cap itself: observed
                 # window maxima undercover series whose ratios still climb
                 # toward their limit; the cap is an empirical rule too, false
@@ -759,8 +742,7 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget, mi
 
 def sum_infinite(spec: dsl.SeriesSpec, bindings: dict, prec: int, *,
                  active: Optional[str] = None,
-                 terms_budget: int = DEFAULT_TERMS_BUDGET,
-                 min_terms: int = 0) -> Tuple[Scalar, TailBound, int]:
+                 terms_budget: int = DEFAULT_TERMS_BUDGET) -> Tuple[Scalar, TailBound, int]:
     """Sum an infinite series to ``prec`` bits with a validated tail bound.
 
     Returns ``(value, tail_bound, terms_used)``.  The series is summed
@@ -772,9 +754,9 @@ def sum_infinite(spec: dsl.SeriesSpec, bindings: dict, prec: int, *,
     if spec.terminating:
         raise EvalError("sum_infinite requires an infinite upper bound")
     low, _, _ = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS,
-                                   active, terms_budget, min_terms)
+                                   active, terms_budget)
     high, tail, terms = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS + 32,
-                                           active, terms_budget, min_terms)
+                                           active, terms_budget)
     value = _validated(low, high, prec, "double evaluation")
     bound = TailBound(tail.start_index, tail.ratio.round_to(prec), tail.bound.round_to(prec))
     return value, bound, terms

@@ -35,7 +35,6 @@ from .corpus import Domain, IdentityRecord, ParamSpec, get_identity, list_identi
 from .scalars import Jet2, jet_lift, scalar_zero
 from .series import (
     EvalError,
-    JetContext,
     PoleInTermError,
     RationalContext,
     evaluate_closed,
@@ -248,7 +247,7 @@ def _exact_check(rec: IdentityRecord, options: VerifyOptions, rng: random.Random
     each ``subs`` binding -- a Fraction, or an expression that may use the
     active parameter -- is evaluated.  Returns (worst residual, terms, samples).
     """
-    ctx = RationalContext() if active is None else JetContext(RationalContext())
+    ctx = RationalContext()
 
     def evaluate(bindings):
         env = dict(bindings)
@@ -305,7 +304,6 @@ _CAUGHT = (ArithmeticError, EvalError, SampleExhaustedError)
 
 def verify_identity(rec_or_id: Union[str, IdentityRecord],
                     options: Optional[VerifyOptions] = None, *,
-                    path: Optional[str] = None,
                     follow_fallback: bool = True) -> VerificationReport:
     """Verify one identity and return its report.
 
@@ -314,7 +312,7 @@ def verify_identity(rec_or_id: Union[str, IdentityRecord],
     the stated form is localized rather than silently reported.
     """
     options = options or VerifyOptions()
-    rec = get_identity(rec_or_id, path) if isinstance(rec_or_id, str) else rec_or_id
+    rec = get_identity(rec_or_id) if isinstance(rec_or_id, str) else rec_or_id
     start = time.perf_counter()
     try:
         rng = record_rng(options.seed, rec.id)
@@ -335,14 +333,13 @@ def verify_identity(rec_or_id: Union[str, IdentityRecord],
                                     error=f"{type(exc).__name__}: {exc}")
     report.elapsed_ms = (time.perf_counter() - start) * 1000
     if report.verdict == "fail" and rec.fallback and follow_fallback:
-        fb = verify_identity(rec.fallback, options, path=path, follow_fallback=False)
+        fb = verify_identity(rec.fallback, options, follow_fallback=False)
         report.notes = (report.notes + "; " if report.notes else "") + \
             f"stated form fails; variant {rec.fallback} verdict: {fb.verdict}"
     return report
 
 
 def verify_all(options: Optional[VerifyOptions] = None, *,
-               path: Optional[str] = None,
                include_variants: bool = False) -> Tuple[List[VerificationReport], Dict[str, int]]:
     """Verify the whole corpus in order; returns (reports, summary counts).
 
@@ -352,10 +349,10 @@ def verify_all(options: Optional[VerifyOptions] = None, *,
     """
     options = options or VerifyOptions()
     reports = []
-    for rec in list_identities(path, include_variants=include_variants):
+    for rec in list_identities(include_variants=include_variants):
         if rec.expect_fail and not include_variants:
             continue
-        reports.append(verify_identity(rec, options, path=path))
+        reports.append(verify_identity(rec, options))
     summary = {"pass": 0, "fail": 0, "error": 0}
     for rep in reports:
         summary[rep.verdict] += 1
@@ -369,8 +366,7 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
                           order: int, point: Optional[Fraction] = None,
                           bindings: Optional[dict] = None,
                           options: Optional[VerifyOptions] = None, *,
-                          samples: Optional[int] = None,
-                          path: Optional[str] = None) -> VerificationReport:
+                          samples: Optional[int] = None) -> VerificationReport:
     """Differentiate a terminating identity with respect to ``parameter``.
 
     The parameter is lifted to a jet at a rational point, substitution
@@ -383,7 +379,7 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
     options = options or VerifyOptions()
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
-    rec = get_identity(rec_or_id, path) if isinstance(rec_or_id, str) else rec_or_id
+    rec = get_identity(rec_or_id) if isinstance(rec_or_id, str) else rec_or_id
     if not rec.lhs.terminating:
         raise EvalError(f"{rec.id}: operator checks need a terminating identity")
     bindings = dict(bindings or {})
@@ -414,29 +410,6 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
     return report
 
 
-_HARMONIC = dsl.HarmX(1, dsl.Param("m"), dsl.Param("x"))  # harmx(1,m,x): H_m(x)
-
-
-def divided_difference_check(m: int, u: Fraction, v: Fraction, x: Fraction) -> bool:
-    """Exact check of the divided-difference relation
-
-        (H_m(x+u) - H_m(v-x)) / (v - u - 2x) = sum_{i=1}^m 1/((x+u+i)(v-x+i)).
-    """
-    u, v, x = Fraction(u), Fraction(v), Fraction(x)
-    if v - u - 2 * x == 0:
-        raise ZeroDivisionError("divided difference undefined at v - u - 2x = 0")
-    lhs = Fraction(0)
-    for i in range(1, m + 1):
-        a = x + u + i
-        b = v - x + i
-        if a == 0 or b == 0:
-            raise ZeroDivisionError(f"pole in divided-difference product at i={i}")
-        lhs += Fraction(1) / (a * b)
-    h_plus, h_minus = (evaluate_expr(_HARMONIC, {"m": m, "x": offset}, RationalContext())
-                       for offset in (x + u, v - x))
-    return lhs == (h_plus - h_minus) / (v - u - 2 * x)
-
-
 # --------------------------------------------------------- mutation testing
 
 
@@ -463,9 +436,9 @@ def _bump_literal(node, target: int, counter: list):
     return node
 
 
-def mutation_candidates(path: Optional[str] = None) -> List[IdentityRecord]:
+def mutation_candidates() -> List[IdentityRecord]:
     """Corpus records whose right-hand side has an integer literal to perturb."""
-    return [rec for rec in list_identities(path, include_variants=False)
+    return [rec for rec in list_identities(include_variants=False)
             if _count_literals(rec.rhs) > 0]
 
 

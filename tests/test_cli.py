@@ -203,6 +203,17 @@ class TestEval:
         assert "--bogus" in out.stderr or "usage" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("text, expected", [
+        ("fact(80000)", "3.09772225166224928639821327991e+357506"),
+        ("dfactodd(80000)", "2.48140516838373274700007650761e+381591"),
+    ])
+    def test_factorial_past_the_exact_limit_prints_floats(self, text, expected):
+        # refused exactly from its count, then printed as a float (mpmath's value)
+        out = run_cli("eval", text)
+        assert out.returncode == 0
+        assert out.stdout.strip() == expected
+        assert out.stderr == ""
+
     def test_closed_form(self):
         out = run_cli("eval", "4/pi", "--digits", "20")
         assert out.returncode == 0

@@ -9,12 +9,11 @@ import pytest
 from hyperq import dsl
 from hyperq.corpus import CorpusError, get_identity, list_identities, parse_corpus
 from hyperq.dsl import parse_side, render
-from hyperq.series import RationalContext, sum_terminating
+from hyperq.series import PoleInTermError, RationalContext, evaluate_closed, sum_terminating
 from hyperq.verify import (
     SampleExhaustedError,
     UnknownParameterError,
     VerifyOptions,
-    divided_difference_check,
     format_magnitude,
     mutation_candidates,
     operator_derive_check,
@@ -236,19 +235,37 @@ class TestPlainSides:
 
 
 class TestDividedDifference:
+    """Record REL, the divided-difference relation, through the engine:
+
+        sum_{i=1}^m 1/((x+u+i)(v-x+i)) = (H_m(x+u) - H_m(v-x)) / (v - u - 2x).
+    """
+
+    @staticmethod
+    def _lhs(m, u, v, x):
+        return sum_terminating(get_identity("REL").lhs, {"m": m, "u": u, "v": v, "x": x})
+
+    @staticmethod
+    def _rhs(m, u, v, x):
+        return evaluate_closed(get_identity("REL").rhs, {"m": m, "u": u, "v": v, "x": x})
+
     def test_empty(self):
-        assert divided_difference_check(0, F(1), F(2), F(1, 5))
+        assert self._lhs(0, F(1), F(2), F(1, 5)) == self._rhs(0, F(1), F(2), F(1, 5)) == 0
 
     def test_small_case(self):
-        assert divided_difference_check(2, F(0), F(1), F(1, 3))
+        # 1/((4/3)(5/3)) + 1/((7/3)(8/3))
+        expected = F(9, 20) + F(9, 56)
+        assert self._lhs(2, F(0), F(1), F(1, 3)) == self._rhs(2, F(0), F(1), F(1, 3)) == expected
 
     def test_pole_raises(self):
-        with pytest.raises(ZeroDivisionError):  # x + u + 2 = 0
-            divided_difference_check(3, F(-1), F(2), F(-1))
-        with pytest.raises(ZeroDivisionError):  # v - x + 1 = 0
-            divided_difference_check(3, F(1), F(-1), F(0))
-        with pytest.raises(ZeroDivisionError):  # v - u - 2x = 0
-            divided_difference_check(3, F(1), F(2), F(1, 2))
+        for args in ((3, F(-1), F(2), F(-1)),  # x + u + 2 = 0
+                     (3, F(1), F(-1), F(0))):  # v - x + 1 = 0
+            for side in (self._lhs, self._rhs):
+                with pytest.raises(PoleInTermError):
+                    side(*args)
+        args = (3, F(1), F(2), F(1, 2))  # v - u - 2x = 0
+        assert self._lhs(*args) == sum(F(4, (5 + 2 * k) ** 2) for k in range(3))  # 1/(5/2+k)^2
+        with pytest.raises(PoleInTermError):
+            self._rhs(*args)
 
     def test_fifty_random_trials(self):
         rng = random.Random(9)
@@ -258,8 +275,8 @@ class TestDividedDifference:
             v = F(rng.randint(-7, 7), rng.randint(1, 7))
             x = F(rng.randint(-7, 7), rng.randint(1, 7))
             try:
-                assert divided_difference_check(5, u, v, x)
-            except ZeroDivisionError:
+                assert self._lhs(5, u, v, x) == self._rhs(5, u, v, x)
+            except PoleInTermError:
                 continue
             done += 1
 

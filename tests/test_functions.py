@@ -28,11 +28,18 @@ from hyperq.functions import (
     sinpi_constant,
     sqrt_constant,
 )
-from hyperq.scalars import Jet2, agree_to, jet_lift, scalar_one, scalar_zero, to_precision
+from hyperq.scalars import (
+    HighPrecision,
+    Jet2,
+    agree_to,
+    jet_lift,
+    scalar_one,
+    scalar_zero,
+    to_precision,
+)
 from hyperq.series import (
     EvalError,
     FloatContext,
-    JetContext,
     PoleInTermError,
     RationalContext,
     evaluate_expr,
@@ -51,7 +58,7 @@ def ev(text, ctx=None, **env):
 def ev_jet(text, active, **env):
     """``text`` as a jet over the rationals in the parameter ``active``."""
     env[active] = jet_lift(env[active])
-    v = ev(text, JetContext(RationalContext()), **env)
+    v = ev(text, RationalContext(), **env)
     return v if isinstance(v, Jet2) else Jet2(v, F(0), F(0))  # a value free of it
 
 
@@ -249,6 +256,26 @@ class TestQPochhammerInfinite:
         whole = q_pochhammer_infinite(xs, qs_).to_fraction()
         split = ((1 - xs) * q_pochhammer_infinite(xs * qs_, qs_)).to_fraction()
         assert abs(whole - split) <= scale / 2 ** (prec - 13)
+
+    @pytest.mark.parametrize("x", [F(3, 8), F(3), F(-5, 2), F(1, 8)])
+    def test_phase_split(self, x):
+        """The explicit factors run exactly while 2|x Q^j| > 1-Q: the tail
+        proof needs |y| <= (1-Q)/2 for the series' y = x Q^m."""
+        operands = []
+
+        class Recording(HighPrecision):
+            # Python tries a subclass's reflected operator first, so this sees
+            # every product with Q: phase 1's y*Q, then from 1*Q on phase 2's
+            def __rmul__(self, other):
+                operands.append(other)
+                return HighPrecision.__mul__(self, other)
+
+        q = F(1, 2)
+        q_pochhammer_infinite(to_precision(x, 64), Recording(to_precision(q, 64).raw, 64))
+        m = next(i for i, v in enumerate(operands) if isinstance(v, int))
+        assert [y.to_fraction() for y in operands[:m]] == [x * q ** j for j in range(m)]
+        assert 2 * abs(x * q ** m) <= 1 - q
+        assert m == 0 or 1 - q < 2 * abs(x * q ** (m - 1))
 
     def test_zero_argument(self):
         q = to_precision(F(1, 2), 80)

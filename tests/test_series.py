@@ -18,7 +18,6 @@ from hyperq.series import (
     MAX_FLOAT_BITS,
     EvalError,
     FloatContext,
-    JetContext,
     NonGeometricTailError,
     PoleInTermError,
     RationalContext,
@@ -157,11 +156,8 @@ class TestRunningProductGuard:
     @staticmethod
     def _evaluate(text, jet, **env):
         """``text`` with ``a`` bound to 1: exactly, or as the rational jet of a at 1."""
-        if jet:
-            return evaluate_expr(dsl.parse_closed_form(text).expr,
-                                 {**env, "a": jet_lift(1)}, JetContext(RationalContext()))
-        return evaluate_expr(dsl.parse_closed_form(text).expr, {**env, "a": F(1)},
-                             RationalContext())
+        a = jet_lift(1) if jet else F(1)
+        return evaluate_expr(dsl.parse_closed_form(text).expr, {**env, "a": a}, RationalContext())
 
     @pytest.mark.parametrize("jet", [False, True])
     @pytest.mark.parametrize("atom", ["poch(a*2^{e},2)", "qpoch(a*2^{e},1,2)"])
@@ -194,6 +190,25 @@ class TestRunningProductGuard:
         assert self._evaluate("qpoch(a/3,1,3)", jet, q=q) != 0
         with pytest.raises(EvalError, match="running product"):
             self._evaluate("qpoch(a/3,1,4)", jet, q=q)
+
+    @pytest.mark.parametrize("jet", [False, True])
+    def test_factorial_refused_from_its_count(self, jet, monkeypatch):
+        # (n/e)^n <= n! passes the limit first at n = 71423, n! itself at
+        # 71422; (2n/e)^n < (2n+1)!! at 67241, (2n+1)!! itself at 67240.  So
+        # no product that fits is refused, and one past is refused unbuilt
+        for text in ("fact(80000)", "dfactodd(80000)"):
+            with pytest.raises(EvalError, match="running product"):
+                self._evaluate(text, jet)
+        targets = []
+        monkeypatch.setattr(series, "_advance", lambda *args: targets.append(args[3]) or 1)
+        for text in ("fact(71423)", "dfactodd(67241)"):
+            with pytest.raises(EvalError, match="running product"):
+                self._evaluate(text, jet)
+        assert targets == []
+        self._evaluate("fact(71422)", jet)
+        self._evaluate("dfactodd(67240)", jet)
+        evaluate_expr(dsl.parse_closed_form("fact(80000)").expr, {}, FloatContext(64))
+        assert targets == [71422, 67240, 80000]  # the float regime has no such limit
 
     def test_float_regime_has_no_such_limit(self):
         value = evaluate_closed(dsl.parse_closed_form(f"poch(2^{self.OVER},2)"), {}, 64)
@@ -288,6 +303,15 @@ class TestSumInfinite:
         with pytest.raises(NonGeometricTailError):
             sum_infinite(spec, {}, 64, terms_budget=2000)
 
+    def test_active_q_in_an_infinite_q_sum_is_refused(self):
+        # an EvalError (exit 3), not the TypeError of q_sum_infinite given a jet
+        spec = dsl.parse_series_spec("sum k=0..inf : q^k*qsuminf(2,2,0,+)")
+        with pytest.raises(EvalError, match="active q"):
+            sum_infinite(spec, {"q": F(1, 2)}, 64, active="q")
+        with pytest.raises(EvalError, match="active q"):
+            evaluate_closed(dsl.parse_closed_form("qsuminf(2,2,0,+)"), {"q": F(1, 2)}, 64,
+                            active="q")
+
     def test_zero_tail_detected(self):
         # x = q^-2 zeroes the factor 1 - x q^2, so every term with k >= 3 vanishes
         spec = dsl.parse_series_spec("sum k=0..inf : qpoch(x,1,k)*q^k")
@@ -306,9 +330,9 @@ class TestSumInfinite:
         spec = dsl.parse_series_spec("sum k=0..inf : s*r^k")
         env = {"r": F(num, den), "s": F(scale)}
         prec = 64
-        value1, tail1, terms1 = _sum_infinite_once(spec, env, prec, prec + 64, None, 10 ** 6, 0)
-        value2, _, terms2 = _sum_infinite_once(spec, env, prec, prec + 64, None, 10 ** 6, 2 * terms1)
-        assert terms2 >= 2 * terms1
+        value1, tail1, terms1 = _sum_infinite_once(spec, env, prec, prec + 64, None, 10 ** 6)
+        # the same additions in the same order, twice as many terms
+        value2 = sum_terminating(spec, env, FloatContext(prec + 64), n=2 * terms1 - 1)
         assert abs(value2.to_fraction() - value1.to_fraction()) < tail1.bound.to_fraction()
 
     @pytest.mark.parametrize("rid", ["W1", "R1", "T3a"])
@@ -317,8 +341,8 @@ class TestSumInfinite:
         rec = get_identity(rid)
         env = {"q": F(1, 2)} if rid == "T3a" else {}
         prec = 100
-        value1, tail1, terms1 = _sum_infinite_once(rec.lhs, env, prec, prec + 64, None, 10 ** 6, 0)
-        value2, _, _ = _sum_infinite_once(rec.lhs, env, prec, prec + 64, None, 10 ** 6, 2 * terms1)
+        value1, tail1, terms1 = _sum_infinite_once(rec.lhs, env, prec, prec + 64, None, 10 ** 6)
+        value2 = sum_terminating(rec.lhs, env, FloatContext(prec + 64), n=2 * terms1 - 1)
         assert abs(value2.to_fraction() - value1.to_fraction()) <= tail1.bound.to_fraction()
 
 
