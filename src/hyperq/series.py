@@ -1,19 +1,22 @@
 """Series evaluation: exact terminating sums and tail-bounded infinite sums.
 
 Terminating sums are evaluated in the exact rational (or rational-jet)
-regime; infinite sums run in the HighPrecision regime under an empirical
-geometric ratio test:
+regime.  An infinite sum stops at the K of an empirical geometric ratio test:
 
 * after a warm-up of 32 terms, a sliding window of 16 consecutive term
-  ratios must all stay below 63/64, each tested exactly as
-  64*|t_k| <= 63*|t_(k-1)|;
+  ratios must all stay below 63/64, each tested as 64*|t_k| <= 63*|t_(k-1)|;
 * once the window passes, the tail beyond term K is bounded by
   |t_K| * rho / (1 - rho) = 63*|t_K| with rho = 63/64, the admission cap
-  itself, and summation stops when that bound drops below 2^(-prec-4);
-* every infinite sum, and every closed form at a working precision, is
-  evaluated twice, 32 bits apart, and ``_validated`` -- the one place of
-  this double-evaluation policy -- accepts the value only when the two runs
-  agree to prec-8 bits, then rounds the higher run to prec bits.
+  itself, and summation stops when that bound drops below 2^(-prec-4).
+
+A term of the split form (hypergeometric, times rational functions and
+harmonic weights, at rational bindings, without q or an active jet; see the
+binary-split section) is summed over 0..K exactly and rounded once, and its
+term ratio must tend to a limit of modulus below 1.  Every other infinite
+sum, and every closed form at a working precision, is evaluated twice in
+the HighPrecision regime, 32 bits apart, and ``_validated`` -- the one place
+of this double-evaluation policy -- accepts the value only when the two runs
+agree to prec-8 bits, then rounds the higher run to prec bits.
 
 Every expression is compiled once, on its first evaluation, into a term
 program with one step per node (``_Compiler``).  A summation evaluates the
@@ -35,11 +38,7 @@ per small-integer factor plus a few p-bit products, whatever its index:
 1. ``fact`` and ``dfactodd`` start from a float 1; an int base under an
    index-dependent exponent (``4^k``) is lifted before it is raised;
    ``harm`` adds each 1/i^l, rounded, to a running float sum.
-2. A ``poch`` argument or ``harmx`` offset that does not mention the index
-   and evaluates to an exact a/b (not an active jet) enters as the integers
-   a and b, evaluated once per sum: the steps are p*(a+(i-1)*b)/b and
-   + b^l/(a+i*b)^l rounded once, a pole exactly when a+i*b == 0.
-3. An int power too large to build exactly (more than ``MAX_EXACT_BITS``
+2. An int power too large to build exactly (more than ``MAX_EXACT_BITS``
    bits) is raised at working precision instead.  Every float power, of a
    lifted int or a float base, is refused past a binary exponent of
    ``MAX_FLOAT_BITS``.
@@ -63,8 +62,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Dict, Optional, Tuple
+from functools import partial, reduce
+from typing import Dict, NamedTuple, Optional, Tuple
+
+from mpmath import libmp
 
 from . import dsl
 from .functions import (
@@ -78,6 +79,7 @@ from .functions import (
     sqrt_constant,
 )
 from .scalars import (
+    _RND,
     HighPrecision,
     Jet2,
     RationalJet,
@@ -256,17 +258,12 @@ def evaluate_expr(node, env, ctx, cache: Optional[dict] = None) -> Scalar:
 
 
 def upper_bound(spec: dsl.SeriesSpec, bindings: dict) -> int:
-    """The last index of the terminating series ``spec`` under ``bindings``."""
-    return _exact_step(spec.upper, "_bound", "int")(bindings, None, None)
-
-
-def _exact_step(node, name, exact):
-    """``node`` compiled for an exact position (``exact``: True, or "int"), on
-    first use and once per node, as term programs are."""
-    attrs = node.__dict__
-    if name not in attrs:
-        attrs[name] = _Compiler(None).operand(node, exact=exact)
-    return attrs[name]
+    """The last index of the terminating series ``spec`` under ``bindings``;
+    the bound is compiled for an integer position once, as term programs are."""
+    attrs = spec.upper.__dict__
+    if "_bound" not in attrs:
+        attrs["_bound"] = _Compiler(None).operand(spec.upper, exact="int")
+    return attrs["_bound"](bindings, None, None)
 
 
 class _Compiler:
@@ -353,9 +350,8 @@ class _Compiler:
         """Step for an atom with a running state: arguments first, then the count."""
         kind = type(node)
         sub = partial(self.operand, hoist=self.depends(node))
-        argument = partial(self.argument, hoist=self.depends(node))
         if kind is dsl.Poch:
-            recurrence, args = _poch, [argument(node.x)]
+            recurrence, args = _poch, [sub(node.x, lift=True)]
         elif kind is dsl.QPoch:
             qs = dsl.Pow(_Q, dsl.Num(node.step))
             recurrence, args = _qpoch, [sub(node.x, lift=True), sub(qs)]
@@ -365,28 +361,15 @@ class _Compiler:
             recurrence, args = partial(_factorial, 1), []
         elif kind is dsl.QInt:
             recurrence, args = _qint, [sub(_Q)]
-        elif kind is dsl.Harm:
-            recurrence, args = partial(_harm, node.order), []
-        elif kind is dsl.HarmX:
-            recurrence, args = partial(_harmx, node.order), [argument(node.offset)]
+        elif kind is dsl.Harm or kind is dsl.HarmX:  # harm(l,m) is harmx(l,m,0)
+            offset = getattr(node, "offset", dsl.Num(0))
+            recurrence, args = partial(_harmx, node.order), [sub(offset, lift=True)]
         elif kind is dsl.QSum:
             recurrence, args = partial(_qsum, node), [sub(_Q)]
         else:
             return partial(_raise, f"cannot evaluate node {kind.__name__}")
         return partial(_atom, dsl.ATOMS[kind], recurrence, args,
                        self.operand(node.count, exact="int"), next(self.slots))
-
-    def argument(self, node, hoist):
-        """Step for an atom's argument: lifted, or, when it does not mention
-        the index, its exact value in a float regime (rule 2; the lifted
-        value when it has none)."""
-        if self.depends(node):
-            return self.operand(node, hoist, lift=True)
-        key = (node, hoist, "argument")
-        if key not in self.operands:
-            step = partial(_exact_argument, node, self.operand(node, lift=True))
-            self.operands[key] = partial(_once, step, next(self.slots)) if hoist else step
-        return self.operands[key]
 
 
 def _param(name, exact, env, ctx, cache):
@@ -427,15 +410,6 @@ def _divide(exact, num, den, env, ctx, cache):
     d = ctx.lift(den(env, ctx, cache))
     _div_check(d)
     return ctx.lift(n) / d
-
-
-def _exact_argument(node, lifted, env, ctx, cache):
-    if not ctx.exact:  # the exact regime never compiles the exact step
-        try:
-            return Fraction(_exact_step(node, "_exact", True)(env, ctx, cache))
-        except (EvalError, ArithmeticError):
-            pass  # an active jet, a constant, a name unbound, a pole: the lifted step decides
-    return lifted(env, ctx, cache)
 
 
 def _power(exact, indexed, exponent, base, env, ctx, cache):
@@ -545,26 +519,10 @@ def _factorial_free() -> int:
     return MAX_EXACT_BITS // (MAX_EXACT_BITS.bit_length() + 2)
 
 
-# the running atoms: (ctx, cache, slot, *arguments, count) -> value.  In a
-# float regime an exact Fraction argument is an a/b of rule 2 (see the
-# module docstring).
-
-def _ratio(x, ctx):
-    """An exact argument a/b as the integers (a, b) in a float regime (rule 2); else (x, 1)."""
-    if type(x) is Fraction and not ctx.exact:
-        return x.numerator, x.denominator
-    return x, 1
-
+# the running atoms: (ctx, cache, slot, *arguments, count) -> value
 
 def _poch(ctx, cache, slot, x, n):
-    a, b = _ratio(x, ctx)
-
-    def extend(p, i):  # p * (a + (i-1)*b) / b, each operation rounded
-        p = p * (a + (i - 1) * b)
-        return p if b == 1 else p / b
-
-    return _advance(cache, slot, (x,), n,
-                    partial(scalar_one, x) if a is x else partial(ctx.lift, 1), extend,
+    return _advance(cache, slot, (x,), n, partial(scalar_one, x), lambda p, i: p * (x + (i - 1)),
                     _poch_free if ctx.exact else None)
 
 
@@ -590,23 +548,7 @@ def _qint(ctx, cache, slot, q, n):
     return cache[slot](n)
 
 
-def _harm(order, ctx, cache, slot, n):
-    return _advance(cache, slot, (), n, partial(ctx.lift, 0),
-                    lambda s, i: s + ctx.from_fraction(Fraction(1, i ** order)))
-
-
 def _harmx(order, ctx, cache, slot, offset, n):
-    a, b = _ratio(offset, ctx)
-    if a is not offset:  # rule 2
-        num = b ** order
-
-        def extend(s, i):
-            if a + i * b == 0:
-                raise PoleInTermError("zero denominator factor")
-            return s + ctx.from_fraction(Fraction(num, (a + i * b) ** order))
-
-        return _advance(cache, slot, (offset,), n, partial(ctx.lift, 0), extend)
-
     def extend(s, i):
         d = int_pow(offset + i, order)
         _div_check(d)
@@ -698,6 +640,12 @@ def _validated(low, high, prec, what):
     return high.round_to(prec)
 
 
+def _no_geometric_tail(terms_budget):
+    return NonGeometricTailError(
+        f"no geometric tail bound within {terms_budget} terms "
+        f"(window of {WINDOW_TERMS} ratios <= {RATIO_CAP} after {WARMUP_TERMS} warm-up terms)")
+
+
 def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
     env, ctx = _numeric_env(bindings, active, work_prec)
     threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 4)), work_prec)
@@ -735,24 +683,320 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
                 if bound < threshold:
                     return total, TailBound(k, cap, bound), k + 1
         k += 1
-    raise NonGeometricTailError(
-        f"no geometric tail bound within {terms_budget} terms "
-        f"(window of {WINDOW_TERMS} ratios <= {RATIO_CAP} after {WARMUP_TERMS} warm-up terms)")
+    raise _no_geometric_tail(terms_budget)
+
+
+# ----------------------------------------------------- binary-split summation
+#
+# At rational bindings a term is analysed, from its AST, as
+#     t_k = c_k * (A_0(k) + sum_i A_i(k) * V_i(k)),  c_0 = 1,  c_(k+1) = c_k * P(k)/Q(k):
+# c_k from integer powers of poch, fact, dfactodd and c^(s*k+t), so P and Q
+# are products of linear factors; A_i rational functions; V_i = W_i - W_i(0)
+# for harm and harmx atoms W_i of count s*k+t.  Terms lo..hi-1 map (c, c*V_i,
+# S), S the sum of the terms before, to (R*c, R*(c*V_i + D_i*c), S + Y*c +
+# sum_i Z_i*c*V_i), R the product of their ratios, D_i the increment of V_i.
+# ``_join`` composes two ranges, for binary splitting (Haible and
+# Papanikolaou, ANTS-III 1998) in integers (p, q, f, e, y, z_i, d_i): R = p/q,
+# D_i = d_i/e, Z_i = z_i/(q*f), Y = y/(q*f*e), f and e the products of the
+# denominators of the A_i and of the D_i.
+
+SPLIT_MAX_BITS = 1 << 22  # a larger exact sum is left to the compiled path, linear in the terms
+_SPLIT_ATOMS = (dsl.Poch, dsl.Fact, dsl.DFactOdd, dsl.Harm, dsl.HarmX)
+_SPLIT_POWER = 16  # the largest count slope and |exponent| analysed
+_SPLIT_POINTS = 64  # analyses kept per term node and index
+
+
+class _NotSplit(Exception):
+    """The term is not of the analysed form at these bindings."""
+
+
+# polynomials in k: tuples of coefficients, lowest degree first, no trailing zero
+
+def _padd(f, g) -> tuple:
+    out = list(itertools.starmap(operator.add, itertools.zip_longest(f, g, fillvalue=0)))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _pmul(f, g) -> tuple:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _peval(f, k):
+    v = 0
+    for c in reversed(f):
+        v = v * k + c
+    return v
+
+
+def _expand(factors) -> tuple:  # the product of linear factors (alpha, beta): alpha*k + beta
+    return reduce(lambda f, ab: _pmul(f, ab[::-1] if ab[0] else ab[1:]), factors, (1,))
+
+
+def _integral(*polys) -> list:  # the polys times a common multiple of their denominators
+    scale = math.lcm(*(Fraction(c).denominator for f in polys for c in f))
+    return [tuple(int(c * scale) for c in f) for f in polys]
+
+
+# a subterm (c_k/c_0) * (sum of nums[key](k) * V_key(k)) / den(k): c_k advances by
+# the linear factors ``up`` over ``down``; key None stands for V = 1, the others
+# for weights (order, s, t, offset)
+_Part = NamedTuple("_Part", [("up", tuple), ("down", tuple), ("den", tuple), ("nums", dict)])
+
+
+def _constant(v) -> _Part:
+    return _Part((), (), (1,), {None: (v,) if v else ()})
+
+
+def _exact(node, env):
+    try:
+        return evaluate_expr(node, env, RationalContext())
+    except (EvalError, ArithmeticError):  # a pole, an unbound name, pi, ...
+        raise _NotSplit()
+
+
+def _part(node, index, env) -> _Part:
+    mentions = lambda n: index in dsl.parameters_of(n)  # noqa: E731
+    if not mentions(node):
+        return _constant(_exact(node, env))
+    kind = type(node)
+    if kind is dsl.Param:  # the index
+        return _Part((), (), (1,), {None: (0, 1)})
+    if kind is dsl.Neg:
+        return _times(_constant(-1), _part(node.operand, index, env))
+    if kind is dsl.Pow and mentions(node.exponent):  # c^(s*k + t)
+        c, (s, _) = Fraction(_exact(node.base, env)), _linear(node.exponent, index, env)
+        if c == 0 or _too_large(c, s, MAX_EXACT_BITS):
+            raise _NotSplit()
+        factor = ((0, c ** abs(s)),)
+        start = _constant(_exact(node, {**env, index: 0}))
+        return start._replace(up=factor) if s >= 0 else start._replace(down=factor)
+    if kind is dsl.Pow:
+        e, base = Fraction(_exact(node.exponent, env)), _part(node.base, index, env)
+        if e.denominator != 1 or not 0 < abs(e) <= _SPLIT_POWER or (e != 1 and len(base.nums) > 1):
+            raise _NotSplit()
+        return reduce(_times, [base if e > 0 else _inverse(base)] * abs(int(e)))
+    if kind in _SPLIT_ATOMS:
+        arg = getattr(node, "x", getattr(node, "offset", None))
+        x = Fraction(0 if arg is None else _exact(arg, env))
+        s, t = _linear(node.count, index, env)
+        if not 0 <= s <= _SPLIT_POWER or t < 0:
+            raise _NotSplit()
+        start = _constant(_exact(node, {**env, index: 0}))
+        if kind is dsl.Harm or kind is dsl.HarmX:
+            return start._replace(nums={**start.nums, (node.order, s, t, x): (1,)})
+        if kind is dsl.Poch:  # (x)_(n+s) / (x)_n, n = s*k + t
+            return start._replace(up=tuple((s, x + t + j) for j in range(s)))
+        if kind is dsl.Fact:
+            return start._replace(up=tuple((s, t + j) for j in range(1, s + 1)))
+        return start._replace(up=tuple((2 * s, 2 * (t + j) + 1) for j in range(1, s + 1)))
+    if kind not in _BINARY and kind is not dsl.Div:
+        raise _NotSplit()
+    left, right = _part(node.left, index, env), _part(node.right, index, env)
+    if kind is dsl.Mul or kind is dsl.Div:
+        return _times(left, right if kind is dsl.Mul else _inverse(right))
+    if _pmul(_expand(left.up), _expand(right.down)) != _pmul(_expand(right.up), _expand(left.down)):
+        raise _NotSplit()  # a sum of two hypergeometric parts
+    nums = {key: _padd(_pmul(left.nums.get(key, ()), right.den), _pmul(
+                _pmul(right.nums.get(key, ()), left.den), (1,) if kind is dsl.Add else (-1,)))
+            for key in left.nums.keys() | right.nums.keys()}
+    return left._replace(den=_pmul(left.den, right.den), nums=nums)
+
+
+def _times(left, right) -> _Part:
+    if len(left.nums) > 1:
+        left, right = right, left
+    if len(left.nums) > 1:
+        raise _NotSplit()  # a product of two weights
+    return _Part(left.up + right.up, left.down + right.down, _pmul(left.den, right.den),
+                 {key: _pmul(left.nums[None], v) for key, v in right.nums.items()})
+
+
+def _inverse(part) -> _Part:
+    if len(part.nums) > 1 or not part.nums[None]:
+        raise _NotSplit()  # a weight, or zero, in a denominator
+    return _Part(part.down, part.up, part.nums[None], {None: part.den})
+
+
+def _linear(node, index, env):
+    """The integers (s, t) of a count or exponent s*k + t."""
+    part = _part(node, index, env)
+    (t, s, *rest), den = part.nums[None] + (0, 0), part.den
+    if len(part.nums) > 1 or part.up or part.down or len(den) != 1 or any(rest) or (
+            t % den[0] or s % den[0]):
+        raise _NotSplit()
+    return int(s / den[0]), int(t / den[0])
+
+
+def _increment(order, s, t, x):
+    """(n, e): the increment sum_{j=1..s} 1/(x + s*k + t + j)^order of a
+    weight, as n(k)/e(k) in integer polynomials."""
+    u, v = x.numerator, x.denominator
+    n, e = (), (1,)
+    for j in range(1, s + 1):
+        power = reduce(_pmul, [(u + v * (t + j), v * s)] * order)
+        n, e = _padd(_pmul(n, power), _pmul(e, (v ** order,))), _pmul(e, power)
+    return n, e
+
+
+def _join(left, right):
+    """The range ``left`` followed by ``right``, and what the terms of
+    ``right`` add to its y."""
+    p1, q1, f1, e1, y1, z1, d1 = left
+    p2, q2, f2, e2, y2, z2, d2 = right
+    ahead = p1 * f1 * (y2 * e1 + e2 * sum(map(operator.mul, z2, d1)))
+    qf2, pf1 = q2 * f2, p1 * f1
+    return (p1 * p2, q1 * q2, f1 * f2, e1 * e2, y1 * qf2 * e2 + ahead,
+            [a * qf2 + pf1 * b for a, b in zip(z1, z2)],
+            [a * e2 + b * e1 for a, b in zip(d1, d2)]), ahead
+
+
+class _SplitTerm:
+    """A term of the analysed form: the integer polynomials ``P`` and ``Q``,
+    ``a`` = (a_0, ..., a_m) over ``b`` (A_i = a_i/b), and ``d`` = (d_1, ...,
+    d_m) over ``e`` (the increments D_i = d_i/e)."""
+
+    def __init__(self, spec, bindings):
+        # the index unbound, so an argument or a base that mentions it is not exact
+        part = _part(spec.term, spec.index, {n: v for n, v in bindings.items() if n != spec.index})
+        roots = [-Fraction(beta) / alpha for alpha, beta in part.up + part.down if alpha]
+        if any(root >= 0 and root.denominator == 1 for root in roots):
+            raise _NotSplit()  # c_k vanishes or has a pole from some k on
+        self.P, self.Q = _integral(_expand(part.up), _expand(part.down))
+        keys = [key for key in part.nums if key is not None]
+        self.b, *self.a = _integral(part.den, *(part.nums[key] for key in [None] + keys))
+        if not any(self.a):
+            raise _NotSplit()  # the zero term: its tail is the compiled path's
+        self.e, self.d = (1,), []
+        for n, e in (_increment(*key) for key in keys):
+            self.d = [_pmul(d, e) for d in self.d] + [_pmul(n, self.e)]
+            self.e = _pmul(self.e, e)
+
+    def stopping_index(self, prec, terms_budget):
+        """The index K where ``_sum_infinite_once`` stops, from |t_k| at low
+        precision; None when a decision is within 2^-32 of its threshold, a
+        term vanishes after the warm-up or cancels to 2^-32 of its parts, a
+        denominator vanishes: the compiled path decides those."""
+        mul, mul_int, div, add, lt, from_int, zero = (
+            libmp.mpf_mul, libmp.mpf_mul_int, libmp.mpf_div, libmp.mpf_add, libmp.mpf_lt,
+            libmp.from_int, libmp.fzero)
+        wp, threshold = 96 + 2 * terms_budget.bit_length(), libmp.from_man_exp(1, -prec - 4)
+
+        def near(x, y):  # x within 2^-32 * y of y > 0
+            return libmp.mpf_le(libmp.mpf_abs(libmp.mpf_sub(x, y)), libmp.mpf_shift(y, -32))
+
+        c, v, last, capped_run = from_int(1), [zero] * len(self.d), None, 0
+        for k in range(terms_budget + 1):
+            e, b = _peval(self.e, k - 1) if k else 1, _peval(self.b, k)
+            if e == 0 or b == 0:
+                return None  # a pole
+            if k:
+                c = div(mul_int(c, _peval(self.P, k - 1), wp), from_int(_peval(self.Q, k - 1)), wp)
+                v = [add(x, libmp.from_rational(_peval(d, k - 1), e, wp, _RND), wp)
+                     for x, d in zip(v, self.d)]
+            a0, *a = (_peval(f, k) for f in self.a)
+            mag = num = absum = zero
+            if a0 or k and any(a):  # else t_k = 0, as V_i(0) = 0
+                for x in [from_int(a0)] + [mul_int(x, ai, wp) for ai, x in zip(a, v)]:
+                    num, absum = add(num, x, wp), add(absum, libmp.mpf_abs(x), wp)
+                if libmp.mpf_le(libmp.mpf_abs(num), libmp.mpf_shift(absum, -32)):
+                    return None
+                mag = libmp.mpf_abs(div(mul(c, num, wp), from_int(b), wp))
+            if last is not None:  # 64*|t_k| <= 63*|t_(k-1)|, as last is 0 or not
+                x = mul_int(mag, RATIO_CAP.denominator, wp)
+                y = mul_int(last, RATIO_CAP.numerator, wp)
+                if mag != zero and last != zero and near(x, y):
+                    return None
+                capped_run = capped_run + 1 if last != zero and not lt(y, x) else 0
+            last = mag
+            if k >= WARMUP_TERMS and (mag == zero or capped_run >= WINDOW_TERMS):
+                bound = mul_int(mag, TAIL_FACTOR, wp)
+                if mag == zero or near(bound, threshold):
+                    return None  # zero tails, too, are the compiled path's
+                if lt(bound, threshold):
+                    return k
+        raise _no_geometric_tail(terms_budget)
+
+    def _leaf(self, k):
+        q, e = _peval(self.Q, k), _peval(self.e, k)
+        a0, *a = (_peval(f, k) for f in self.a)
+        return (_peval(self.P, k), q, _peval(self.b, k), e, a0 * q * e,
+                [ai * q for ai in a], [_peval(d, k) for d in self.d])
+
+    def _range(self, lo, hi):
+        if hi - lo <= 1:  # one term, or none
+            return self._leaf(lo) if hi > lo else (1, 1, 1, 1, 0, *[[0] * len(self.d)] * 2)
+        return _join(self._range(lo, (lo + hi) // 2), self._range((lo + hi) // 2, hi))[0]
+
+    def partial_sum(self, n):
+        """(s, t, den): t_0 + ... + t_n = s/den and t_n = t/den, exactly."""
+        (_, q, f, e, y, _, _), last = _join(self._range(0, n), self._leaf(n))
+        return y, last, q * f * e
+
+
+def _analysed(spec, bindings) -> Optional[_SplitTerm]:
+    """The analysed term of ``spec`` at ``bindings``, or None; kept on the term
+    node per index and per point (the values of the parameters it names)."""
+    memo = spec.term.__dict__.setdefault("_split", {})  # the AST is immutable
+    if spec.index not in memo:
+        memo[spec.index] = (sorted(dsl.parameters_of(spec)), {})
+    names, points = memo[spec.index]
+    point = tuple(bindings.get(name) for name in names)
+    if "q" in names or any(type(v) not in (int, Fraction) for v in point):
+        return None  # q-series, jets and other values that are not rational
+    if point not in points:
+        if len(points) >= _SPLIT_POINTS:
+            points.clear()
+        try:
+            points[point] = _SplitTerm(spec, bindings)
+        except _NotSplit:
+            points[point] = None
+    return points[point]
+
+
+def _split_sum(spec, bindings, prec, terms_budget):
+    """The sum over the compiled path's terms 0..K, exact and rounded once,
+    with its tail bound from the exact t_K; None to leave it to that path."""
+    term = _analysed(spec, bindings)
+    if term is None:
+        return None
+    P, Q = term.P, term.Q
+    if len(P) > len(Q) or len(P) == len(Q) and abs(P[-1]) >= abs(Q[-1]):
+        limit = f"tends to {Fraction(P[-1], Q[-1])}" if len(P) == len(Q) else "grows without bound"
+        raise NonGeometricTailError(f"the term ratio {limit}: no geometric tail bound")
+    k = term.stopping_index(prec, terms_budget)
+    if k is None or (k + 1) * sum(abs(_peval(f, k)).bit_length()
+                                  for f in (P, Q, term.b, term.e)) > SPLIT_MAX_BITS:
+        return None
+    total, last, den = term.partial_sum(k)
+    value = HighPrecision(libmp.from_rational(total, den, prec, _RND), prec)
+    bound = libmp.from_rational(TAIL_FACTOR * abs(last), abs(den), prec, _RND)
+    return (value, TailBound(k, HighPrecision.from_fraction(RATIO_CAP, prec),
+                             HighPrecision(bound, prec)), k + 1)
 
 
 def sum_infinite(spec: dsl.SeriesSpec, bindings: dict, prec: int, *,
                  active: Optional[str] = None,
                  terms_budget: int = DEFAULT_TERMS_BUDGET) -> Tuple[Scalar, TailBound, int]:
-    """Sum an infinite series to ``prec`` bits with a validated tail bound.
+    """Sum an infinite series to ``prec`` bits with a tail bound.
 
-    Returns ``(value, tail_bound, terms_used)``.  The series is summed
-    twice, ``_validated`` checks the two runs and rounds the value, and the
+    Returns ``(value, tail_bound, terms_used)``.  A term of the split form
+    is summed by ``_split_sum``.  Any other is summed twice by its term
+    program, ``_validated`` checks the two runs and rounds the value, and the
     tail bound is the higher run's.  When ``active`` names a binding, that
     parameter is lifted to a jet and the sum is carried out in the
     jet-over-HighPrecision regime.
     """
     if spec.terminating:
         raise EvalError("sum_infinite requires an infinite upper bound")
+    split = None if active is not None else _split_sum(spec, bindings, prec, terms_budget)
+    if split is not None:
+        return split
     low, _, _ = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS,
                                    active, terms_budget)
     high, tail, terms = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS + 32,

@@ -5,8 +5,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from mpmath import libmp
+
+from hyperq.scalars import HighPrecision
 
 CLI = [sys.executable, "-m", "hyperq"]
 
@@ -46,6 +50,21 @@ class TestExitCodes:
     def test_convergence_error_is_three(self):
         out = run_cli("eval", "sum k=0..inf : 1/(k+1)^2", "--terms-budget", "2000")
         assert out.returncode == 3
+
+    def test_divergent_series_is_three(self):
+        # the term ratio 2(k+1)/(k+1000) passes 1 only at k = 999
+        out = run_cli("eval", "sum k=0..inf : poch(1,k)*2^k/poch(1000,k)")
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        assert "NonGeometricTailError" in out.stderr
+
+    def test_cancelling_series_keeps_its_digits(self):
+        out = run_cli("eval", "sum k=0..inf : (-100)^k/fact(k)", "--digits", "30")
+        assert out.returncode == 0
+        exp = HighPrecision(libmp.mpf_exp(libmp.from_int(-100), 400, "n"), 400)
+        value = Fraction(out.stdout.splitlines()[0])
+        assert abs(value - exp.to_fraction()) < Fraction(1, 10 ** 30)
 
     def _assert_domain_error(self, out):
         assert out.returncode == 2

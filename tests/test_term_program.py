@@ -126,17 +126,6 @@ def _mentions(node, index):
         _mentions(child, index) for _, child in dsl.children(node))
 
 
-def _argument(node, env, ctx, cache):
-    """An atom's argument: lifted, or in a float regime, when it does not
-    mention the index and has an exact value a/b, that Fraction."""
-    if not ctx.exact and not _mentions(node, cache.get("index")):
-        try:
-            return F(_walk_exact(node, env))
-        except (EvalError, ArithmeticError):
-            pass
-    return ctx.lift(_walk(node, env, ctx, cache))
-
-
 def _too_large(base, e, limit):
     """Whether base^e is exact and of more than ``limit`` bits."""
     value = base.value if isinstance(base, Jet2) else base
@@ -183,17 +172,12 @@ def _walk(node, env, ctx, cache):
        their integer factor; an integer base whose exponent mentions the
        index is lifted before it is raised; ``harm(l,k)`` starts from
        ``ctx.lift(0)`` and adds ``ctx.from_fraction(1/i^l)``.
-    2. An argument of ``poch`` or an offset of ``harmx`` that does not
-       mention the index and evaluates exactly to a/b is that Fraction:
-       ``poch`` starts from ``ctx.lift(1)`` and steps p*(a+(i-1)*b)/b (no
-       division when b = 1), and ``harmx`` starts from ``ctx.lift(0)`` and
-       adds ``ctx.from_fraction(b^l/(a+i*b)^l)``, a pole when a+i*b == 0.
-    3. An integer base whose exact power would exceed ``MAX_EXACT_BITS``
+    2. An integer base whose exact power would exceed ``MAX_EXACT_BITS``
        bits is lifted before it is raised.  A float power, of a lifted or a
        float base, that would pass 2^``MAX_FLOAT_BITS`` in magnitude is
        refused.
 
-    Each p*f/d above is two operations, each rounded.  In every regime
+    In every regime
     ``qpoch`` keeps (p, x*q^(s*j)) and steps to (p*(1-x*q^(s*j)),
     x*q^(s*j)*q^s); the exact regime runs the plain recurrences of the
     other atoms, and refuses an exact power of more than ``MAX_EXACT_BITS``
@@ -237,13 +221,8 @@ def _walk(node, env, ctx, cache):
         except ZeroDivisionError:
             raise PoleInTermError("zero base with negative exponent")
     if isinstance(node, dsl.Poch):
-        x = _argument(node.x, env, ctx, cache)
+        x = ctx.lift(_walk(node.x, env, ctx, cache))
         n = _walk_count(node, env)
-        if isinstance(x, F) and not ctx.exact:
-            a, b = x.numerator, x.denominator
-            return _incremental(cache, (id(node), x), n, ctx.lift(1),
-                                lambda p, i: p * (a + (i - 1) * b) / b if b != 1
-                                else p * (a + (i - 1)))
         return _incremental(cache, (id(node), x), n, scalar_one(x),
                             _bounded(ctx, lambda p, i: p * (x + (i - 1))))
     if isinstance(node, dsl.QPoch):
@@ -273,17 +252,8 @@ def _walk(node, env, ctx, cache):
         return _incremental(cache, (id(node),), n, ctx.lift(0),
                             lambda s, i: s + ctx.from_fraction(F(1, i ** node.order)))
     if isinstance(node, dsl.HarmX):
-        offset = _argument(node.offset, env, ctx, cache)
+        offset = ctx.lift(_walk(node.offset, env, ctx, cache))
         n = _walk_count(node, env)
-        if isinstance(offset, F) and not ctx.exact:
-            a, b, order = offset.numerator, offset.denominator, node.order
-
-            def extend_small(s, i):
-                if a + i * b == 0:
-                    raise PoleInTermError("zero denominator factor")
-                return s + ctx.from_fraction(F(b ** order, (a + i * b) ** order))
-
-            return _incremental(cache, (id(node), offset), n, ctx.lift(0), extend_small)
 
         def extend(s, i):
             d = int_pow(offset + i, node.order)
