@@ -830,7 +830,7 @@ def _linear(node, index, env):
     if len(part.nums) > 1 or part.up or part.down or len(den) != 1 or any(rest) or (
             t % den[0] or s % den[0]):
         raise _NotSplit()
-    return int(s / den[0]), int(t / den[0])
+    return int(s // den[0]), int(t // den[0])
 
 
 def _increment(order, s, t, x):
