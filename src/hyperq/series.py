@@ -37,7 +37,7 @@ per small-integer factor plus a few p-bit products, whatever its index:
 
 1. ``fact`` and ``dfactodd`` start from a float 1; an int base under an
    index-dependent exponent (``4^k``) is lifted before it is raised;
-   ``harm`` adds each 1/i^l, rounded, to a running float sum.
+   ``harm(l,m)`` runs as ``harmx(l,m,0)``.
 2. An int power too large to build exactly (more than ``MAX_EXACT_BITS``
    bits) is raised at working precision instead.  Every float power, of a
    lifted int or a float base, is refused past a binary exponent of
@@ -640,38 +640,30 @@ def _validated(low, high, prec, what):
     return high.round_to(prec)
 
 
-def _no_geometric_tail(terms_budget):
-    return NonGeometricTailError(
-        f"no geometric tail bound within {terms_budget} terms "
-        f"(window of {WINDOW_TERMS} ratios <= {RATIO_CAP} after {WARMUP_TERMS} warm-up terms)")
+def _stopping_index(magnitudes, threshold, terms_budget, check=None):
+    """The stopping rule, on the stream ``magnitudes`` of |t_0|, |t_1|, ...
+    (HighPrecision, at the precision of ``threshold`` = 2^(-prec-4)).
 
-
-def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
-    env, ctx = _numeric_env(bindings, active, work_prec)
-    threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 4)), work_prec)
-    cap = HighPrecision.from_fraction(RATIO_CAP, work_prec)
-    cache = {_INDEX: spec.index}
+    Returns (K, 63*|t_K|) for the first K >= WARMUP_TERMS that ends a run of
+    WINDOW_TERMS ratios with 64*|t_k| <= 63*|t_(k-1)| and has 63*|t_K| below
+    the threshold, or (K, 0) after 4*WINDOW_TERMS zero terms past the warm-up.
+    ``check(x, y)`` sees both sides of each comparison of nonzero values first.
+    """
     capped_run = 0  # consecutive trailing term ratios at or below the cap
-    total = None
-    last_mag = None
-    zero_run = 0
-    k = 0
-    while k <= terms_budget:
-        env[spec.index] = k
-        t = evaluate_expr(spec.term, env, ctx, cache)
-        total = t if total is None else total + t
-        mag = _norm(t, work_prec)
-        if last_mag is not None:
-            capped = not last_mag.is_zero() and mag.scaled_le(
-                RATIO_CAP.denominator, last_mag, RATIO_CAP.numerator)
+    last, zero_run = None, 0
+    for k, mag in zip(range(terms_budget + 1), magnitudes):
+        if last is not None:
+            if check and not (mag.is_zero() or last.is_zero()):
+                check(mag * RATIO_CAP.denominator, last * RATIO_CAP.numerator)
+            capped = not last.is_zero() and mag.scaled_le(
+                RATIO_CAP.denominator, last, RATIO_CAP.numerator)
             capped_run = capped_run + 1 if capped else 0
-        last_mag = mag
+        last = mag
         if mag.is_zero():
             zero_run += 1
             if zero_run >= 4 * WINDOW_TERMS and k >= WARMUP_TERMS:
                 # a vanished factor persists for all larger k: the tail is zero
-                zero = HighPrecision.from_int(0, work_prec)
-                return total, TailBound(k, zero, zero), k + 1
+                return k, mag
         else:
             zero_run = 0
             if k >= WARMUP_TERMS and capped_run >= WINDOW_TERMS:
@@ -680,10 +672,32 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
                 # toward their limit; the cap is an empirical rule too, false
                 # for a series whose ratios pass 1 only after the window
                 bound = mag * TAIL_FACTOR
+                if check:
+                    check(bound, threshold)
                 if bound < threshold:
-                    return total, TailBound(k, cap, bound), k + 1
-        k += 1
-    raise _no_geometric_tail(terms_budget)
+                    return k, bound
+    raise NonGeometricTailError(
+        f"no geometric tail bound within {terms_budget} terms "
+        f"(window of {WINDOW_TERMS} ratios <= {RATIO_CAP} after {WARMUP_TERMS} warm-up terms)")
+
+
+def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
+    env, ctx = _numeric_env(bindings, active, work_prec)
+    cache = {_INDEX: spec.index}
+    total = None
+
+    def magnitudes():
+        nonlocal total
+        for k in itertools.count():
+            env[spec.index] = k
+            t = evaluate_expr(spec.term, env, ctx, cache)
+            total = t if total is None else total + t
+            yield _norm(t, work_prec)
+
+    threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 4)), work_prec)
+    k, bound = _stopping_index(magnitudes(), threshold, terms_budget)
+    ratio = bound if bound.is_zero() else HighPrecision.from_fraction(RATIO_CAP, work_prec)
+    return total, TailBound(k, ratio, bound), k + 1
 
 
 # ----------------------------------------------------- binary-split summation
@@ -700,10 +714,8 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
 # D_i = d_i/e, Z_i = z_i/(q*f), Y = y/(q*f*e), f and e the products of the
 # denominators of the A_i and of the D_i.
 
-SPLIT_MAX_BITS = 1 << 22  # a larger exact sum is left to the compiled path, linear in the terms
 _SPLIT_ATOMS = (dsl.Poch, dsl.Fact, dsl.DFactOdd, dsl.Harm, dsl.HarmX)
 _SPLIT_POWER = 16  # the largest count slope and |exponent| analysed
-_SPLIT_POINTS = 64  # analyses kept per term node and index
 
 
 class _NotSplit(Exception):
@@ -760,21 +772,21 @@ def _exact(node, env):
         raise _NotSplit()
 
 
-def _part(node, index, env) -> _Part:
-    mentions = lambda n: index in dsl.parameters_of(n)  # noqa: E731
-    if not mentions(node):
+def _part(node, index: _Compiler, env) -> _Part:
+    """The subterm ``node``; ``index.depends`` tells which nodes mention the index."""
+    if not index.depends(node):
         return _constant(_exact(node, env))
     kind = type(node)
     if kind is dsl.Param:  # the index
         return _Part((), (), (1,), {None: (0, 1)})
     if kind is dsl.Neg:
         return _times(_constant(-1), _part(node.operand, index, env))
-    if kind is dsl.Pow and mentions(node.exponent):  # c^(s*k + t)
+    if kind is dsl.Pow and index.depends(node.exponent):  # c^(s*k + t)
         c, (s, _) = Fraction(_exact(node.base, env)), _linear(node.exponent, index, env)
         if c == 0 or _too_large(c, s, MAX_EXACT_BITS):
             raise _NotSplit()
         factor = ((0, c ** abs(s)),)
-        start = _constant(_exact(node, {**env, index: 0}))
+        start = _constant(_exact(node, {**env, index.index: 0}))
         return start._replace(up=factor) if s >= 0 else start._replace(down=factor)
     if kind is dsl.Pow:
         e, base = Fraction(_exact(node.exponent, env)), _part(node.base, index, env)
@@ -787,7 +799,7 @@ def _part(node, index, env) -> _Part:
         s, t = _linear(node.count, index, env)
         if not 0 <= s <= _SPLIT_POWER or t < 0:
             raise _NotSplit()
-        start = _constant(_exact(node, {**env, index: 0}))
+        start = _constant(_exact(node, {**env, index.index: 0}))
         if kind is dsl.Harm or kind is dsl.HarmX:
             return start._replace(nums={**start.nums, (node.order, s, t, x): (1,)})
         if kind is dsl.Poch:  # (x)_(n+s) / (x)_n, n = s*k + t
@@ -802,10 +814,19 @@ def _part(node, index, env) -> _Part:
         return _times(left, right if kind is dsl.Mul else _inverse(right))
     if _pmul(_expand(left.up), _expand(right.down)) != _pmul(_expand(right.up), _expand(left.down)):
         raise _NotSplit()  # a sum of two hypergeometric parts
+    _no_roots(right.up + right.down)  # the sum keeps only the left operand's factors
     nums = {key: _padd(_pmul(left.nums.get(key, ()), right.den), _pmul(
                 _pmul(right.nums.get(key, ()), left.den), (1,) if kind is dsl.Add else (-1,)))
             for key in left.nums.keys() | right.nums.keys()}
     return left._replace(den=_pmul(left.den, right.den), nums=nums)
+
+
+def _no_roots(factors):
+    """Refuse linear factors (alpha, beta) with a root at an integer k >= 0:
+    from there on c_k vanishes or has a pole."""
+    roots = (-Fraction(beta) / alpha for alpha, beta in factors if alpha)
+    if any(root >= 0 and root.denominator == 1 for root in roots):
+        raise _NotSplit()
 
 
 def _times(left, right) -> _Part:
@@ -863,10 +884,9 @@ class _SplitTerm:
 
     def __init__(self, spec, bindings):
         # the index unbound, so an argument or a base that mentions it is not exact
-        part = _part(spec.term, spec.index, {n: v for n, v in bindings.items() if n != spec.index})
-        roots = [-Fraction(beta) / alpha for alpha, beta in part.up + part.down if alpha]
-        if any(root >= 0 and root.denominator == 1 for root in roots):
-            raise _NotSplit()  # c_k vanishes or has a pole from some k on
+        part = _part(spec.term, _Compiler(spec.index),
+                     {n: v for n, v in bindings.items() if n != spec.index})
+        _no_roots(part.up + part.down)
         self.P, self.Q = _integral(_expand(part.up), _expand(part.down))
         keys = [key for key in part.nums if key is not None]
         self.b, *self.a = _integral(part.den, *(part.nums[key] for key in [None] + keys))
@@ -877,24 +897,19 @@ class _SplitTerm:
             self.d = [_pmul(d, e) for d in self.d] + [_pmul(n, self.e)]
             self.e = _pmul(self.e, e)
 
-    def stopping_index(self, prec, terms_budget):
-        """The index K where ``_sum_infinite_once`` stops, from |t_k| at low
-        precision; None when a decision is within 2^-32 of its threshold, a
-        term vanishes after the warm-up or cancels to 2^-32 of its parts, a
-        denominator vanishes: the compiled path decides those."""
-        mul, mul_int, div, add, lt, from_int, zero = (
-            libmp.mpf_mul, libmp.mpf_mul_int, libmp.mpf_div, libmp.mpf_add, libmp.mpf_lt,
-            libmp.from_int, libmp.fzero)
-        wp, threshold = 96 + 2 * terms_budget.bit_length(), libmp.from_man_exp(1, -prec - 4)
-
-        def near(x, y):  # x within 2^-32 * y of y > 0
-            return libmp.mpf_le(libmp.mpf_abs(libmp.mpf_sub(x, y)), libmp.mpf_shift(y, -32))
-
-        c, v, last, capped_run = from_int(1), [zero] * len(self.d), None, 0
-        for k in range(terms_budget + 1):
+    def magnitudes(self, wp):
+        """|t_0|, |t_1|, ... at ``wp`` bits, from the analysed leaves.  Raises
+        _NotSplit where the compiled path must decide: at a zero denominator
+        (it raises PoleInTermError at the same k), at a term that cancels to
+        2^-32 of its parts, and at a zero term past the warm-up."""
+        mul, mul_int, div, add, from_int, zero = (
+            libmp.mpf_mul, libmp.mpf_mul_int, libmp.mpf_div, libmp.mpf_add, libmp.from_int,
+            libmp.fzero)
+        c, v = from_int(1), [zero] * len(self.d)
+        for k in itertools.count():
             e, b = _peval(self.e, k - 1) if k else 1, _peval(self.b, k)
             if e == 0 or b == 0:
-                return None  # a pole
+                raise _NotSplit()  # a pole
             if k:
                 c = div(mul_int(c, _peval(self.P, k - 1), wp), from_int(_peval(self.Q, k - 1)), wp)
                 v = [add(x, libmp.from_rational(_peval(d, k - 1), e, wp, _RND), wp)
@@ -905,22 +920,11 @@ class _SplitTerm:
                 for x in [from_int(a0)] + [mul_int(x, ai, wp) for ai, x in zip(a, v)]:
                     num, absum = add(num, x, wp), add(absum, libmp.mpf_abs(x), wp)
                 if libmp.mpf_le(libmp.mpf_abs(num), libmp.mpf_shift(absum, -32)):
-                    return None
+                    raise _NotSplit()
                 mag = libmp.mpf_abs(div(mul(c, num, wp), from_int(b), wp))
-            if last is not None:  # 64*|t_k| <= 63*|t_(k-1)|, as last is 0 or not
-                x = mul_int(mag, RATIO_CAP.denominator, wp)
-                y = mul_int(last, RATIO_CAP.numerator, wp)
-                if mag != zero and last != zero and near(x, y):
-                    return None
-                capped_run = capped_run + 1 if last != zero and not lt(y, x) else 0
-            last = mag
-            if k >= WARMUP_TERMS and (mag == zero or capped_run >= WINDOW_TERMS):
-                bound = mul_int(mag, TAIL_FACTOR, wp)
-                if mag == zero or near(bound, threshold):
-                    return None  # zero tails, too, are the compiled path's
-                if lt(bound, threshold):
-                    return k
-        raise _no_geometric_tail(terms_budget)
+            elif k >= WARMUP_TERMS:
+                raise _NotSplit()  # zero tails, too, are the compiled path's
+            yield HighPrecision(mag, wp)
 
     def _leaf(self, k):
         q, e = _peval(self.Q, k), _peval(self.e, k)
@@ -940,23 +944,21 @@ class _SplitTerm:
 
 
 def _analysed(spec, bindings) -> Optional[_SplitTerm]:
-    """The analysed term of ``spec`` at ``bindings``, or None; kept on the term
-    node per index and per point (the values of the parameters it names)."""
-    memo = spec.term.__dict__.setdefault("_split", {})  # the AST is immutable
-    if spec.index not in memo:
-        memo[spec.index] = (sorted(dsl.parameters_of(spec)), {})
-    names, points = memo[spec.index]
-    point = tuple(bindings.get(name) for name in names)
-    if "q" in names or any(type(v) not in (int, Fraction) for v in point):
+    """The analysed term of ``spec`` at ``bindings``, or None."""
+    names = dsl.parameters_of(spec)
+    if "q" in names or any(type(bindings.get(name)) not in (int, Fraction) for name in names):
         return None  # q-series, jets and other values that are not rational
-    if point not in points:
-        if len(points) >= _SPLIT_POINTS:
-            points.clear()
-        try:
-            points[point] = _SplitTerm(spec, bindings)
-        except _NotSplit:
-            points[point] = None
-    return points[point]
+    try:
+        return _SplitTerm(spec, bindings)
+    except _NotSplit:
+        return None
+
+
+def _decidable(x, y):
+    """Refuse x within 2^-32*y of y > 0: too close to decide from the split
+    path's approximate magnitudes."""
+    if libmp.mpf_le(libmp.mpf_abs(libmp.mpf_sub(x.raw, y.raw)), libmp.mpf_shift(y.raw, -32)):
+        raise _NotSplit()
 
 
 def _split_sum(spec, bindings, prec, terms_budget):
@@ -969,9 +971,11 @@ def _split_sum(spec, bindings, prec, terms_budget):
     if len(P) > len(Q) or len(P) == len(Q) and abs(P[-1]) >= abs(Q[-1]):
         limit = f"tends to {Fraction(P[-1], Q[-1])}" if len(P) == len(Q) else "grows without bound"
         raise NonGeometricTailError(f"the term ratio {limit}: no geometric tail bound")
-    k = term.stopping_index(prec, terms_budget)
-    if k is None or (k + 1) * sum(abs(_peval(f, k)).bit_length()
-                                  for f in (P, Q, term.b, term.e)) > SPLIT_MAX_BITS:
+    wp = 96 + 2 * terms_budget.bit_length()
+    threshold = HighPrecision(libmp.from_man_exp(1, -prec - 4), wp)
+    try:
+        k, _ = _stopping_index(term.magnitudes(wp), threshold, terms_budget, _decidable)
+    except _NotSplit:
         return None
     total, last, den = term.partial_sum(k)
     value = HighPrecision(libmp.from_rational(total, den, prec, _RND), prec)

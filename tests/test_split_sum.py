@@ -112,6 +112,7 @@ class TestAnalysis:
         "sum k=0..inf : poch(-3,k)/fact(k)",          # a root of P at k = 3
         "sum k=0..inf : 1/(poch(-2,k)*3^k)",          # a root of Q: a pole at k = 3
         "sum k=0..inf : 1/2^k + 1/3^k",               # two hypergeometric parts
+        "sum k=0..inf : 1/2^k + poch(-2,k)/(poch(-2,k)*2^k)",  # 0/0 at k = 3 on the right
         "sum k=0..inf : pi/2^k",                      # a constant that is not rational
         "sum k=0..inf : poch(1/2,k)/(x*fact(k)*2^k)", # a pole in an index-free part
         "sum k=0..inf : poch(1/2,k*k)/fact(k)",       # a count not linear in k
@@ -130,12 +131,6 @@ class TestAnalysis:
         spec = RECORDS["H1"].lhs  # harm(2,0) = 0
         assert evaluate_expr(spec.term, {"k": 0}, RationalContext()) == 0
         assert _split_sum(spec, {}, 200, 10 ** 6) is not None
-
-    def test_analysis_is_kept_on_the_node(self):
-        spec = dsl.parse_series_spec("sum k=0..inf : poch(x,k)/fact(k)/2^k")
-        first = _analysed(spec, {"x": F(1, 3)})
-        assert _analysed(spec, {"x": F(1, 3), "y": 5}) is first
-        assert _analysed(spec, {"x": F(1, 5)}) is not first
 
 
 # ------------------------------------------------------------------- laws

@@ -170,8 +170,9 @@ def _walk(node, env, ctx, cache):
 
     1. ``fact`` and ``dfactodd`` start from ``ctx.lift(1)`` and multiply by
        their integer factor; an integer base whose exponent mentions the
-       index is lifted before it is raised; ``harm(l,k)`` starts from
-       ``ctx.lift(0)`` and adds ``ctx.from_fraction(1/i^l)``.
+       index is lifted before it is raised; ``harm(l,k)`` is
+       ``harmx(l,k,0)``: it adds 1/(0+i)^l, with i^l and the quotient each
+       rounded.
     2. An integer base whose exact power would exceed ``MAX_EXACT_BITS``
        bits is lifted before it is raised.  A float power, of a lifted or a
        float base, that would pass 2^``MAX_FLOAT_BITS`` in magnitude is
@@ -247,12 +248,8 @@ def _walk(node, env, ctx, cache):
     if isinstance(node, dsl.QInt):
         q = _ambient_q(env, ctx)
         return _q_integers(cache, (id(node), q), q)(_walk_count(node, env))
-    if isinstance(node, dsl.Harm):
-        n = _walk_count(node, env)
-        return _incremental(cache, (id(node),), n, ctx.lift(0),
-                            lambda s, i: s + ctx.from_fraction(F(1, i ** node.order)))
-    if isinstance(node, dsl.HarmX):
-        offset = ctx.lift(_walk(node.offset, env, ctx, cache))
+    if isinstance(node, (dsl.Harm, dsl.HarmX)):
+        offset = ctx.lift(_walk(getattr(node, "offset", dsl.Num(0)), env, ctx, cache))
         n = _walk_count(node, env)
 
         def extend(s, i):
@@ -534,6 +531,13 @@ def test_factorial_regime():
     exact = evaluate_expr(node, env, RationalContext(), {"index": "k"})
     assert type(exact) is int and exact == math.factorial(2000)
     assert abs(value.to_fraction() / exact - 1) <= F(2000, 2 ** 128)
+
+
+def test_harm_past_the_working_precision():
+    # at 8 bits i^3 is rounded from i = 7 on, and 1/i^3 a second time
+    spec = dsl.parse_series_spec("sum k=0..n : harm(3,7*k)")
+    env, ctx = {"n": 20}, FloatContext(8)
+    _assert_same(sum_terminating(spec, env, ctx), _walk_sum(spec, env, _fresh(ctx)))
 
 
 # ------------------------------------------------------------ regressions
