@@ -772,34 +772,34 @@ def _exact(node, env):
         raise _NotSplit()
 
 
-def _part(node, index: _Compiler, env) -> _Part:
-    """The subterm ``node``; ``index.depends`` tells which nodes mention the index."""
-    if not index.depends(node):
+def _part(node, compiler: _Compiler, env) -> _Part:
+    """The subterm ``node``; ``compiler.depends`` tells which nodes mention the index."""
+    if not compiler.depends(node):
         return _constant(_exact(node, env))
     kind = type(node)
     if kind is dsl.Param:  # the index
         return _Part((), (), (1,), {None: (0, 1)})
     if kind is dsl.Neg:
-        return _times(_constant(-1), _part(node.operand, index, env))
-    if kind is dsl.Pow and index.depends(node.exponent):  # c^(s*k + t)
-        c, (s, _) = Fraction(_exact(node.base, env)), _linear(node.exponent, index, env)
+        return _times(_constant(-1), _part(node.operand, compiler, env))
+    if kind is dsl.Pow and compiler.depends(node.exponent):  # c^(s*k + t)
+        c, (s, _) = Fraction(_exact(node.base, env)), _linear(node.exponent, compiler, env)
         if c == 0 or _too_large(c, s, MAX_EXACT_BITS):
             raise _NotSplit()
         factor = ((0, c ** abs(s)),)
-        start = _constant(_exact(node, {**env, index.index: 0}))
+        start = _constant(_exact(node, {**env, compiler.index: 0}))
         return start._replace(up=factor) if s >= 0 else start._replace(down=factor)
     if kind is dsl.Pow:
-        e, base = Fraction(_exact(node.exponent, env)), _part(node.base, index, env)
+        e, base = Fraction(_exact(node.exponent, env)), _part(node.base, compiler, env)
         if e.denominator != 1 or not 0 < abs(e) <= _SPLIT_POWER or (e != 1 and len(base.nums) > 1):
             raise _NotSplit()
         return reduce(_times, [base if e > 0 else _inverse(base)] * abs(int(e)))
     if kind in _SPLIT_ATOMS:
         arg = getattr(node, "x", getattr(node, "offset", None))
         x = Fraction(0 if arg is None else _exact(arg, env))
-        s, t = _linear(node.count, index, env)
+        s, t = _linear(node.count, compiler, env)
         if not 0 <= s <= _SPLIT_POWER or t < 0:
             raise _NotSplit()
-        start = _constant(_exact(node, {**env, index.index: 0}))
+        start = _constant(_exact(node, {**env, compiler.index: 0}))
         if kind is dsl.Harm or kind is dsl.HarmX:
             return start._replace(nums={**start.nums, (node.order, s, t, x): (1,)})
         if kind is dsl.Poch:  # (x)_(n+s) / (x)_n, n = s*k + t
@@ -809,7 +809,7 @@ def _part(node, index: _Compiler, env) -> _Part:
         return start._replace(up=tuple((2 * s, 2 * (t + j) + 1) for j in range(1, s + 1)))
     if kind not in _BINARY and kind is not dsl.Div:
         raise _NotSplit()
-    left, right = _part(node.left, index, env), _part(node.right, index, env)
+    left, right = _part(node.left, compiler, env), _part(node.right, compiler, env)
     if kind is dsl.Mul or kind is dsl.Div:
         return _times(left, right if kind is dsl.Mul else _inverse(right))
     if _pmul(_expand(left.up), _expand(right.down)) != _pmul(_expand(right.up), _expand(left.down)):
@@ -844,9 +844,9 @@ def _inverse(part) -> _Part:
     return _Part(part.down, part.up, part.nums[None], {None: part.den})
 
 
-def _linear(node, index, env):
+def _linear(node, compiler, env):
     """The integers (s, t) of a count or exponent s*k + t."""
-    part = _part(node, index, env)
+    part = _part(node, compiler, env)
     (t, s, *rest), den = part.nums[None] + (0, 0), part.den
     if len(part.nums) > 1 or part.up or part.down or len(den) != 1 or any(rest) or (
             t % den[0] or s % den[0]):
