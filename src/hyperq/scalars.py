@@ -191,11 +191,6 @@ class HighPrecision:
     def __hash__(self):
         return hash((self.raw, self.prec))
 
-    def scaled_le(self, m: int, other: "HighPrecision", n: int) -> bool:
-        """Whether m*self <= n*other, compared exactly."""
-        return libmp.mpf_cmp(libmp.mpf_mul(self.raw, libmp.from_int(m)),
-                             libmp.mpf_mul(other.raw, libmp.from_int(n))) <= 0
-
     def power_beyond(self, e: int, bits: int) -> bool:
         """Whether |self^e| lies outside [2^-bits, 2^bits], i.e. |e log2|self|| > bits.
 

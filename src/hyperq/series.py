@@ -4,7 +4,7 @@ Terminating sums are evaluated in the exact rational (or rational-jet)
 regime.  An infinite sum stops at the K of an empirical geometric ratio test:
 
 * after a warm-up of 32 terms, a sliding window of 16 consecutive term
-  ratios must all stay below 63/64, each tested as 64*|t_k| <= 63*|t_(k-1)|;
+  ratios must all stay below 63/64, each tested exactly as 64*|t_k| <= 63*|t_(k-1)|;
 * once the window passes, the tail beyond term K is bounded by
   |t_K| * rho / (1 - rho) = 63*|t_K| with rho = 63/64, the admission cap
   itself, and summation stops when that bound drops below 2^(-prec-4).
@@ -12,11 +12,12 @@ regime.  An infinite sum stops at the K of an empirical geometric ratio test:
 A term of the split form (hypergeometric, times rational functions and
 harmonic weights, at rational bindings, without q or an active jet; see the
 binary-split section) is summed over 0..K exactly and rounded once, and its
-term ratio must tend to a limit of modulus below 1.  Every other infinite
-sum, and every closed form at a working precision, is evaluated twice in
-the HighPrecision regime, 32 bits apart, and ``_validated`` -- the one place
-of this double-evaluation policy -- accepts the value only when the two runs
-agree to prec-8 bits, then rounds the higher run to prec bits.
+term ratio must tend to a limit of modulus below 1; its K comes from an
+integer walk with a stated error bound.  Every other infinite sum, and every
+closed form at a working precision, is evaluated twice in the HighPrecision
+regime, 32 bits apart, and ``_validated`` -- the one place of this
+double-evaluation policy -- accepts the value only when the two runs agree
+to prec-8 bits, then rounds the higher run to prec bits.
 
 Every expression is compiled once, on its first evaluation, into a term
 program with one step per node (``_Compiler``).  A summation evaluates the
@@ -596,15 +597,8 @@ def sum_terminating(spec: dsl.SeriesSpec, bindings: dict, ctx=None,
 def _norm(t, prec: int) -> HighPrecision:
     """Magnitude used for ratio tests: max |component| for jets."""
     if isinstance(t, Jet2):
-        parts = [_norm(t.value, prec), _norm(t.d1, prec), _norm(t.d2, prec)]
-        m = parts[0]
-        for p in parts[1:]:
-            if p > m:
-                m = p
-        return m
-    if isinstance(t, int):
-        t = HighPrecision.from_int(t, prec)
-    return abs(t)
+        return max(_norm(t.value, prec), _norm(t.d1, prec), _norm(t.d2, prec))
+    return abs(HighPrecision.from_int(t, prec) if isinstance(t, int) else t)
 
 
 def _numeric_env(bindings, active, prec):
@@ -640,30 +634,35 @@ def _validated(low, high, prec, what):
     return high.round_to(prec)
 
 
+def _cmp(x, y) -> int:
+    """The sign of x - y for pairs (man, exp) = man*2^exp, man > 0: by binade, else by value."""
+    (a, ea), (b, eb), e = x, y, min(x[1], y[1])
+    top = a.bit_length() + ea - b.bit_length() - eb or (a << ea - e) - (b << eb - e)
+    return (top > 0) - (top < 0)
+
+
 def _stopping_index(magnitudes, threshold, terms_budget, check=None):
     """The stopping rule, on the stream ``magnitudes`` of |t_0|, |t_1|, ...
-    (HighPrecision, at the precision of ``threshold`` = 2^(-prec-4)).
+    as pairs (man, exp) = man*2^exp, compared exactly with ``threshold`` =
+    2^(-prec-4) as (1, -prec-4) and with each other.
 
-    Returns (K, 63*|t_K|) for the first K >= WARMUP_TERMS that ends a run of
-    WINDOW_TERMS ratios with 64*|t_k| <= 63*|t_(k-1)| and has 63*|t_K| below
-    the threshold, or (K, 0) after 4*WINDOW_TERMS zero terms past the warm-up.
+    Returns the first K >= WARMUP_TERMS that ends a run of WINDOW_TERMS
+    ratios with 64*|t_k| <= 63*|t_(k-1)| and has 63*|t_K| below the
+    threshold, or that ends 4*WINDOW_TERMS zero terms past the warm-up.
     ``check(x, y)`` sees both sides of each comparison of nonzero values first.
     """
-    capped_run = 0  # consecutive trailing term ratios at or below the cap
-    last, zero_run = None, 0
-    for k, mag in zip(range(terms_budget + 1), magnitudes):
-        if last is not None:
-            if check and not (mag.is_zero() or last.is_zero()):
-                check(mag * RATIO_CAP.denominator, last * RATIO_CAP.numerator)
-            capped = not last.is_zero() and mag.scaled_le(
-                RATIO_CAP.denominator, last, RATIO_CAP.numerator)
-            capped_run = capped_run + 1 if capped else 0
-        last = mag
-        if mag.is_zero():
+    capped_run = zero_run = last = last_exp = 0  # capped_run: trailing ratios within the cap
+    for k, (man, exp) in zip(range(terms_budget + 1), magnitudes):
+        x, y = (man * RATIO_CAP.denominator, exp), (last * RATIO_CAP.numerator, last_exp)
+        if check and man and last:
+            check(x, y)
+        capped_run = capped_run + 1 if last and (not man or _cmp(x, y) <= 0) else 0
+        last, last_exp = man, exp
+        if not man:
             zero_run += 1
             if zero_run >= 4 * WINDOW_TERMS and k >= WARMUP_TERMS:
                 # a vanished factor persists for all larger k: the tail is zero
-                return k, mag
+                return k
         else:
             zero_run = 0
             if k >= WARMUP_TERMS and capped_run >= WINDOW_TERMS:
@@ -671,11 +670,11 @@ def _stopping_index(magnitudes, threshold, terms_budget, check=None):
                 # window maxima undercover series whose ratios still climb
                 # toward their limit; the cap is an empirical rule too, false
                 # for a series whose ratios pass 1 only after the window
-                bound = mag * TAIL_FACTOR
+                bound = (man * TAIL_FACTOR, exp)
                 if check:
                     check(bound, threshold)
-                if bound < threshold:
-                    return k, bound
+                if _cmp(bound, threshold) < 0:
+                    return k
     raise NonGeometricTailError(
         f"no geometric tail bound within {terms_budget} terms "
         f"(window of {WINDOW_TERMS} ratios <= {RATIO_CAP} after {WARMUP_TERMS} warm-up terms)")
@@ -684,18 +683,18 @@ def _stopping_index(magnitudes, threshold, terms_budget, check=None):
 def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
     env, ctx = _numeric_env(bindings, active, work_prec)
     cache = {_INDEX: spec.index}
-    total = None
+    total = mag = None
 
     def magnitudes():
-        nonlocal total
+        nonlocal total, mag
         for k in itertools.count():
             env[spec.index] = k
             t = evaluate_expr(spec.term, env, ctx, cache)
             total = t if total is None else total + t
-            yield _norm(t, work_prec)
+            yield (mag := _norm(t, work_prec)).raw[1:3]  # (man, exp) of the rounded |t_k|
 
-    threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 4)), work_prec)
-    k, bound = _stopping_index(magnitudes(), threshold, terms_budget)
+    k = _stopping_index(magnitudes(), (1, -prec - 4), terms_budget)
+    bound = mag * TAIL_FACTOR
     ratio = bound if bound.is_zero() else HighPrecision.from_fraction(RATIO_CAP, work_prec)
     return total, TailBound(k, ratio, bound), k + 1
 
@@ -712,7 +711,7 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
 # ``_join`` composes two ranges, for binary splitting (Haible and
 # Papanikolaou, ANTS-III 1998) in integers (p, q, f, e, y, z_i, d_i): R = p/q,
 # D_i = d_i/e, Z_i = z_i/(q*f), Y = y/(q*f*e), f and e the products of the
-# denominators of the A_i and of the D_i.
+# denominators of the A_i and of the D_i.  K comes from a walk over the leaves.
 
 _SPLIT_ATOMS = (dsl.Poch, dsl.Fact, dsl.DFactOdd, dsl.Harm, dsl.HarmX)
 _SPLIT_POWER = 16  # the largest count slope and |exponent| analysed
@@ -797,8 +796,8 @@ def _part(node, compiler: _Compiler, env) -> _Part:
         arg = getattr(node, "x", getattr(node, "offset", None))
         x = Fraction(0 if arg is None else _exact(arg, env))
         s, t = _linear(node.count, compiler, env)
-        if not 0 <= s <= _SPLIT_POWER or t < 0:
-            raise _NotSplit()
+        if not 0 <= s <= _SPLIT_POWER or t < 0 or kind is dsl.HarmX and s and x + t + 1 <= 0:
+            raise _NotSplit()  # a weight's parts must share a sign, for the walk's bound
         start = _constant(_exact(node, {**env, compiler.index: 0}))
         if kind is dsl.Harm or kind is dsl.HarmX:
             return start._replace(nums={**start.nums, (node.order, s, t, x): (1,)})
@@ -888,43 +887,55 @@ class _SplitTerm:
                      {n: v for n, v in bindings.items() if n != spec.index})
         _no_roots(part.up + part.down)
         self.P, self.Q = _integral(_expand(part.up), _expand(part.down))
-        keys = [key for key in part.nums if key is not None]
-        self.b, *self.a = _integral(part.den, *(part.nums[key] for key in [None] + keys))
+        self.weights = [key for key in part.nums if key is not None]
+        self.b, *self.a = _integral(part.den, *(part.nums[key] for key in [None] + self.weights))
         if not any(self.a):
             raise _NotSplit()  # the zero term: its tail is the compiled path's
         self.e, self.d = (1,), []
-        for n, e in (_increment(*key) for key in keys):
+        for n, e in (_increment(*key) for key in self.weights):
             self.d = [_pmul(d, e) for d in self.d] + [_pmul(n, self.e)]
             self.e = _pmul(self.e, e)
 
-    def magnitudes(self, wp):
-        """|t_0|, |t_1|, ... at ``wp`` bits, from the analysed leaves.  Raises
-        _NotSplit where the compiled path must decide: at a zero denominator
-        (it raises PoleInTermError at the same k), at a term that cancels to
-        2^-32 of its parts, and at a zero term past the warm-up."""
-        mul, mul_int, div, add, from_int, zero = (
-            libmp.mpf_mul, libmp.mpf_mul_int, libmp.mpf_div, libmp.mpf_add, libmp.from_int,
-            libmp.fzero)
-        c, v = from_int(1), [zero] * len(self.d)
+    def magnitudes(self, terms_budget):
+        """|t_0|, |t_1|, ... as pairs (man, exp), in w = 96 + 2L bit fixed
+        point, L the bit length of the budget B.  c_k = c*2^c_exp, 2^(w-1) <=
+        c < 2^(w+1), loses under 2^(2-w) a step, B*2^(2-w) < 2^(-94-L) in all.
+        V_i(k) = v_i*2^-f loses under 2^-f a step, at most 2^-w of every part
+        1/(x + s*j + t + r)^order >= M^-order, M = ceil|x| + s*(B+1) + t, as
+        f >= w + order*bitlen(M); the parts are positive (``_part`` sees to it),
+        so v_i is within 2^-w of V_i, num within 2^-w of the sum of its
+        |parts|, so 2^(33-w) of itself past the 2^-32 cancellation test, and
+        |t_k|, after one more floor, within 2^-64 (w >= 98).  ``_decidable``
+        refuses decisions within 2^-32: each one taken is the exact one.
+
+        Raises _NotSplit where the compiled path must decide: at a pole (it
+        raises PoleInTermError there), at a term that cancels to 2^-32 of its
+        parts, and at a zero term past the warm-up."""
+        w = 96 + 2 * terms_budget.bit_length()
+        f = w + max((order * (math.ceil(abs(x)) + s * (terms_budget + 1) + t).bit_length()
+                     for order, s, t, x in self.weights), default=0)
+        c, c_exp, v = 1 << w, -w, [0] * len(self.d)  # c_k = c*2^c_exp, V_i(k) = v_i*2^-f
         for k in itertools.count():
             e, b = _peval(self.e, k - 1) if k else 1, _peval(self.b, k)
             if e == 0 or b == 0:
                 raise _NotSplit()  # a pole
             if k:
-                c = div(mul_int(c, _peval(self.P, k - 1), wp), from_int(_peval(self.Q, k - 1)), wp)
-                v = [add(x, libmp.from_rational(_peval(d, k - 1), e, wp, _RND), wp)
-                     for x, d in zip(v, self.d)]
-            a0, *a = (_peval(f, k) for f in self.a)
-            mag = num = absum = zero
+                c, q = c * abs(_peval(self.P, k - 1)), abs(_peval(self.Q, k - 1))
+                shift = w + q.bit_length() - c.bit_length()  # c/q in [2^(w-1), 2^(w+1))
+                c, c_exp = (c << shift if shift >= 0 else c >> -shift) // q, c_exp - shift
+                v = [x + (_peval(d, k - 1) << f) // e for x, d in zip(v, self.d)]
+            a0, *a = (_peval(p, k) for p in self.a)
             if a0 or k and any(a):  # else t_k = 0, as V_i(0) = 0
-                for x in [from_int(a0)] + [mul_int(x, ai, wp) for ai, x in zip(a, v)]:
-                    num, absum = add(num, x, wp), add(absum, libmp.mpf_abs(x), wp)
-                if libmp.mpf_le(libmp.mpf_abs(num), libmp.mpf_shift(absum, -32)):
+                parts = [a0 << f] + [ai * x for ai, x in zip(a, v)]
+                num = abs(sum(parts))
+                if num << 32 <= sum(map(abs, parts)):
                     raise _NotSplit()
-                mag = libmp.mpf_abs(div(mul(c, num, wp), from_int(b), wp))
+                shift = b.bit_length()
+                yield (c * num << shift) // abs(b), c_exp - f - shift
             elif k >= WARMUP_TERMS:
                 raise _NotSplit()  # zero tails, too, are the compiled path's
-            yield HighPrecision(mag, wp)
+            else:
+                yield 0, 0
 
     def _leaf(self, k):
         q, e = _peval(self.Q, k), _peval(self.e, k)
@@ -955,9 +966,9 @@ def _analysed(spec, bindings) -> Optional[_SplitTerm]:
 
 
 def _decidable(x, y):
-    """Refuse x within 2^-32*y of y > 0: too close to decide from the split
-    path's approximate magnitudes."""
-    if libmp.mpf_le(libmp.mpf_abs(libmp.mpf_sub(x.raw, y.raw)), libmp.mpf_shift(y.raw, -32)):
+    """Refuse pairs x within 2^-32*y of y: too close to call from approximate magnitudes."""
+    x = (x[0] << 32, x[1])  # 2^32*x against (2^32 - 1)*y and (2^32 + 1)*y
+    if _cmp(x, (y[0] * (2 ** 32 - 1), y[1])) >= 0 >= _cmp(x, (y[0] * (2 ** 32 + 1), y[1])):
         raise _NotSplit()
 
 
@@ -971,10 +982,9 @@ def _split_sum(spec, bindings, prec, terms_budget):
     if len(P) > len(Q) or len(P) == len(Q) and abs(P[-1]) >= abs(Q[-1]):
         limit = f"tends to {Fraction(P[-1], Q[-1])}" if len(P) == len(Q) else "grows without bound"
         raise NonGeometricTailError(f"the term ratio {limit}: no geometric tail bound")
-    wp = 96 + 2 * terms_budget.bit_length()
-    threshold = HighPrecision(libmp.from_man_exp(1, -prec - 4), wp)
     try:
-        k, _ = _stopping_index(term.magnitudes(wp), threshold, terms_budget, _decidable)
+        k = _stopping_index(term.magnitudes(terms_budget), (1, -prec - 4), terms_budget,
+                            _decidable)
     except _NotSplit:
         return None
     total, last, den = term.partial_sum(k)

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hyperq import dsl
@@ -116,6 +116,7 @@ class TestAnalysis:
         "sum k=0..inf : pi/2^k",                      # a constant that is not rational
         "sum k=0..inf : poch(1/2,k)/(x*fact(k)*2^k)", # a pole in an index-free part
         "sum k=0..inf : poch(1/2,k*k)/fact(k)",       # a count not linear in k
+        "sum k=0..inf : harmx(1,k,-5/2)/2^k",         # a weight's parts of both signs
     ])
     def test_outside_the_form(self, text):
         assert _analysed(dsl.parse_series_spec(text), {"x": F(0), "q": F(1, 2)}) is None
@@ -126,6 +127,18 @@ class TestAnalysis:
         assert _split_sum(spec, {}, 100, 10 ** 6) is None
         with pytest.raises(PoleInTermError):
             sum_infinite(spec, {}, 100)
+
+    @pytest.mark.parametrize("digits", [30, 300])
+    def test_weight_of_tiny_increments_stays_split(self, digits):
+        # increments 1/(10^30 + i)^3, about 2^-299: a fixed-point scale blind
+        # to their size would drop the weight, and the term with it
+        spec = dsl.parse_series_spec("sum k=0..inf : 10^90*harmx(3,k,10^30)/2^k")
+        prec = VerifyOptions(digits=digits).work_prec
+        value, tail, terms = _split_sum(spec, {}, prec, 10 ** 6)
+        oracle, oracle_tail, oracle_terms = _compiled(spec, {}, prec)
+        assert (terms, tail.start_index) == (oracle_terms, oracle_tail.start_index)
+        assert terms > prec
+        assert agree_to(value, oracle, prec - 8)
 
     def test_vanishing_first_term_stays_split(self):
         spec = RECORDS["H1"].lhs  # harm(2,0) = 0
@@ -199,3 +212,39 @@ class TestExactnessLaws:
         assert F(total, den) == sum_terminating(spec, {}, n=n)
         assert F(last, den) == evaluate_expr(spec.term, {"k": n}, RationalContext())
 
+
+
+OFFSETS = st.one_of(RATIONALS, st.integers(0, 30).map(lambda j: f"10^{j}"))
+LAW_WEIGHTS = st.one_of(
+    st.builds(lambda l, c: f"harm({l},{_count(c)})", st.integers(1, 3), COUNTS),
+    st.builds(lambda l, c, x: f"harmx({l},{_count(c)},{x})", st.integers(1, 3), COUNTS, OFFSETS),
+)
+LAW_BUDGET = 3000
+
+
+@st.composite
+def weighted_terms(draw):
+    """A hypergeometric part times an optional weight, alone or beside a rational."""
+    term = draw(hypergeometric())
+    weight = draw(st.none() | LAW_WEIGHTS)
+    if weight is not None:
+        term += draw(st.sampled_from([f"*{weight}", f"*({draw(RATIONALS)} + {weight}/(k+1))"]))
+    return f"sum k=0..inf : {term}"
+
+
+class TestSplitWalkLaw:
+    @given(text=weighted_terms(), digits=st.sampled_from([30, 300]))
+    def test_split_stops_where_the_compiled_path_stops(self, text, digits):
+        spec = dsl.parse_series_spec(text)
+        prec = VerifyOptions(digits=digits).work_prec
+        once = (spec, {}, prec, prec + GUARD_BITS + 32, None, LAW_BUDGET)
+        try:
+            split = _split_sum(spec, {}, prec, LAW_BUDGET)
+        except NonGeometricTailError as exc:
+            assume("term ratio" not in str(exc))  # a ratio limit the compiled path may not see
+            with pytest.raises(NonGeometricTailError):
+                _sum_infinite_once(*once)
+            return
+        if split is not None:
+            _, tail, terms = _sum_infinite_once(*once)
+            assert (split[2], split[1].start_index) == (terms, tail.start_index)

@@ -17,13 +17,12 @@ WP = 66  # the working precision of the magnitudes
 
 def _mag(man, exp):
     """|t| = man*2^exp in the form the stopping rule reads."""
-    return HighPrecision(libmp.from_man_exp(man, exp), WP)
+    return man, exp
 
 
 def _stop(mags, prec, budget=10 ** 6, check=None):
     """The stopping index K of the rule on ``mags``."""
-    k, _ = _stopping_index((_mag(*m) for m in mags), _mag(1, -prec - 4), budget, check)
-    return k
+    return _stopping_index((_mag(*m) for m in mags), _mag(1, -prec - 4), budget, check)
 
 
 def _geometric(start=0):
@@ -158,3 +157,18 @@ class TestDecidable:
 
     def test_clear_decisions_pass_the_check(self):
         assert _stop(_geometric(), prec=100, check=_decidable) == 110
+
+
+class TestExactThreshold:
+    def test_bound_just_below_the_threshold_stops(self):
+        # 63*|t_40| = (2^72 - 1)*2^-107, one unit below 2^-35 = 2^(-prec-4):
+        # the exact comparison stops at k = 40.  Rounded to 67 bits, as
+        # 63*|t_K| once was, it lands on 2^-35 itself and does not stop; this
+        # is the only kind of case where the two comparisons part.
+        man = (2 ** 72 - 1) // 63
+        assert 63 * man == 2 ** 72 - 1 and man.bit_length() == 67
+        rounded = HighPrecision(libmp.from_man_exp(man, -107), 67) * 63
+        assert rounded.raw == libmp.from_man_exp(1, -35)
+        mags = [(1, -k) for k in range(40)] + [(man, -107)] + list(
+            itertools.islice(_geometric(108), 40))
+        assert _stop(mags, prec=31) == 40
