@@ -188,6 +188,20 @@ def _exact_text(value) -> str:
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
+def _floor_log10(x: Fraction) -> int:
+    j = len(str(Decimal(x.numerator))) - len(str(Decimal(x.denominator)))  # or j - 1
+    return j if x >= Fraction(10) ** j else j - 1
+
+
+def _tail_bounded_text(value, bound, digits: int) -> str:
+    """``value`` to at most ``digits`` significant digits, none in a place
+    below its absolute error: ``bound`` plus the rounding of ``value``."""
+    v = abs(value.to_fraction())
+    err = bound.to_fraction() + v / 2 ** value.prec
+    shown = v and _floor_log10(v) + _floor_log10(1 / err) + 1
+    return value.to_decimal(min(digits, shown)) if shown > 0 else "0.0"
+
+
 def _shield_minus(argv):
     """``argv`` with the DSL text of ``eval`` kept positional when it starts with a minus.
 
@@ -217,7 +231,7 @@ def _cmd_eval(args) -> int:
         else:
             value, tail, terms = series.sum_infinite(side, bindings, prec,
                                                      terms_budget=args.terms_budget)
-            print(value.to_decimal(args.digits))
+            print(_tail_bounded_text(value, tail.bound, args.digits))
             print(f"tail bound <= {tail.bound.to_decimal(3)} after {terms} terms "
                   f"(ratio {tail.ratio.to_decimal(3)} at k={tail.start_index})")
     else:

@@ -172,6 +172,17 @@ class TestEval:
         assert out.stdout.startswith("1.570796326794896619231322")  # correctly rounded at 25 digits
         assert "tail bound" in out.stdout
 
+    def test_tail_bounded_digits_are_correct(self):
+        # the tail bound, about 7e-52, is absolute and the value is near
+        # 3.7e-44: only the digits above the bound are printed, all e^-100's
+        out = run_cli("eval", "sum k=0..inf : (-100)^k/fact(k)", "--digits", "30")
+        assert out.returncode == 0
+        printed = out.stdout.splitlines()[0]
+        mantissa = printed.split("e")[0].replace(".", "")
+        assert 6 <= len(mantissa) < 30
+        exp = libmp.mpf_exp(libmp.from_int(-100), 400, "n")
+        assert printed == libmp.to_str(exp, len(mantissa))
+
     def test_integer_valued_infinite_sum(self):
         # every term is a Python int, so neither run of the double evaluation
         # holds a float until the policy converts it (this used to raise
