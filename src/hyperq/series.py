@@ -691,7 +691,8 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
             env[spec.index] = k
             t = evaluate_expr(spec.term, env, ctx, cache)
             total = t if total is None else total + t
-            yield (mag := _norm(t, work_prec)).raw[1:3]  # (man, exp) of the rounded |t_k|
+            mag = _norm(t, work_prec)
+            yield mag.raw[1:3]  # (man, exp) of the rounded |t_k|
 
     k = _stopping_index(magnitudes(), (1, -prec - 4), terms_budget)
     bound = mag * TAIL_FACTOR
