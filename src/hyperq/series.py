@@ -636,8 +636,8 @@ def _validated(low, high, prec, what):
 
 def _cmp(x, y) -> int:
     """The sign of x - y for pairs (man, exp) = man*2^exp, man > 0: by binade, else by value."""
-    (a, ea), (b, eb), e = x, y, min(x[1], y[1])
-    top = a.bit_length() + ea - b.bit_length() - eb or (a << ea - e) - (b << eb - e)
+    (m, e), (n, f) = x, y
+    top = m.bit_length() + e - n.bit_length() - f or (m << max(e - f, 0)) - (n << max(f - e, 0))
     return (top > 0) - (top < 0)
 
 
