@@ -189,7 +189,7 @@ def _exact_text(value) -> str:
 
 
 def _floor_log10(x: Fraction) -> int:
-    j = len(str(Decimal(x.numerator))) - len(str(Decimal(x.denominator)))  # or j - 1
+    j = len(str(Decimal(x.numerator))) - len(str(Decimal(x.denominator)))  # floor is j or j-1
     return j if x >= Fraction(10) ** j else j - 1
 
 
