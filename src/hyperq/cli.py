@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -202,13 +203,17 @@ def _tail_bounded_text(value, bound, digits: int) -> str:
     return value.to_decimal(min(digits, shown)) if shown > 0 else "0.0"
 
 
+_OPTION = re.compile(r"--[A-Za-z][A-Za-z0-9_-]*(=|\Z)")
+
+
 def _shield_minus(argv):
     """``argv`` with the DSL text of ``eval`` kept positional when it starts with a minus.
 
-    argparse takes "-10^5000/3" for an unknown option.  Each ``eval`` token
-    of one dash and more that is not an option string gets a leading space,
-    which argparse leaves positional and ``_cmd_eval`` strips; ``--bogus``,
-    ``-h`` and everything after ``--`` are untouched.
+    argparse takes "-10^5000/3" and "--0" for unknown options.  Each ``eval``
+    token that starts with a dash but cannot be an option (``-h``, ``--name``,
+    ``--name=value``) gets a leading space, which argparse leaves positional
+    and ``_cmd_eval`` strips.  ``--bogus`` and DSL text such as ``--a`` stay
+    options; everything after ``--`` is untouched.
     """
     if argv[:1] != ["eval"]:
         return argv
@@ -216,7 +221,7 @@ def _shield_minus(argv):
     for i, token in enumerate(argv[1:], 1):
         if token == "--":
             return shielded + argv[i:]
-        dashed = token.startswith("-") and not token.startswith("--") and token != "-h"
+        dashed = token.startswith("-") and token != "-h" and not _OPTION.match(token)
         shielded.append(" " + token if dashed and len(token) > 1 else token)
     return shielded
 

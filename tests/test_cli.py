@@ -220,6 +220,23 @@ class TestEval:
         assert out.returncode == 0, out.stderr
         assert out.stdout == expected + "\n"
 
+    @pytest.mark.parametrize("args, expected", [
+        (["--0"], "0"),
+        (["--sqrt(4)"], "2"),
+        (["---a^1", "--param", "a=2"], "-2"),
+    ])
+    def test_leading_double_minus(self, args, expected):
+        # argparse took these for unknown options: a usage error, exit 2
+        out = run_cli("eval", *args)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == expected + "\n"
+
+    def test_option_like_text_after_the_separator(self):
+        assert run_cli("eval", "--a").returncode == 2
+        out = run_cli("eval", "--param", "a=2", "--", "--a")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "2\n"
+
     def test_leading_minus_keeps_error_positions(self):
         for args in (["-1+"], ["--", "-1+"]):
             out = run_cli("eval", *args)
