@@ -24,7 +24,6 @@ from .scalars import (
     Scalar,
     agree_to,
     jet_lift,
-    to_precision,
 )
 from .series import (
     NonGeometricTailError,

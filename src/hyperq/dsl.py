@@ -208,10 +208,9 @@ Expr = Union[(Num, Param, Add, Sub, Mul, Div, Neg, Pow, *ATOMS)]
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """A sum over one index: lower bound 0, ``upper is None`` means infinite."""
+    """The sum of ``term`` over ``index`` = 0..``upper``; ``upper is None`` means infinite."""
 
     index: str
-    lower: int
     upper: Optional[Expr]
     term: Expr
 
@@ -379,7 +378,7 @@ class _Parser:
         self.expect_op(":")
         term = self.parse_expr()
         self.expect_eof()
-        return SeriesSpec(index.text, 0, upper, term)
+        return SeriesSpec(index.text, upper, term)
 
     def parse_closed(self) -> ClosedForm:
         expr = self.parse_expr()
@@ -518,7 +517,7 @@ def render(node) -> str:
     kind = type(node)
     if kind is SeriesSpec:
         upper = "inf" if node.upper is None else render(node.upper)
-        return f"sum {node.index}={node.lower}..{upper} : {render(node.term)}"
+        return f"sum {node.index}=0..{upper} : {render(node.term)}"
     if kind is ClosedForm:
         return render(node.expr)
     if kind is Num:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from mpmath import libmp
 
@@ -29,7 +28,6 @@ from .scalars import (
     int_pow,
     scalar_one,
     scalar_zero,
-    to_precision,
 )
 
 
@@ -46,12 +44,13 @@ class NonConvergentBaseError(DomainError):
 # ---------------------------------------------------------------------------
 
 
-def q_pochhammer_infinite(x, qs, prec: Optional[int] = None):
+def q_pochhammer_infinite(x, qs):
     """(x; Q)_infinity for Q = ``qs``, in two phases, with a proven tail.
 
-    ``qs`` is the base itself (q^s for a step s) and requires 0 < Q < 1.
-    ``x`` and ``qs`` may be ``HighPrecision`` or jets over it; every test
-    reads the value components, and jet components follow the same steps.
+    ``qs`` is the base itself (q^s for a step s), requires 0 < Q < 1 and sets
+    the precision ``prec`` of the result.  ``x`` and ``qs`` may be
+    ``HighPrecision`` or jets over it; every test reads the value components,
+    and jet components follow the same steps.
 
     1. Explicit factors (1 - x Q^j), one by one, while |x Q^j| > (1-Q)/2.
        Their number depends on x and Q, not on the precision.
@@ -67,8 +66,7 @@ def q_pochhammer_infinite(x, qs, prec: Optional[int] = None):
     qs_val = _value(qs)
     if not isinstance(qs_val, HighPrecision):
         raise TypeError("infinite q-products are evaluated in the HighPrecision regime")
-    if prec is None:
-        prec = qs_val.prec
+    prec = qs_val.prec
     if not (0 < qs_val and qs_val < 1):
         raise NonConvergentBaseError("infinite q-product requires 0 < q^s < 1")
     gap = 1 - qs_val
@@ -76,7 +74,7 @@ def q_pochhammer_infinite(x, qs, prec: Optional[int] = None):
     while 2 * abs(_value(y)) > gap:
         product = (1 - y) * product
         y = y * qs
-    threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 8)), qs_val.prec)
+    threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 8)), prec)
     # w = u_n Q^n is both the tail bound after u_n and the next step's numerator
     total = w = power = 1
     while abs(_value(w)) >= threshold:
@@ -268,9 +266,9 @@ def _algebraic(table, name, x: Fraction, prec: int) -> HighPrecision:
         allowed = ", ".join(str(k) for k in sorted(table))
         raise DomainError(f"{name} is only available at x in {{{allowed}}}, got {x}")
     if m == 1:
-        return to_precision(coeff, prec)
+        return HighPrecision.from_fraction(coeff, prec)
     wp = prec + 8
-    return (sqrt_constant(m, wp) * to_precision(coeff, wp)).round_to(prec)
+    return (sqrt_constant(m, wp) * HighPrecision.from_fraction(coeff, wp)).round_to(prec)
 
 
 def sinpi_constant(x: Fraction, prec: int) -> HighPrecision:

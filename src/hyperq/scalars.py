@@ -524,11 +524,6 @@ def jet_lift(x: Union[Fraction, HighPrecision, int], active: bool = True) -> Jet
     return Jet2(x, one if active else zero, zero)
 
 
-def to_precision(x: Union[Fraction, int], p: int) -> HighPrecision:
-    """Nearest p-bit binary float to the rational x (relative error <= 2^(1-p))."""
-    return HighPrecision.from_fraction(x, p)
-
-
 def agree_to(a: HighPrecision, b: HighPrecision, t: int) -> bool:
     """True iff |a - b| <= 2^(-t) * max(1, |a|), compared exactly."""
     if a.prec != b.prec:

@@ -64,13 +64,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from mpmath import libmp
 
 from . import dsl
 from .functions import (
     QIntegers,
+    _value,
     cospi_constant,
     pi_constant,
     q_pochhammer_infinite,
@@ -139,7 +140,6 @@ class RationalContext:
     """Exact evaluation over Fractions; transcendental constants are errors."""
 
     exact = True
-    prec: Optional[int] = None
 
     def lift(self, v):
         if isinstance(v, int):
@@ -177,7 +177,6 @@ class FloatContext:
 
     def __init__(self, prec: int):
         self.prec = prec
-        self._cache: Dict[tuple, HighPrecision] = {}
 
     def lift(self, v):
         if isinstance(v, int):
@@ -187,41 +186,31 @@ class FloatContext:
     def from_fraction(self, x: Fraction):
         return HighPrecision.from_fraction(x, self.prec)
 
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
     def pi(self):
-        return self._cached(("pi",), lambda: pi_constant(self.prec))
+        return pi_constant(self.prec)
 
     def sqrt(self, m: int):
-        return self._cached(("sqrt", m), lambda: sqrt_constant(m, self.prec))
+        return sqrt_constant(m, self.prec)
 
     def sinpi(self, x: Fraction):
-        return self._cached(("sinpi", x), lambda: sinpi_constant(x, self.prec))
+        return sinpi_constant(x, self.prec)
 
     def cospi(self, x: Fraction):
-        return self._cached(("cospi", x), lambda: cospi_constant(x, self.prec))
+        return cospi_constant(x, self.prec)
 
     def qsuminf(self, order, stride, shift, sign, q):
         if isinstance(q, Jet2):
             if not (_is_zero(q.d1) and _is_zero(q.d2)):
                 raise EvalError("infinite q-sums do not support an active q")
             q = q.value
-        return self._cached(("qsuminf", order, stride, shift, sign, q),
-                            lambda: q_sum_infinite(order, stride, shift, sign, q))
+        return q_sum_infinite(order, stride, shift, sign, q)
 
     def qpochinf(self, x, qs):
-        return q_pochhammer_infinite(x, qs, self.prec)
-
-
-def _value_of(x):
-    return x.value if isinstance(x, Jet2) else x
+        return q_pochhammer_infinite(x, qs)
 
 
 def _div_check(denom):
-    if _is_zero(_value_of(denom)):
+    if _is_zero(_value(denom)):
         raise PoleInTermError("zero denominator factor")
 
 
@@ -571,21 +560,18 @@ def _qsum(atom, ctx, cache, slot, q, m):
 # ------------------------------------------------------------------- summers
 
 
-def sum_terminating(spec: dsl.SeriesSpec, bindings: dict, ctx=None,
-                    n: Optional[int] = None) -> Scalar:
-    """Exact sum over 0..upper (empty when the upper bound is negative).
-
-    ``n`` overrides the spec's upper bound, which also permits taking a
-    finite prefix of an infinite spec.
+def sum_terminating(spec: dsl.SeriesSpec, bindings: dict, ctx=None) -> Scalar:
+    """Sum over 0..upper in the regime of ``ctx``, exact by default (empty when
+    the upper bound is negative).  A finite prefix of an infinite spec is the
+    sum of ``dataclasses.replace(spec, upper=dsl.Num(n))``.
     """
-    if n is None and not spec.terminating:
+    if not spec.terminating:
         raise EvalError("sum_terminating requires a finite upper bound")
     ctx = ctx or RationalContext()
-    upper = n if n is not None else upper_bound(spec, bindings)
     env = dict(bindings)
     cache = {_INDEX: spec.index}
     total = None
-    for k in range(0, upper + 1):
+    for k in range(0, upper_bound(spec, bindings) + 1):
         env[spec.index] = k
         t = evaluate_expr(spec.term, env, ctx, cache)
         total = t if total is None else total + t

@@ -35,7 +35,6 @@ from hyperq.scalars import (
     jet_lift,
     scalar_one,
     scalar_zero,
-    to_precision,
 )
 from hyperq.series import (
     EvalError,
@@ -179,7 +178,7 @@ def _qpoch_reference(x: F, q: F, prec: int):
 
 def _bits(x, q, prec):
     """x and q as the engine's floats at prec bits, and their exact values."""
-    xs, qs_ = to_precision(x, prec), to_precision(q, prec)
+    xs, qs_ = HighPrecision.from_fraction(x, prec), HighPrecision.from_fraction(q, prec)
     return xs, qs_, xs.to_fraction(), qs_.to_fraction()
 
 
@@ -240,8 +239,8 @@ class TestQPochhammerInfinite:
 
     def test_exact_zero_factor(self):
         # (4; 1/2) has the factor 1 - 4/2^2
-        q = to_precision(F(1, 2), 64)
-        assert q_pochhammer_infinite(to_precision(F(4), 64), q).is_zero()
+        q = HighPrecision.from_fraction(F(1, 2), 64)
+        assert q_pochhammer_infinite(HighPrecision.from_fraction(F(4), 64), q).is_zero()
         assert q_pochhammer_infinite(4, q).is_zero()
 
     @given(x=st.one_of(wide_rationals, st.fractions(-1, 1, max_denominator=64)),
@@ -271,23 +270,23 @@ class TestQPochhammerInfinite:
                 return HighPrecision.__mul__(self, other)
 
         q = F(1, 2)
-        q_pochhammer_infinite(to_precision(x, 64), Recording(to_precision(q, 64).raw, 64))
+        q_pochhammer_infinite(HighPrecision.from_fraction(x, 64), Recording(HighPrecision.from_fraction(q, 64).raw, 64))
         m = next(i for i, v in enumerate(operands) if isinstance(v, int))
         assert [y.to_fraction() for y in operands[:m]] == [x * q ** j for j in range(m)]
         assert 2 * abs(x * q ** m) <= 1 - q
         assert m == 0 or 1 - q < 2 * abs(x * q ** (m - 1))
 
     def test_zero_argument(self):
-        q = to_precision(F(1, 2), 80)
-        assert q_pochhammer_infinite(to_precision(F(0), 80), q).to_fraction() == 1
+        q = HighPrecision.from_fraction(F(1, 2), 80)
+        assert q_pochhammer_infinite(HighPrecision.from_fraction(F(0), 80), q).to_fraction() == 1
 
     def test_euler_product_at_half(self):
         # 40-digit reference value, cross-checked at two precisions
         prec = 140
-        q = to_precision(F(1, 2), prec)
+        q = HighPrecision.from_fraction(F(1, 2), prec)
         v = q_pochhammer_infinite(q, q)
         assert v.to_decimal(13).startswith("0.288788095086")
-        q_hi = to_precision(F(1, 2), prec + 32)
+        q_hi = HighPrecision.from_fraction(F(1, 2), prec + 32)
         hi = q_pochhammer_infinite(q_hi, q_hi)
         assert agree_to(v, hi.round_to(prec), prec - 8)
 
@@ -299,7 +298,7 @@ class TestQPochhammerInfinite:
         assert agree_to(via_step, direct, 120 - 8)
 
     def test_divergent_base_rejected(self):
-        q = to_precision(F(3, 2), 64)
+        q = HighPrecision.from_fraction(F(3, 2), 64)
         with pytest.raises(NonConvergentBaseError):
             q_pochhammer_infinite(q, q)
         with pytest.raises(NonConvergentBaseError):
@@ -355,7 +354,7 @@ class TestRunningQIntegers:
     @pytest.mark.parametrize("prec", [64, 3400])
     @pytest.mark.parametrize("q", QS)
     def test_bit_identical_to_fresh_sum(self, q, prec):
-        hq = to_precision(q, prec)
+        hq = HighPrecision.from_fraction(q, prec)
         q_ints = QIntegers(hq)
         for m in range(501):
             got = q_ints(m)
@@ -371,7 +370,7 @@ class TestRunningQIntegers:
             assert q_ints(m) == (1 - q ** m) / (1 - q)
 
     def test_smaller_index_restarts(self):
-        hq = to_precision(F(7, 10), 64)
+        hq = HighPrecision.from_fraction(F(7, 10), 64)
         q_ints = QIntegers(hq)
         q_ints(40)
         assert q_ints(9).raw == fresh_q_integer(9, hq).raw
@@ -437,7 +436,7 @@ class TestConstants:
         assert abs(zeta2(prec) - target.to_fraction()) <= F(1, 2 ** (prec - 10))
 
     def test_qsum_constant_value(self):
-        q = to_precision(F(1, 2), 80)
+        q = HighPrecision.from_fraction(F(1, 2), 80)
         v = q_sum_infinite(2, 2, 0, 1, q)
         assert abs(v.to_fraction() - F(13423, 100000)) < F(1, 10 ** 5)
 
@@ -457,7 +456,7 @@ class TestConstants:
         """
         assume(stride + shift >= 1)
         q = F(a, 16)
-        value = q_sum_infinite(order, stride, shift, sign, to_precision(q, prec)).to_fraction()
+        value = q_sum_infinite(order, stride, shift, sign, HighPrecision.from_fraction(q, prec)).to_fraction()
         scale = 2 ** (prec + 32)
         naive, first_order, magnitude, n = 0, F(0), F(0), 0
         while True:
@@ -491,12 +490,12 @@ class TestConstants:
             sinpi_constant(F(1, 5), 80)
 
     def test_constant_dispatch(self):
-        # the engine reaches every constant through its context, once per precision
+        # the engine reaches every constant through its context, at its precision
         ctx = FloatContext(80)
         assert ev("pi", ctx).to_decimal(10).startswith("3.14159265")
         assert ev("sqrt(2)", ctx).to_decimal(10).startswith("1.41421356")
-        assert ctx.pi() is ctx.pi()
-        q = to_precision(F(1, 2), 80)
+        assert ctx.pi().raw == pi_constant(80).raw
+        q = HighPrecision.from_fraction(F(1, 2), 80)
         via_ctx = ev("qsuminf(2,2,0,+)", ctx, q=F(1, 2))
         assert (via_ctx.raw, via_ctx.prec) == (q_sum_infinite(2, 2, 0, 1, q).raw, 80)
 
@@ -511,10 +510,10 @@ class TestJetVersusFiniteDifferences:
         """The exact jet derivative of ``text`` in x against a central difference
         of its HighPrecision values."""
         ctx = FloatContext(self.PREC)
-        lo = ev(text, ctx, x=to_precision(x - self.H, self.PREC), **env)
-        hi = ev(text, ctx, x=to_precision(x + self.H, self.PREC), **env)
-        fd = (hi - lo) / to_precision(2 * self.H, self.PREC)
-        d1 = to_precision(ev_jet(text, "x", x=x, **env).d1, self.PREC)
+        lo = ev(text, ctx, x=HighPrecision.from_fraction(x - self.H, self.PREC), **env)
+        hi = ev(text, ctx, x=HighPrecision.from_fraction(x + self.H, self.PREC), **env)
+        fd = (hi - lo) / HighPrecision.from_fraction(2 * self.H, self.PREC)
+        d1 = HighPrecision.from_fraction(ev_jet(text, "x", x=x, **env).d1, self.PREC)
         scale = max(F(1), abs(d1.to_fraction()))
         assert abs((d1 - fd).to_fraction()) <= scale * F(1, 10 ** 6)
 

@@ -17,7 +17,6 @@ from hyperq.scalars import (
     jet_lift,
     scalar_one,
     scalar_zero,
-    to_precision,
 )
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
@@ -44,18 +43,18 @@ class TestCombine:
         with pytest.raises(ZeroDivisionError):
             F(1) / F(0)
         with pytest.raises(ZeroDivisionError):
-            to_precision(F(1), 64) / 0
+            HighPrecision.from_fraction(F(1), 64) / 0
         with pytest.raises(ZeroDivisionError):
             Jet2(F(1), F(0), F(0)) / Jet2(F(0), F(1), F(0))
 
     def test_regime_mismatch_is_checked(self):
-        h = to_precision(F(1, 2), 64)
+        h = HighPrecision.from_fraction(F(1, 2), 64)
         with pytest.raises(RegimeMismatchError):
             F(1, 2) + h
         with pytest.raises(RegimeMismatchError):
             Jet2(F(1), F(0), F(0)) * h
         with pytest.raises(RegimeMismatchError):
-            h + to_precision(F(1, 2), 128)
+            h + HighPrecision.from_fraction(F(1, 2), 128)
         # a plain value of the jet's own base regime is a constant jet
         assert Jet2(F(1), F(2), F(0)) * F(1, 2) == Jet2(F(1, 2), F(1), F(0))
 
@@ -63,7 +62,7 @@ class TestCombine:
         assert int_pow(F(2, 3), -2) == F(9, 4)
 
     def test_int_is_universal_second_operand(self):
-        h = to_precision(F(3, 4), 64)
+        h = HighPrecision.from_fraction(F(3, 4), 64)
         assert h * 4 == 3
         assert (Jet2(F(1), F(1), F(0)) + 2).value == F(3)
 
@@ -77,7 +76,7 @@ class TestJetLift:
         assert type(x) is RationalJet and x.ints == (3, 2, 0, 2)
         assert type(scalar_one(x)) is RationalJet and scalar_one(x) == Jet2(F(1), F(0), F(0))
         assert type(scalar_zero(x)) is RationalJet and scalar_zero(x) == Jet2(F(0), F(0), F(0))
-        assert type(jet_lift(to_precision(F(3, 2), 64))) is Jet2
+        assert type(jet_lift(HighPrecision.from_fraction(F(3, 2), 64))) is Jet2
 
     def test_constant(self):
         assert jet_lift(5, active=False) == Jet2(F(5), F(0), F(0))
@@ -89,22 +88,22 @@ class TestJetLift:
 
 class TestToPrecision:
     def test_dyadic_is_exact(self):
-        assert to_precision(F(1, 2), 53).to_fraction() == F(1, 2)
+        assert HighPrecision.from_fraction(F(1, 2), 53).to_fraction() == F(1, 2)
 
     def test_nearest_8_bit_to_third(self):
         # brute-force oracle: all 8-bit-significand dyadics in [1/4, 1/2)
         candidates = [F(m, 512) for m in range(128, 256)]
         nearest = min(candidates, key=lambda c: abs(c - F(1, 3)))
         assert nearest == F(171, 512)
-        assert to_precision(F(1, 3), 8).to_fraction() == nearest
+        assert HighPrecision.from_fraction(F(1, 3), 8).to_fraction() == nearest
 
     def test_zero(self):
         for p in (8, 53, 200):
-            assert to_precision(F(0), p).to_fraction() == 0
+            assert HighPrecision.from_fraction(F(0), p).to_fraction() == 0
 
     @given(x=rationals, p=st.integers(min_value=8, max_value=200))
     def test_relative_error_bound(self, x, p):
-        approx = to_precision(x, p).to_fraction()
+        approx = HighPrecision.from_fraction(x, p).to_fraction()
         if x == 0:
             assert approx == 0
         else:
@@ -113,18 +112,18 @@ class TestToPrecision:
 
 class TestAgreeTo:
     def test_reflexive(self):
-        x = to_precision(F(7, 3), 64)
+        x = HighPrecision.from_fraction(F(7, 3), 64)
         assert agree_to(x, x, 60)
 
     def test_gap_detected(self):
-        one = to_precision(F(1), 64)
-        off = to_precision(1 + F(1, 2 ** 10), 64)
+        one = HighPrecision.from_fraction(F(1), 64)
+        off = HighPrecision.from_fraction(1 + F(1, 2 ** 10), 64)
         assert not agree_to(one, off, 20)
         assert agree_to(one, off, 9)
 
     def test_requires_matching_precision(self):
         with pytest.raises(RegimeMismatchError):
-            agree_to(to_precision(F(1), 64), to_precision(F(1), 96), 10)
+            agree_to(HighPrecision.from_fraction(F(1), 64), HighPrecision.from_fraction(F(1), 96), 10)
 
 
 class TestFieldLaws:
@@ -192,17 +191,17 @@ def _drop_one(shifts, i, x):
 class TestHighPrecisionArithmetic:
     @given(a=rationals, b=rationals, p=st.integers(min_value=24, max_value=120))
     def test_addition_correctly_rounded(self, a, b, p):
-        hp = to_precision(a, p) if a.denominator & (a.denominator - 1) == 0 else None
+        hp = HighPrecision.from_fraction(a, p) if a.denominator & (a.denominator - 1) == 0 else None
         # exact dyadic inputs: sum rounds to nearest representable
-        x = to_precision(a, 300)
-        y = to_precision(b, 300)
+        x = HighPrecision.from_fraction(a, 300)
+        y = HighPrecision.from_fraction(b, 300)
         exact = x.to_fraction() + y.to_fraction()
         s = (x + y).to_fraction()
         if exact != 0:
             assert abs(s - exact) <= abs(exact) * F(1, 2 ** 299)
 
     def test_repr_and_decimal(self):
-        x = to_precision(F(1, 4), 64)
+        x = HighPrecision.from_fraction(F(1, 4), 64)
         assert "0.25" in x.to_decimal(5)
 
 
@@ -210,7 +209,7 @@ def _regime_values(prec):
     """Strategy for plain values of one base regime: Fraction (prec None) or HighPrecision."""
     if prec is None:
         return rationals
-    return rationals.map(lambda v: to_precision(v, prec))
+    return rationals.map(lambda v: HighPrecision.from_fraction(v, prec))
 
 
 def _bits(x):
@@ -281,7 +280,7 @@ class TestMixedOperands:
 
     @pytest.mark.parametrize("prec", [None, 64, 3400])
     def test_division_by_plain_zero(self, prec):
-        j = jet_lift(F(3, 7) if prec is None else to_precision(F(3, 7), prec))
+        j = jet_lift(F(3, 7) if prec is None else HighPrecision.from_fraction(F(3, 7), prec))
         for zero in (0, scalar_zero(j.value)):
             with pytest.raises(ZeroDivisionError):
                 j / zero
@@ -292,10 +291,10 @@ class TestMixedOperands:
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_other_regimes_are_rejected(self, prec, op):
         fn = OPS[op]
-        h = to_precision(F(1, 3), prec)
+        h = HighPrecision.from_fraction(F(1, 3), prec)
         exact_jet = jet_lift(F(2, 5))
-        float_jet = jet_lift(to_precision(F(2, 5), prec))
-        other_prec = to_precision(F(1, 3), prec + 32)
+        float_jet = jet_lift(HighPrecision.from_fraction(F(2, 5), prec))
+        other_prec = HighPrecision.from_fraction(F(1, 3), prec + 32)
         reference = Jet2(F(2, 5), F(1), F(0))  # a reference of the exact jet, not its operand
         for jet, plain in ((exact_jet, h), (exact_jet, float_jet), (exact_jet, reference),
                            (float_jet, F(1, 3)), (float_jet, other_prec)):

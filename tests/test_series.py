@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hyperq import dsl, series
 from hyperq.corpus import get_identity
 from hyperq.functions import pi_constant
-from hyperq.scalars import HighPrecision, RationalJet, agree_to, jet_lift, to_precision
+from hyperq.scalars import HighPrecision, RationalJet, agree_to, jet_lift
 from hyperq.series import (
     MAX_EXACT_BITS,
     MAX_FLOAT_BITS,
@@ -226,7 +226,7 @@ class TestSumTerminating:
 
     def test_explicit_bound_override(self):
         spec = dsl.parse_series_spec(W1_TEXT)
-        assert sum_terminating(spec, {}, n=2) == F(22, 15)
+        assert sum_terminating(replace(spec, upper=dsl.Num(2)), {}) == F(22, 15)
 
     def test_gosper_lhs_single_term(self):
         rec = get_identity("GOS")
@@ -284,7 +284,7 @@ class TestSumInfinite:
         prec = 400  # high enough that no 60-term prefix rounds to a fixed point
         ctx = FloatContext(prec)
         cache = {}
-        partial = to_precision(F(0), prec)
+        partial = HighPrecision.from_fraction(F(0), prec)
         previous = partial
         for k in range(60):
             partial = partial + evaluate_expr(spec.term, {spec.index: k}, ctx, cache)
@@ -332,7 +332,8 @@ class TestSumInfinite:
         prec = 64
         value1, tail1, terms1 = _sum_infinite_once(spec, env, prec, prec + 64, None, 10 ** 6)
         # the same additions in the same order, twice as many terms
-        value2 = sum_terminating(spec, env, FloatContext(prec + 64), n=2 * terms1 - 1)
+        value2 = sum_terminating(replace(spec, upper=dsl.Num(2 * terms1 - 1)), env,
+                                 FloatContext(prec + 64))
         assert abs(value2.to_fraction() - value1.to_fraction()) < tail1.bound.to_fraction()
 
     @pytest.mark.parametrize("rid", ["W1", "R1", "T3a"])
@@ -342,7 +343,8 @@ class TestSumInfinite:
         env = {"q": F(1, 2)} if rid == "T3a" else {}
         prec = 100
         value1, tail1, terms1 = _sum_infinite_once(rec.lhs, env, prec, prec + 64, None, 10 ** 6)
-        value2 = sum_terminating(rec.lhs, env, FloatContext(prec + 64), n=2 * terms1 - 1)
+        value2 = sum_terminating(replace(rec.lhs, upper=dsl.Num(2 * terms1 - 1)), env,
+                                 FloatContext(prec + 64))
         assert abs(value2.to_fraction() - value1.to_fraction()) <= tail1.bound.to_fraction()
 
 

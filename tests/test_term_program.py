@@ -13,6 +13,7 @@ against exact sums without the walker.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -289,9 +290,9 @@ def _walk(node, env, ctx, cache):
     raise EvalError(f"cannot evaluate node {type(node).__name__}")
 
 
-def _walk_sum(spec, bindings, ctx, n=None):
+def _walk_sum(spec, bindings, ctx):
     """The summation loop of ``sum_terminating`` over the reference walker."""
-    upper = n if n is not None else _walk_int(spec.upper, bindings)
+    upper = _walk_int(spec.upper, bindings)
     env = dict(bindings)
     cache = {"index": spec.index}
     total = None
@@ -364,7 +365,7 @@ def _regimes(rec, env, first: bool):
 
 
 def _fresh(ctx):
-    """A context like ``ctx`` with empty constant caches."""
+    """A new context of the regime of ``ctx``."""
     return FloatContext(ctx.prec) if isinstance(ctx, FloatContext) else RationalContext()
 
 
@@ -375,10 +376,11 @@ def _side(side, env, ctx, program: bool):
         if program:
             return _outcome(lambda: evaluate_expr(side.expr, env, ctx))
         return _outcome(lambda: _walk(side.expr, env, ctx, {}))
-    n = None if side.terminating else PREFIX
+    if not side.terminating:
+        side = replace(side, upper=dsl.Num(PREFIX))
     if program:
-        return _outcome(lambda: sum_terminating(side, env, ctx, n=n))
-    return _outcome(lambda: _walk_sum(side, env, ctx, n=n))
+        return _outcome(lambda: sum_terminating(side, env, ctx))
+    return _outcome(lambda: _walk_sum(side, env, ctx))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -443,7 +445,7 @@ JET_TERMS = st.recursive(st.one_of(st.just(A), LEAVES), _extend, max_leaves=8)
 def test_random_terms_match_the_walker(data, a, q, n, regime):
     """Exact (None), at 64 bits, and over rational jets in ``a``."""
     term = data.draw(JET_TERMS if regime == "jet" else TERMS)
-    spec = dsl.SeriesSpec("k", 0, dsl.Param("n"), term)
+    spec = dsl.SeriesSpec("k", dsl.Param("n"), term)
     env = {"a": a, "q": q, "n": n}
     if regime == "jet":
         ctx, env["a"] = RationalContext(), jet_lift(a)
@@ -510,7 +512,7 @@ def _exact_terms(term, env, n):
        q=st.sampled_from([F(1, 2), F(2, 3), F(-1, 3)]), n=st.integers(0, 12))
 def test_float_prefix_sums_match_the_exact_sum(numerator, denominator, q, n):
     term = _quotient(numerator, denominator)
-    spec = dsl.SeriesSpec("k", 0, dsl.Param("n"), term)
+    spec = dsl.SeriesSpec("k", dsl.Param("n"), term)
     env = {"q": q, "n": n}
     exact_terms = _exact_terms(term, env, n)
     for prec in (64, 3400):
