@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+_OPTION = re.compile(r"--[A-Za-z][A-Za-z0-9_-]*(=|\Z)")  # --name or --name=value
 
 
 def _fraction(text: str) -> Fraction:
@@ -203,17 +204,13 @@ def _tail_bounded_text(value, bound, digits: int) -> str:
     return value.to_decimal(min(digits, shown)) if shown > 0 else "0.0"
 
 
-_OPTION = re.compile(r"--[A-Za-z][A-Za-z0-9_-]*(=|\Z)")
-
-
 def _shield_minus(argv):
     """``argv`` with the DSL text of ``eval`` kept positional when it starts with a minus.
 
-    argparse takes "-10^5000/3" and "--0" for unknown options.  Each ``eval``
-    token that starts with a dash but cannot be an option (``-h``, ``--name``,
-    ``--name=value``) gets a leading space, which argparse leaves positional
-    and ``_cmd_eval`` strips.  ``--bogus`` and DSL text such as ``--a`` stay
-    options; everything after ``--`` is untouched.
+    argparse takes "-10^5000/3" and "--0" for unknown options.  Each ``eval`` token
+    of a dash and more that cannot be ``-h`` or an ``_OPTION`` gets a leading space,
+    which argparse leaves positional and ``_cmd_eval`` strips; ``--bogus``, text
+    such as ``--a`` and everything after ``--`` are untouched.
     """
     if argv[:1] != ["eval"]:
         return argv
