@@ -214,28 +214,15 @@ class TestEval:
         (["--", "-1/3"], "-1/3"),
         (["-q^2", "--param", "q=1/3"], "-1/9"),
         (["--param", "q=1/3", "-q^2"], "-1/9"),
+        (["--0"], "0"),  # argparse alone takes these for unknown options
+        (["--sqrt(4)"], "2"),
+        (["---a^1", "--param", "a=2"], "-2"),
+        (["--param", "a=2", "--", "--a"], "2"),  # text that reads as an option
     ])
     def test_leading_minus_beside_other_arguments(self, args, expected):
         out = run_cli("eval", *args)
         assert out.returncode == 0, out.stderr
         assert out.stdout == expected + "\n"
-
-    @pytest.mark.parametrize("args, expected", [
-        (["--0"], "0"),
-        (["--sqrt(4)"], "2"),
-        (["---a^1", "--param", "a=2"], "-2"),
-    ])
-    def test_leading_double_minus(self, args, expected):
-        # argparse took these for unknown options: a usage error, exit 2
-        out = run_cli("eval", *args)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout == expected + "\n"
-
-    def test_option_like_text_after_the_separator(self):
-        assert run_cli("eval", "--a").returncode == 2
-        out = run_cli("eval", "--param", "a=2", "--", "--a")
-        assert out.returncode == 0, out.stderr
-        assert out.stdout == "2\n"
 
     def test_leading_minus_keeps_error_positions(self):
         for args in (["-1+"], ["--", "-1+"]):
