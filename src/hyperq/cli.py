@@ -208,9 +208,9 @@ def _shield_minus(argv):
     """``argv`` with the DSL text of ``eval`` kept positional when it starts with a minus.
 
     argparse takes "-10^5000/3" and "--0" for unknown options.  Each ``eval`` token
-    of a dash and more that cannot be ``-h`` or an ``_OPTION`` gets a leading space,
-    which argparse leaves positional and ``_cmd_eval`` strips; ``--bogus``, text
-    such as ``--a`` and everything after ``--`` are untouched.
+    that starts with a dash, other than ``-h`` and an ``_OPTION``, gets a leading
+    space, which argparse leaves positional and ``_cmd_eval`` strips; ``--bogus``,
+    text such as ``--a`` and everything after ``--`` are untouched.
     """
     if argv[:1] != ["eval"]:
         return argv
