@@ -2,7 +2,7 @@
 
 Three kinds of values flow through every evaluator in this package:
 
-* exact rationals -- stdlib ``fractions.Fraction``;
+* exact rationals -- ``Rational``, a ``fractions.Fraction`` (below);
 * ``HighPrecision`` -- a binary float with an explicit working precision,
   every operation rounded to nearest at that precision;
 * ``Jet2`` -- a triple (f, f', f'') propagated by the Leibniz and quotient
@@ -20,6 +20,14 @@ coercion, with two exceptions:
 
 Every other mix, such as a jet over ``Fraction`` with a ``HighPrecision``,
 raises.
+
+The exact regime computes on ``Rational``, a ``Fraction`` whose + - * / and
+integer ** run ``fractions``' own algorithms (Henrici's cross gcds for * and /,
+Knuth's for + and -; TAOCP vol. 2, 4.5.1) without its operator dispatch: on
+ints and ``Rational`` values first, then on other ``Fraction`` values.  Each
+result is the canonical ``Fraction`` result as a ``Rational``, which prints,
+compares and hashes as ``Fraction`` does; any other operand gets
+``NotImplemented``, so its own type decides, as beside a ``Fraction``.
 
 The exact jet is a ``RationalJet``: the ``Jet2`` over ``Fraction`` that
 ``jet_lift``, ``scalar_one`` and ``scalar_zero`` build for rational input.
@@ -55,6 +63,90 @@ class RegimeMismatchError(TypeError):
 
 class _JetOperand(RegimeMismatchError):
     """A ``Jet2`` met a ``HighPrecision`` operator, which defers to the jet."""
+
+
+class Rational(Fraction):
+    """The exact rational of the engine (see the module docstring)."""
+
+    __slots__ = ()
+
+    def __neg__(a):
+        return _rational(-a._numerator, a._denominator)
+
+    def __pow__(a, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n >= 0:
+            return _rational(a._numerator ** n, a._denominator ** n)
+        return _product(1, 1, a._denominator ** -n, a._numerator ** -n)  # 1/a^-n
+
+
+_new = object.__new__
+_set_numerator = Fraction._numerator.__set__  # the two slots Fraction declares
+_set_denominator = Fraction._denominator.__set__
+
+
+def _rational(n: int, d: int) -> Rational:
+    """The ``Rational`` n/d, already in lowest terms with d > 0."""
+    r = _new(Rational)
+    _set_numerator(r, n)
+    _set_denominator(r, d)
+    return r
+
+
+def _operators(kernel):
+    """The forward and reflected operators of ``kernel(na, da, nb, db)``."""
+    def forward(a, b):
+        t = type(b)
+        if t is Rational:
+            return kernel(a._numerator, a._denominator, b._numerator, b._denominator)
+        if t is int:
+            return kernel(a._numerator, a._denominator, b, 1)
+        if isinstance(b, (int, Fraction)):
+            return kernel(a._numerator, a._denominator, b.numerator, b.denominator)
+        return NotImplemented
+
+    def reflected(a, b):  # b is never a Rational: a Rational b takes its forward operator
+        if type(b) is int:
+            return kernel(b, 1, a._numerator, a._denominator)
+        if isinstance(b, (int, Fraction)):
+            return kernel(b.numerator, b.denominator, a._numerator, a._denominator)
+        return NotImplemented
+
+    return forward, reflected
+
+
+def _sum(na, da, nb, db):
+    """na/da + nb/db by Knuth's gcds: g of the denominators, then of g and the numerator."""
+    g = math.gcd(da, db)
+    if g == 1:
+        return _rational(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    return _rational(t // g2, s * (db // g2)) if g2 != 1 else _rational(t, s * db)
+
+
+def _product(na, da, nb, db):
+    """(na/da) * (nb/db) by Henrici's cross gcds, for db of either sign; db = 0
+    is a division by zero."""
+    if not db:
+        raise ZeroDivisionError("division by zero")
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na, db = na // g1, db // g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb, da = nb // g2, da // g2
+    n, d = na * nb, da * db
+    return _rational(-n, -d) if d < 0 else _rational(n, d)
+
+
+Rational.__add__, Rational.__radd__ = _operators(_sum)
+Rational.__sub__, Rational.__rsub__ = _operators(lambda na, da, nb, db: _sum(na, da, -nb, db))
+Rational.__mul__, Rational.__rmul__ = _operators(_product)
+Rational.__truediv__, Rational.__rtruediv__ = _operators(
+    lambda na, da, nb, db: _product(na, da, db, nb))
 
 
 class HighPrecision:
@@ -252,7 +344,8 @@ class Jet2:
 
     def _plain(self, other):
         """``other`` as a constant of this jet's base regime (see the module docstring)."""
-        if isinstance(other, (int, type(self.value))):
+        base = HighPrecision if isinstance(self.value, HighPrecision) else Fraction
+        if isinstance(other, (int, base)):
             return other
         raise RegimeMismatchError(
             f"cannot combine Jet2 over {type(self.value).__name__} with {type(other).__name__}")
@@ -449,9 +542,9 @@ def _jet(n0: int, n1: int, n2: int, den: int) -> RationalJet:
 
 def _ratio(c):
     """The exact constant ``c`` as (numerator, denominator); other values are another regime."""
-    if isinstance(c, int):
-        return c, 1
-    if isinstance(c, Fraction):
+    if type(c) is Rational:
+        return c._numerator, c._denominator
+    if isinstance(c, (int, Fraction)):
         return c.numerator, c.denominator
     raise RegimeMismatchError(f"cannot combine a rational jet with {type(c).__name__}")
 
@@ -468,16 +561,9 @@ def _is_zero(x) -> bool:
     return x == 0
 
 
-def _zero_like(x):
-    if isinstance(x, HighPrecision):
-        return HighPrecision.from_int(0, x.prec)
-    return Fraction(0)
-
-
-def _one_like(x):
-    if isinstance(x, HighPrecision):
-        return HighPrecision.from_int(1, x.prec)
-    return Fraction(1)
+def _int_like(x, n: int):
+    """The int ``n`` in the regime of the plain value ``x``."""
+    return HighPrecision.from_int(n, x.prec) if isinstance(x, HighPrecision) else _rational(n, 1)
 
 
 def scalar_zero(x: Scalar):
@@ -485,9 +571,9 @@ def scalar_zero(x: Scalar):
     if isinstance(x, RationalJet):
         return _ZERO
     if isinstance(x, Jet2):
-        z = _zero_like(x.value)
+        z = _int_like(x.value, 0)
         return Jet2(z, z, z)
-    return _zero_like(x)
+    return _int_like(x, 0)
 
 
 def scalar_one(x: Scalar):
@@ -495,20 +581,14 @@ def scalar_one(x: Scalar):
     if isinstance(x, RationalJet):
         return _ONE
     if isinstance(x, Jet2):
-        z = _zero_like(x.value)
-        return Jet2(_one_like(x.value), z, z)
-    return _one_like(x)
+        z = _int_like(x.value, 0)
+        return Jet2(_int_like(x.value, 1), z, z)
+    return _int_like(x, 1)
 
 
 def int_pow(x: Scalar, n: int) -> Scalar:
-    """x**n for integer n (negative allowed when x is invertible)."""
-    if isinstance(x, (HighPrecision, Jet2)):
-        return x ** n
-    if n < 0:
-        if x == 0:
-            raise ZeroDivisionError("zero to a negative power")
-        return Fraction(1) / (x ** (-n))
-    return x ** n
+    """x**n for integer n (negative allowed when x is invertible; an int x stays exact)."""
+    return (_rational(x, 1) if n < 0 and isinstance(x, int) else x) ** n
 
 
 def jet_lift(x: Union[Fraction, HighPrecision, int], active: bool = True) -> Jet2:
@@ -519,9 +599,7 @@ def jet_lift(x: Union[Fraction, HighPrecision, int], active: bool = True) -> Jet
         return _canonical((p, q if active else 0, 0, q))
     if not isinstance(x, HighPrecision):
         raise RegimeMismatchError("jets lift rationals or HighPrecision values")
-    one = _one_like(x)
-    zero = _zero_like(x)
-    return Jet2(x, one if active else zero, zero)
+    return Jet2(x, _int_like(x, int(active)), _int_like(x, 0))
 
 
 def agree_to(a: HighPrecision, b: HighPrecision, t: int) -> bool:

@@ -1,7 +1,8 @@
 """Series evaluation: exact terminating sums and tail-bounded infinite sums.
 
-Terminating sums are evaluated in the exact rational (or rational-jet)
-regime.  An infinite sum stops at the K of an empirical geometric ratio test:
+Terminating sums are evaluated in the exact regime, on ``Rational`` values
+(or ``RationalJet``s).  An infinite sum stops at the K of an empirical
+geometric ratio test:
 
 * after a warm-up of 32 terms, a sliding window of 16 consecutive term
   ratios must all stay below 63/64, each tested exactly as 64*|t_k| <= 63*|t_(k-1)|;
@@ -52,8 +53,8 @@ An exact power whose result would exceed ``MAX_EXACT_BITS`` bits is an
 positions (counts, exponents, bounds) of every regime.  In the exact regime,
 so is a running ``poch``, ``qpoch``, ``fact`` or ``dfactodd`` product, plain
 or a rational jet, at the step where a numerator or denominator of its state
-passes that size; ``fact`` and ``dfactodd`` at once, when the count alone
-shows it would.
+passes that size; ``fact``, ``dfactodd`` and, past its free count, ``poch``
+at once, when the count alone shows it would.
 """
 
 from __future__ import annotations
@@ -84,9 +85,11 @@ from .scalars import (
     _RND,
     HighPrecision,
     Jet2,
+    Rational,
     RationalJet,
     Scalar,
     _is_zero,
+    _rational,
     agree_to,
     int_pow,
     jet_lift,
@@ -137,17 +140,19 @@ class TailBound:
 
 
 class RationalContext:
-    """Exact evaluation over Fractions; transcendental constants are errors."""
+    """Exact evaluation over ``Rational`` values; transcendental constants are errors."""
 
     exact = True
 
     def lift(self, v):
+        """An int or a plain ``Fraction`` as a ``Rational``; other values unchanged."""
         if isinstance(v, int):
-            return Fraction(v)
+            return _rational(v, 1)
+        if type(v) is Fraction:
+            return _rational(v.numerator, v.denominator)
         return v
 
-    def from_fraction(self, x: Fraction):
-        return x
+    from_fraction = lift
 
     def pi(self):
         raise EvalError("pi has no exact rational value; use a numeric context")
@@ -155,7 +160,7 @@ class RationalContext:
     def sqrt(self, m: int):
         s = math.isqrt(m)
         if s * s == m:
-            return Fraction(s)
+            return _rational(s, 1)
         raise EvalError(f"sqrt({m}) is irrational; use a numeric context")
 
     def sinpi(self, x: Fraction):
@@ -367,9 +372,11 @@ def _param(name, exact, env, ctx, cache):
         v = env[name]
     except KeyError:
         raise UnboundParameterError(f"parameter {name!r} is not bound")
-    if exact and not isinstance(v, (int, Fraction)):
+    if isinstance(v, int):  # the index, mostly: no test against the Fraction ABC
+        return v
+    if exact and not isinstance(v, Fraction):
         raise EvalError(f"parameter {name!r} must be exact here, got {type(v).__name__}")
-    return ctx.from_fraction(v) if isinstance(v, Fraction) and not exact else v
+    return ctx.from_fraction(v) if not exact and isinstance(v, Fraction) else v
 
 
 def _ambient_q(env, ctx, cache):
@@ -445,7 +452,7 @@ def _atom(name, recurrence, args, count, slot, env, ctx, cache):
     return recurrence(ctx, cache, slot, *values, n)
 
 
-def _advance(cache, slot, key: tuple, target: int, start, extend, free=None):
+def _advance(cache, slot, key: tuple, target: int, start, extend, free=None, least=None):
     """The payload at count ``target``: ``start()`` at 0, ``extend(payload, i)``
     from i-1 to i.  The state in the slot resumes while ``key`` (the atom's
     arguments) is unchanged, which hoisted arguments show by identity.
@@ -453,13 +460,17 @@ def _advance(cache, slot, key: tuple, target: int, start, extend, free=None):
     ``free(*key)``, given for a running product of the exact regime, is a
     count up to which no state can have a numerator or denominator of more
     than ``MAX_EXACT_BITS`` bits, bounded from the sizes of the arguments.
-    Each later state is measured, and one past the limit is an ``EvalError``.
+    Each later state is measured, and one past the limit is an ``EvalError``;
+    so is a ``target`` past the free count whose ``least(target, *key)``, a
+    lower bound on log2 of the state's largest part, passes the limit.
     """
     state = cache.get(slot)
     if state is None or state[1] > target or state[0] != key:
         count, payload, unmeasured = 0, start(), free(*key) if free else math.inf
     else:
         _, count, payload, unmeasured = state
+    if target > unmeasured and least and least(target, *key) > MAX_EXACT_BITS:
+        raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
     while count < target:
         count += 1
         payload = extend(payload, count)
@@ -473,7 +484,7 @@ def _exact_bits(v) -> int:
     """Bit length of the largest numerator or denominator in the exact ``v``
     (a jet's: over the common denominator of its components; a tuple's: of
     its parts)."""
-    if type(v) is Fraction:
+    if isinstance(v, Fraction):
         return max(v.numerator.bit_length(), v.denominator.bit_length())
     if isinstance(v, tuple):
         return max(map(_exact_bits, v))
@@ -511,9 +522,18 @@ def _factorial_free() -> int:
 
 # the running atoms: (ctx, cache, slot, *arguments, count) -> value
 
+def _poch_least(n, x) -> float:
+    # x = u/v (a jet's value) not an integer <= 0: (x)_n = prod (u + i*v)/v^n
+    # in lowest terms, and past its first factor >= 1, at i0, the other m =
+    # n - i0 - 1 are at least v, 2v, ..., m*v; v^m m! >= v^m (m/e)^m
+    u, v = _value(x).numerator, _value(x).denominator
+    m = n - max(0, (v - u) // v) - 1
+    return m * (math.log2(v) + math.log2(m / math.e)) if m > 0 and (u > 0 or v > 1) else 0
+
+
 def _poch(ctx, cache, slot, x, n):
     return _advance(cache, slot, (x,), n, partial(scalar_one, x), lambda p, i: p * (x + (i - 1)),
-                    _poch_free if ctx.exact else None)
+                    _poch_free if ctx.exact else None, _poch_least)
 
 
 def _qpoch(ctx, cache, slot, x, qs, n):
@@ -944,7 +964,8 @@ class _SplitTerm:
 def _analysed(spec, bindings) -> Optional[_SplitTerm]:
     """The analysed term of ``spec`` at ``bindings``, or None."""
     names = dsl.parameters_of(spec)
-    if "q" in names or any(type(bindings.get(name)) not in (int, Fraction) for name in names):
+    if "q" in names or any(type(bindings.get(name)) not in (int, Fraction, Rational)
+                           for name in names):
         return None  # q-series, jets and other values that are not rational
     try:
         return _SplitTerm(spec, bindings)

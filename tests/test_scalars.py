@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hyperq.scalars import (
     HighPrecision,
     Jet2,
+    Rational,
     RationalJet,
     RegimeMismatchError,
     agree_to,
@@ -369,3 +370,71 @@ class TestRationalJet:
         for zero in (0, F(0)):
             with pytest.raises(ZeroDivisionError):
                 RationalJet(1, 2, 3) / zero
+
+
+# numerators and denominators of a few bits to past 2^200, zero and negatives included
+wide_rationals = st.one_of(
+    rationals,
+    st.builds(F, st.integers(-2 ** 260, 2 ** 260), st.integers(1, 2 ** 230)),
+)
+EXACT_KINDS = {"int": lambda v: v.numerator, "Fraction": F, "Rational": Rational}
+
+
+def _outcome(fn):
+    """``fn()``, or the class of the exception it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 -- the class is the outcome compared
+        return type(exc)
+
+
+class TestRational:
+    """``Rational`` computes exactly what ``Fraction`` computes, as a canonical ``Rational``."""
+
+    @staticmethod
+    def _assert_matches(got, want):
+        expected = _outcome(want)
+        result = _outcome(got)
+        if expected is ZeroDivisionError:
+            assert result is ZeroDivisionError
+            return
+        assert type(result) is Rational, result
+        assert result.denominator > 0 and math.gcd(result.numerator, result.denominator) == 1
+        assert (result.numerator, result.denominator) == (expected.numerator, expected.denominator)
+        assert result == expected and str(result) == str(expected) and hash(result) == hash(expected)
+
+    @given(a=wide_rationals, b=wide_rationals, kind=st.sampled_from(sorted(EXACT_KINDS)),
+           n=st.integers(-6, 6))
+    def test_equals_fraction(self, a, b, kind, n):
+        x, other = Rational(a), EXACT_KINDS[kind](b)
+        reference = other if kind == "int" else F(b)
+        for fn in OPS.values():
+            self._assert_matches(lambda: fn(x, other), lambda: fn(a, reference))
+            self._assert_matches(lambda: fn(other, x), lambda: fn(reference, a))
+        self._assert_matches(lambda: -x, lambda: -a)
+        self._assert_matches(lambda: x ** n, lambda: a ** n)
+        self._assert_matches(lambda: int_pow(x, n), lambda: a ** n)
+        if n < 0:  # a nonnegative power of an int stays an int
+            self._assert_matches(lambda: int_pow(b.numerator, n), lambda: F(b.numerator) ** n)
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_zero_divisors_raise(self, n):
+        for zero in (0, F(0), Rational(0)):
+            for fn in (lambda: Rational(3, 7) / zero, lambda: zero ** n, lambda: int_pow(zero, n)):
+                with pytest.raises(ZeroDivisionError):
+                    fn()
+        with pytest.raises(ZeroDivisionError):
+            1 / Rational(0)
+
+    @pytest.mark.parametrize("op", sorted(OPS) + ["**"])
+    def test_other_regimes_decide_as_beside_a_fraction(self, op):
+        fn = OPS.get(op, lambda a, b: a ** b)
+        h = HighPrecision.from_fraction(F(1, 3), 64)
+        for other in (h, jet_lift(h), jet_lift(F(2, 5)), Jet2(F(2, 5), F(1), F(0))):
+            for args in ((Rational(3, 7), other), (other, Rational(3, 7))):
+                reference = [F(3, 7) if type(v) is Rational else v for v in args]
+                got, want = _outcome(lambda: fn(*args)), _outcome(lambda: fn(*reference))
+                if isinstance(want, type):  # the class of what a Fraction raises
+                    assert got is want, (op, args)
+                else:
+                    assert type(got) is type(want) and got == want, (op, args)

@@ -2,6 +2,7 @@
 (basic) hypergeometric series written in the DSL, against naive loops."""
 
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -209,6 +210,28 @@ class TestRunningProductGuard:
         self._evaluate("dfactodd(67240)", jet)
         evaluate_expr(dsl.parse_closed_form("fact(80000)").expr, {}, FloatContext(64))
         assert targets == [71422, 67240, 80000]  # the float regime has no such limit
+
+    @pytest.mark.parametrize("jet", [False, True])
+    def test_poch_refused_from_its_count(self, jet, monkeypatch):
+        # (1/3)_n passes the limit at n = 65006, and its bound at 65007: a count
+        # past them is refused before a step is taken (this took 14.8 s)
+        start = time.perf_counter()
+        with pytest.raises(EvalError, match="running product"):
+            self._evaluate("poch(a/3,100000)", jet)
+        assert time.perf_counter() - start < 0.5
+        if not jet:  # a product through zero stays exactly zero at any count
+            assert self._evaluate("poch(a-4,100000)", jet) == 0
+        # under a lowered limit, (1/81)_n = prod(1 + 81i)/81^n, in lowest terms,
+        # passes 2^12 bits at n = 312, and the bound 81^m (m/e)^m, m = n - 1,
+        # on its numerator does too: the largest count admitted is built exactly
+        monkeypatch.setattr(series, "MAX_EXACT_BITS", 1 << 12)
+        assert series._poch_least(311, F(1, 81)) <= 1 << 12 < series._poch_least(312, F(1, 81))
+        assert series._poch_free(F(1, 81)) < 311
+        with pytest.raises(EvalError, match="running product"):
+            self._evaluate("poch(a/81,312)", jet)
+        if not jet:
+            expected = F(math.prod(1 + 81 * i for i in range(311)), 81 ** 311)
+            assert self._evaluate("poch(a/81,311)", jet) == expected
 
     def test_float_regime_has_no_such_limit(self):
         value = evaluate_closed(dsl.parse_closed_form(f"poch(2^{self.OVER},2)"), {}, 64)
