@@ -23,11 +23,11 @@ raises.
 
 The exact regime computes on ``Rational``, a ``Fraction`` whose + - * / and
 integer ** run ``fractions``' own algorithms (Henrici's cross gcds for * and /,
-Knuth's for + and -; TAOCP vol. 2, 4.5.1) without its operator dispatch: on
+Knuth's for + and -; TAOCP vol. 2, 4.5.1) without its operator dispatch, on
 ints and ``Rational`` values first, then on other ``Fraction`` values.  Each
-result is the canonical ``Fraction`` result as a ``Rational``, which prints,
-compares and hashes as ``Fraction`` does; any other operand gets
-``NotImplemented``, so its own type decides, as beside a ``Fraction``.
+result is the canonical ``Fraction`` result, as a ``Rational``; ``str``, ``==``
+and ``hash`` are ``Fraction``'s.  Any other operand gets ``NotImplemented``: a
+``HighPrecision`` or a jet decides as beside a ``Fraction``, a float raises.
 
 The exact jet is a ``RationalJet``: the ``Jet2`` over ``Fraction`` that
 ``jet_lift``, ``scalar_one`` and ``scalar_zero`` build for rational input.
