@@ -190,17 +190,12 @@ def _exact_text(value) -> str:
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
-def _floor_log10(x: Fraction) -> int:
-    j = len(str(Decimal(x.numerator))) - len(str(Decimal(x.denominator)))  # floor is j or j-1
-    return j if x >= Fraction(10) ** j else j - 1
-
-
 def _tail_bounded_text(value, bound, digits: int) -> str:
     """``value`` to at most ``digits`` significant digits, none in a place
     below its absolute error: ``bound`` plus the rounding of ``value``."""
     v = abs(value.to_fraction())
     err = bound.to_fraction() + v / 2 ** value.prec
-    shown = v and _floor_log10(v) + _floor_log10(1 / err) + 1
+    shown = v and verify._floor_log10(v) + verify._floor_log10(1 / err) + 1
     return value.to_decimal(min(digits, shown)) if shown > 0 else "0.0"
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from mpmath import libmp
 
 from .scalars import (
+    _RND,
     HighPrecision,
     Jet2,
     Scalar,
@@ -225,20 +226,19 @@ def pi_constant(prec: int) -> HighPrecision:
 
 
 def sqrt_constant(m: int, prec: int) -> HighPrecision:
-    """sqrt(m) for a small positive integer m, by Newton iteration."""
+    """sqrt(m) for an integer m >= 0, correctly rounded to prec bits.
+
+    With w = prec + 2, s = isqrt(m*4^w) is the floor of sqrt(m)*2^w.  For m
+    >= 1, s >= 2^w has at least prec + 3 bits, so the prec-bit rounding
+    boundaries near s are integers, none strictly between s and s + 1: the
+    value, s or inside (s, s + 1), rounds as (2s + [s^2 != m*4^w])*2^(-w-1).
+    """
     if m < 0:
         raise ValueError("sqrt argument must be nonnegative")
-    if m == 0:
-        return HighPrecision.from_int(0, prec)
-    wp = prec + 16
-    y = HighPrecision.from_fraction(Fraction(math.sqrt(m)), wp)
-    mm = HighPrecision.from_int(m, wp)
-    half = HighPrecision.from_fraction(Fraction(1, 2), wp)
-    # each step doubles the number of correct bits; start from ~50
-    steps = max(1, math.ceil(math.log2(wp / 45)) + 1)
-    for _ in range(steps):
-        y = (y + mm / y) * half
-    return y.round_to(prec)
+    w = prec + 2
+    s = math.isqrt(m << 2 * w)
+    return HighPrecision(libmp.from_man_exp(2 * s + (s * s != m << 2 * w), -w - 1, prec, _RND),
+                         prec)
 
 
 # sin(pi x) and cos(pi x) at the rational points with algebraic closed forms,

@@ -24,7 +24,10 @@ Every expression is compiled once, on its first evaluation, into a term
 program with one step per node (``_Compiler``).  A summation evaluates the
 parts of its term that do not mention the index once, and the product and
 sum atoms advance running states between consecutive terms, so harmonic-
-weighted double series cost O(1) extra work per term rather than O(k).
+weighted double series cost O(1) extra work per term rather than O(k).  The
+step of ``poch``, ``fact``, ``dfactodd``, ``harm`` and ``harmx`` is stated
+once, in ``_STEP``, which the term programs run and the split analysis reads.
+The q-atoms read ``q`` as an ordinary parameter, lifted like atom arguments.
 
 Derivatives flow only from the active parameter: the caller binds it to a
 ``Jet2``, and only values computed from it become jets.  Constants (literals,
@@ -54,7 +57,8 @@ positions (counts, exponents, bounds) of every regime.  In the exact regime,
 so is a running ``poch``, ``qpoch``, ``fact`` or ``dfactodd`` product, plain
 or a rational jet, at the step where a numerator or denominator of its state
 passes that size; ``fact``, ``dfactodd`` and, past its free count, ``poch``
-at once, when the count alone shows it would.
+at once, when the count alone shows it would (for a rational jet through
+zero, from the derivative that does not vanish).
 """
 
 from __future__ import annotations
@@ -223,15 +227,13 @@ def _div_check(denom):
 
 _INDEX = "index"  # the cache key naming a summation's index; slots are ints
 _BINARY = {dsl.Add: operator.add, dsl.Sub: operator.sub, dsl.Mul: operator.mul}
+_Q = dsl.Param("q")  # the parameter the q-atoms read
 
-
-@dataclass(frozen=True)
-class _AmbientQ:
-    """The parameter ``q`` as the q-atoms read it: required, and lifted."""
-
-
-_Q = _AmbientQ()
-_Q_NODES = (_AmbientQ, *dsl.Q_ATOMS)
+# The step of each running atom with a linear one, the one definition that the
+# term programs run and the split analysis reads: step i multiplies by a*i + b
+# (x + a*i + b for poch), or adds 1/(x + a*i + b)^order (harm, harmx).
+_STEP = {dsl.Poch: (1, -1), dsl.Fact: (1, 0), dsl.DFactOdd: (2, 1),
+         dsl.Harm: (1, 0), dsl.HarmX: (1, 0)}
 
 
 def evaluate_expr(node, env, ctx, cache: Optional[dict] = None) -> Scalar:
@@ -281,7 +283,7 @@ class _Compiler:
             return self.index in (None, node.name)
         if id(node) not in self.deps:
             self.deps[id(node)] = any([self.depends(c) for _, c in dsl.children(node)]) or (
-                isinstance(node, _Q_NODES) and self.index in (None, "q"))
+                isinstance(node, dsl.Q_ATOMS) and self.index in (None, "q"))
         return self.deps[id(node)]
 
     def operand(self, node, hoist=False, lift=False, exact=False):
@@ -309,8 +311,6 @@ class _Compiler:
             return self.operands.setdefault(node, lambda env, ctx, cache, v=node.value: v)
         if kind is dsl.Param:
             return partial(_param, node.name, exact)
-        if kind is _AmbientQ:
-            return _ambient_q
         sub = partial(self.operand, exact=True) if exact else partial(
             self.operand, hoist=self.depends(node))
         integer = partial(self.operand, exact="int")
@@ -327,10 +327,10 @@ class _Compiler:
         if exact:
             return partial(_raise, f"{kind.__name__} is not valid in an integer position")
         if kind is dsl.QPochInf:
-            x, qs = sub(node.x, lift=True), sub(dsl.Pow(_Q, dsl.Num(node.step)))
+            x, qs = sub(node.x, lift=True), sub(dsl.Pow(_Q, dsl.Num(node.step)), lift=True)
             return lambda env, ctx, cache: ctx.qpochinf(x(env, ctx, cache), qs(env, ctx, cache))
         if kind is dsl.QSumInf:
-            return lambda env, ctx, cache, q=sub(_Q): ctx.qsuminf(
+            return lambda env, ctx, cache, q=sub(_Q, lift=True): ctx.qsuminf(
                 node.order, node.stride, node.shift, node.sign, q(env, ctx, cache))
         if kind is dsl.PiConst:
             return lambda env, ctx, cache: ctx.pi()
@@ -344,21 +344,19 @@ class _Compiler:
     def atom(self, node):
         """Step for an atom with a running state: arguments first, then the count."""
         kind = type(node)
-        sub = partial(self.operand, hoist=self.depends(node))
+        sub = partial(self.operand, hoist=self.depends(node), lift=True)
+        step = _STEP.get(kind, ())
         if kind is dsl.Poch:
-            recurrence, args = _poch, [sub(node.x, lift=True)]
+            recurrence, args = partial(_poch, *step), [sub(node.x)]
         elif kind is dsl.QPoch:
-            qs = dsl.Pow(_Q, dsl.Num(node.step))
-            recurrence, args = _qpoch, [sub(node.x, lift=True), sub(qs)]
-        elif kind is dsl.Fact:
-            recurrence, args = partial(_factorial, 0), []
-        elif kind is dsl.DFactOdd:
-            recurrence, args = partial(_factorial, 1), []
+            recurrence, args = _qpoch, [sub(node.x), sub(dsl.Pow(_Q, dsl.Num(node.step)))]
+        elif kind is dsl.Fact or kind is dsl.DFactOdd:
+            recurrence, args = partial(_factorial, *step), []
         elif kind is dsl.QInt:
             recurrence, args = _qint, [sub(_Q)]
         elif kind is dsl.Harm or kind is dsl.HarmX:  # harm(l,m) is harmx(l,m,0)
             offset = getattr(node, "offset", dsl.Num(0))
-            recurrence, args = partial(_harmx, node.order), [sub(offset, lift=True)]
+            recurrence, args = partial(_harmx, node.order, *step), [sub(offset)]
         elif kind is dsl.QSum:
             recurrence, args = partial(_qsum, node), [sub(_Q)]
         else:
@@ -377,14 +375,6 @@ def _param(name, exact, env, ctx, cache):
     if exact and not isinstance(v, Fraction):
         raise EvalError(f"parameter {name!r} must be exact here, got {type(v).__name__}")
     return ctx.from_fraction(v) if not exact and isinstance(v, Fraction) else v
-
-
-def _ambient_q(env, ctx, cache):
-    try:
-        q = env["q"]
-    except KeyError:
-        raise UnboundParameterError("q-atoms need the parameter 'q' bound")
-    return ctx.from_fraction(q) if isinstance(q, Fraction) else ctx.lift(q)
 
 
 def _once(step, slot, env, ctx, cache):
@@ -520,20 +510,25 @@ def _factorial_free() -> int:
     return MAX_EXACT_BITS // (MAX_EXACT_BITS.bit_length() + 2)
 
 
-# the running atoms: (ctx, cache, slot, *arguments, count) -> value
+# the running atoms: ([a, b of _STEP,] ctx, cache, slot, *arguments, count) -> value
 
 def _poch_least(n, x) -> float:
     # x = u/v (a jet's value) not an integer <= 0: (x)_n = prod (u + i*v)/v^n
     # in lowest terms, and past its first factor >= 1, at i0, the other m =
-    # n - i0 - 1 are at least v, 2v, ..., m*v; v^m m! >= v^m (m/e)^m
+    # n - i0 - 1 are at least v, 2v, ..., m*v; v^m m! >= v^m (m/e)^m.  At an
+    # integer u <= 0 a jet's first nonzero derivative d (of d1, d2) becomes d
+    # times the other factors: a component of modulus >= |d| m!, over a den >= 1
     u, v = _value(x).numerator, _value(x).denominator
     m = n - max(0, (v - u) // v) - 1
-    return m * (math.log2(v) + math.log2(m / math.e)) if m > 0 and (u > 0 or v > 1) else 0
+    d = 1 if u > 0 or v > 1 else (x.d1 or x.d2) if isinstance(x, Jet2) else 0
+    return m * (math.log2(v) + math.log2(m / math.e)) + math.log2(abs(d.numerator)) - \
+        math.log2(d.denominator) if m > 0 and d else 0
 
 
-def _poch(ctx, cache, slot, x, n):
-    return _advance(cache, slot, (x,), n, partial(scalar_one, x), lambda p, i: p * (x + (i - 1)),
-                    _poch_free if ctx.exact else None, _poch_least)
+def _poch(a, b, ctx, cache, slot, x, n):
+    return _advance(cache, slot, (x,), n, partial(scalar_one, x),
+                    lambda p, i: p * (x + (a * i + b)), _poch_free if ctx.exact else None,
+                    _poch_least)
 
 
 def _qpoch(ctx, cache, slot, x, qs, n):
@@ -543,13 +538,12 @@ def _qpoch(ctx, cache, slot, x, qs, n):
                     _qpoch_free if ctx.exact else None)[0]
 
 
-def _factorial(odd, ctx, cache, slot, n):
-    # n! >= (n/e)^n and (2n+1)!! > 2^n n!: past this lower bound nothing fits
-    if ctx.exact and n > 2 and n * math.log2((1 + odd) * n / math.e) > MAX_EXACT_BITS:
+def _factorial(a, b, ctx, cache, slot, n):
+    # prod (a*i + b) >= (a*n/e)^n, as n! >= (n/e)^n and (2n+1)!! > 2^n n!
+    if ctx.exact and n > 2 and n * math.log2(a * n / math.e) > MAX_EXACT_BITS:
         raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
     return _advance(cache, slot, (), n, (lambda: 1) if ctx.exact else partial(ctx.lift, 1),
-                    lambda p, i: p * (2 * i + 1 if odd else i),
-                    _factorial_free if ctx.exact else None)
+                    lambda p, i: p * (a * i + b), _factorial_free if ctx.exact else None)
 
 
 def _qint(ctx, cache, slot, q, n):
@@ -558,9 +552,9 @@ def _qint(ctx, cache, slot, q, n):
     return cache[slot](n)
 
 
-def _harmx(order, ctx, cache, slot, offset, n):
+def _harmx(order, a, b, ctx, cache, slot, offset, n):
     def extend(s, i):
-        d = int_pow(offset + i, order)
+        d = int_pow(offset + (a * i + b), order)
         _div_check(d)
         return s + 1 / d
 
@@ -720,7 +714,6 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
 # D_i = d_i/e, Z_i = z_i/(q*f), Y = y/(q*f*e), f and e the products of the
 # denominators of the A_i and of the D_i.  K comes from a walk over the leaves.
 
-_SPLIT_ATOMS = (dsl.Poch, dsl.Fact, dsl.DFactOdd, dsl.Harm, dsl.HarmX)
 _SPLIT_POWER = 16  # the largest count slope and |exponent| analysed
 
 
@@ -799,20 +792,18 @@ def _part(node, compiler: _Compiler, env) -> _Part:
         if e.denominator != 1 or not 0 < abs(e) <= _SPLIT_POWER or (e != 1 and len(base.nums) > 1):
             raise _NotSplit()
         return reduce(_times, [base if e > 0 else _inverse(base)] * abs(int(e)))
-    if kind in _SPLIT_ATOMS:
+    if kind in _STEP:
         arg = getattr(node, "x", getattr(node, "offset", None))
         x = Fraction(0 if arg is None else _exact(arg, env))
         s, t = _linear(node.count, compiler, env)
-        if not 0 <= s <= _SPLIT_POWER or t < 0 or kind is dsl.HarmX and s and x + t + 1 <= 0:
+        factors = _steps(kind, s, t, x)
+        weight = kind is dsl.Harm or kind is dsl.HarmX
+        if not 0 <= s <= _SPLIT_POWER or t < 0 or weight and s and factors[0][1] <= 0:
             raise _NotSplit()  # a weight's parts must share a sign, for the walk's bound
         start = _constant(_exact(node, {**env, compiler.index: 0}))
-        if kind is dsl.Harm or kind is dsl.HarmX:
+        if weight:
             return start._replace(nums={**start.nums, (node.order, s, t, x): (1,)})
-        if kind is dsl.Poch:  # (x)_(n+s) / (x)_n, n = s*k + t
-            return start._replace(up=tuple((s, x + t + j) for j in range(s)))
-        if kind is dsl.Fact:
-            return start._replace(up=tuple((s, t + j) for j in range(1, s + 1)))
-        return start._replace(up=tuple((2 * s, 2 * (t + j) + 1) for j in range(1, s + 1)))
+        return start._replace(up=factors)
     if kind not in _BINARY and kind is not dsl.Div:
         raise _NotSplit()
     left, right = _part(node.left, compiler, env), _part(node.right, compiler, env)
@@ -860,13 +851,20 @@ def _linear(node, compiler, env):
     return int(s // den[0]), int(t // den[0])
 
 
+def _steps(kind, s, t, x) -> tuple:
+    # the linear factors x + a*(s*k + t + j) + b, j = 1..s, of the steps of an
+    # atom of _STEP from count s*k + t to s*k + t + s
+    a, b = _STEP[kind]
+    return tuple((a * s, a * (t + j) + b + x) for j in range(1, s + 1))
+
+
 def _increment(order, s, t, x):
-    """(n, e): the increment sum_{j=1..s} 1/(x + s*k + t + j)^order of a
-    weight, as n(k)/e(k) in integer polynomials."""
-    u, v = x.numerator, x.denominator
+    """(n, e): the increment sum_{j=1..s} 1/(x + a*(s*k + t + j) + b)^order
+    of a weight, as n(k)/e(k) in integer polynomials."""
+    v = x.denominator
     n, e = (), (1,)
-    for j in range(1, s + 1):
-        power = reduce(_pmul, [(u + v * (t + j), v * s)] * order)
+    for alpha, beta in _steps(dsl.HarmX, s, t, x):
+        power = reduce(_pmul, [(int(beta * v), alpha * v)] * order)
         n, e = _padd(_pmul(n, power), _pmul(e, (v ** order,))), _pmul(e, power)
     return n, e
 

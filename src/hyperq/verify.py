@@ -27,6 +27,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -132,6 +133,12 @@ class VerificationReport:
         return "  ".join(parts)
 
 
+def _floor_log10(x: Fraction) -> int:
+    """floor(log10(x)) of a positive rational, exactly."""
+    j = len(str(Decimal(x.numerator))) - len(str(Decimal(x.denominator)))  # floor is j or j-1
+    return j if x >= Fraction(10) ** j else j - 1
+
+
 def format_magnitude(value: Optional[Fraction]) -> Optional[str]:
     """Deterministic 3-significant-digit scientific notation for a rational."""
     if value is None:
@@ -139,15 +146,9 @@ def format_magnitude(value: Optional[Fraction]) -> Optional[str]:
     if value == 0:
         return "0"
     sign = "-" if value < 0 else ""
-    mag = abs(value)
-    e = 0
-    while mag >= 10:
-        mag /= 10
-        e += 1
-    while mag < 1:
-        mag *= 10
-        e -= 1
-    scaled = int(mag * 100 + Fraction(1, 2))
+    mag = abs(Fraction(value))
+    e = _floor_log10(mag)
+    scaled = int(mag * Fraction(10) ** (2 - e) + Fraction(1, 2))
     if scaled >= 1000:
         scaled //= 10
         e += 1

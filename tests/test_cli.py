@@ -121,6 +121,11 @@ class TestExitCodes:
         assert len(out.stderr.splitlines()) == 1
         assert "Traceback" not in out.stderr
 
+    def test_unbound_q_is_three(self):
+        out = run_cli("eval", "qint(3)")
+        assert out.returncode == 3
+        assert out.stderr == "error: UnboundParameterError: parameter 'q' is not bound\n"
+
     def test_negative_pochhammer_count_is_three(self):
         self._assert_eval_error(run_cli("eval", "poch(1,-1)"))
 

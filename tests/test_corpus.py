@@ -360,3 +360,13 @@ class TestReports:
         assert format_magnitude(F(1, 10 ** 40)) == "1.00e-40"
         assert format_magnitude(F(-551, 1000)) == "-5.51e-01"
         assert format_magnitude(None) is None
+        # a rounding carry moves to the next decade
+        assert format_magnitude(F(9995, 1000)) == "1.00e+01"
+        assert format_magnitude(F(-99949, 10 ** 7)) == "-9.99e-03"
+        assert format_magnitude(F(999999, 10 ** 3006)) == "1.00e-3000"
+        # exact at any depth: a decade boundary and its neighbours
+        assert format_magnitude(F(1, 10 ** 3000)) == "1.00e-3000"
+        assert format_magnitude(F(10 ** 3000 - 1, 10 ** 6000)) == "1.00e-3000"
+        assert format_magnitude(F(10 ** 3000 + 1, 10 ** 6000)) == "1.00e-3000"
+        assert format_magnitude(F(10 ** 3001, 3)) == "3.33e+3000"
+        assert format_magnitude(F(1, 7 ** 1000)) == "7.98e-846"

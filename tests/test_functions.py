@@ -429,6 +429,25 @@ class TestConstants:
         sq = (v * v).to_fraction()
         assert abs(sq - 3) < F(1, 2 ** 100)
 
+    @given(m=st.integers(0, 10 ** 6), prec=st.integers(8, 3000))
+    def test_sqrt_is_correctly_rounded(self, m, prec):
+        # |man*2^exp - sqrt(m)| <= 2^(exp-1) for the prec-bit mantissa man,
+        # squared and scaled to integers: (2man-1)^2 <= m*4^(1-exp) <= (2man+1)^2
+        sign, man, exp, bc = sqrt_constant(m, prec).raw
+        assert sign == 0 and bc <= prec
+        if m == 0:
+            assert man == 0
+            return
+        man, exp = man << prec - bc, exp - (prec - bc)
+        lo, hi = (2 * man - 1) ** 2, (2 * man + 1) ** 2
+        scaled = m << max(2 - 2 * exp, 0)
+        assert lo << max(2 * exp - 2, 0) <= scaled <= hi << max(2 * exp - 2, 0)
+
+    def test_sqrt_matches_mpmath(self):
+        for prec in (53, 200, 3400, 16640):
+            for m in (2, 3, 5, 10 ** 6 + 3, 4 ** 40 * 3):
+                assert sqrt_constant(m, prec).raw == libmp.mpf_sqrt(libmp.from_int(m), prec, "n")
+
     def test_zeta2_equals_pi_squared_over_six(self):
         prec = 160
         pi2 = pi_constant(prec + 32)

@@ -2,9 +2,11 @@
 (basic) hypergeometric series written in the DSL, against naive loops."""
 
 import math
+import operator
 import time
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from hyperq import dsl, series
 from hyperq.corpus import get_identity
 from hyperq.functions import pi_constant
-from hyperq.scalars import HighPrecision, RationalJet, agree_to, jet_lift
+from hyperq.scalars import HighPrecision, Jet2, RationalJet, agree_to, jet_lift
 from hyperq.series import (
     MAX_EXACT_BITS,
     MAX_FLOAT_BITS,
@@ -50,6 +52,13 @@ class TestEvaluateTerm:
         spec = dsl.parse_series_spec("sum k=0..inf : poch(a,k)")
         with pytest.raises(UnboundParameterError):
             evaluate_expr(spec.term, {spec.index: 1}, RationalContext())
+
+    @pytest.mark.parametrize("text", ["qint(3)", "qpoch(1/2,2,3)", "qpochinf(1/2,1)",
+                                      "qsum(1,1,0,+,3)", "qsuminf(2,1,0,-)"])
+    def test_unbound_q(self, text):
+        # q is an ordinary parameter, which the q-atoms read
+        with pytest.raises(UnboundParameterError, match="parameter 'q' is not bound"):
+            evaluate_closed(dsl.parse_closed_form(text), {}, 64)
 
     def test_pole_in_term(self):
         spec = dsl.parse_series_spec("sum k=0..n : 1/(k-2)")
@@ -232,6 +241,30 @@ class TestRunningProductGuard:
         if not jet:
             expected = F(math.prod(1 + 81 * i for i in range(311)), 81 ** 311)
             assert self._evaluate("poch(a/81,311)", jet) == expected
+
+    def test_jet_poch_through_zero_refused_from_its_count(self):
+        # at a = 1, (a-4)_n vanishes, but its derivative -3! (n-4)! does not:
+        # the count alone shows that it passes the limit
+        start = time.perf_counter()
+        with pytest.raises(EvalError, match="running product"):
+            self._evaluate("poch(a-4,100000)", True)
+        assert time.perf_counter() - start < 1
+        constant = {"a": jet_lift(1, active=False)}
+        zero = evaluate_expr(dsl.parse_closed_form("poch(a-4,100000)").expr, constant,
+                             RationalContext())
+        assert (zero.value, zero.d1, zero.d2) == (0, 0, 0)
+        value = self._evaluate("poch(a-4,40)", True)
+        reference = reduce(operator.mul, [Jet2(F(i - 3), F(1), F(0)) for i in range(40)])
+        assert (value.value, value.d1, value.d2) == (reference.value, reference.d1, reference.d2)
+
+    @pytest.mark.parametrize("u", [0, -3, -10])
+    def test_jet_poch_bound_through_zero(self, u):
+        # the bound is below the bits of every exact product it is asked about
+        for d1, d2 in [(1, 0), (F(1, 7), 0), (F(22, 3), 5), (0, F(1, 9)), (0, 3)]:
+            x, product = RationalJet(u, d1, d2), RationalJet(1, 0, 0)
+            for n in range(1, 400):
+                product = product * (x + (n - 1))
+                assert series._poch_least(n, x) <= series._exact_bits(product)
 
     def test_float_regime_has_no_such_limit(self):
         value = evaluate_closed(dsl.parse_closed_form(f"poch(2^{self.OVER},2)"), {}, 64)

@@ -150,7 +150,10 @@ class TestAnalysis:
 # ------------------------------------------------------------------- laws
 
 RATIONALS = st.builds(F, st.integers(1, 7), st.integers(1, 4))
-COUNTS = st.tuples(st.integers(1, 2), st.integers(0, 2))  # s*k + t
+# a poch argument may be negative, but not an integer <= 0: no factor vanishes
+POCH_ARGS = st.one_of(RATIONALS, st.builds(F, st.integers(-7, -1), st.integers(2, 4)).filter(
+    lambda r: r.denominator > 1))
+COUNTS = st.tuples(st.integers(1, 3), st.integers(0, 2))  # s*k + t
 
 
 def _count(count):
@@ -159,7 +162,7 @@ def _count(count):
 
 
 HYPER_FACTORS = st.one_of(
-    st.builds(lambda a, c: f"poch({a},{_count(c)})", RATIONALS, COUNTS),
+    st.builds(lambda a, c: f"poch({a},{_count(c)})", POCH_ARGS, COUNTS),
     st.builds(lambda c: f"fact({_count(c)})", COUNTS),
     st.builds(lambda c: f"dfactodd({_count(c)})", COUNTS),
     st.builds(lambda r, c: f"({r})^({_count(c)})", RATIONALS, COUNTS),
