@@ -796,9 +796,10 @@ def _part(node, compiler: _Compiler, env) -> _Part:
         arg = getattr(node, "x", getattr(node, "offset", None))
         x = Fraction(0 if arg is None else _exact(arg, env))
         s, t = _linear(node.count, compiler, env)
-        factors = _steps(kind, s, t, x)
-        weight = kind is dsl.Harm or kind is dsl.HarmX
-        if not 0 <= s <= _SPLIT_POWER or t < 0 or weight and s and factors[0][1] <= 0:
+        if not 0 <= s <= _SPLIT_POWER or t < 0:
+            raise _NotSplit()
+        factors, weight = _steps(kind, s, t, x), kind is dsl.Harm or kind is dsl.HarmX
+        if weight and s and factors[0][1] <= 0:
             raise _NotSplit()  # a weight's parts must share a sign, for the walk's bound
         start = _constant(_exact(node, {**env, compiler.index: 0}))
         if weight:
