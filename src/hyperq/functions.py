@@ -1,13 +1,13 @@
 """The q-analogues and constants that the series engine evaluates whole:
-q-integers, the q-sum term, infinite q-products and q-sums, pi, square
-roots and the algebraic sin/cos values on closed-form sides.
+q-integers, infinite q-products and q-sums, pi, square roots and the
+algebraic sin/cos values on closed-form sides.
 
 The running atoms (Pochhammer and q-Pochhammer symbols, factorials,
 harmonic numbers, finite q-sums) have one definition each, as recurrences of
-the term programs in :mod:`hyperq.series`; the finite q-sum and
-:func:`q_sum_infinite` share :func:`q_sum_term`.  Everything here is generic
-over the scalar regimes of :mod:`hyperq.scalars` where its domain allows:
-exact rationals, correctly rounded ``HighPrecision`` floats, and jets.
+the term programs in :mod:`hyperq.series`.  Everything here is generic over
+the scalar regimes of :mod:`hyperq.scalars` where its domain allows: exact
+rationals, correctly rounded ``HighPrecision`` floats, and jets; the infinite
+q-sum is a ``HighPrecision`` kernel on libmp values.
 
 Gamma ratios never appear: every ratio of Gamma values used by closed forms
 is expressed as a ratio of shifted factorials, which is exactly rational.
@@ -26,7 +26,6 @@ from .scalars import (
     Jet2,
     Scalar,
     agree_to,
-    int_pow,
     scalar_one,
     scalar_zero,
 )
@@ -126,50 +125,93 @@ def q_integer(m: int, q: Scalar) -> Scalar:
     return QIntegers(q)(m)
 
 
-def q_sum_term(order: int, stride: int, shift: int, sign: int, q, q_ints: QIntegers, i: int,
-               errors=(ValueError, ZeroDivisionError)):
-    """The i-th summand sign^(i-1) q^idx / [idx]^order of a q-sum, idx = stride*i + shift,
-    together with q^idx.
-
-    ``q_ints`` is the sum's running :class:`QIntegers` over ``q``; ``errors``
-    are the classes raised for an index below 1 and for a zero [idx].  Both
-    the finite ``qsum`` atom and :func:`q_sum_infinite` take their terms here.
-    """
-    idx = stride * i + shift
-    if idx < 1:
-        raise errors[0](f"nonpositive q-sum index {idx} at i={i}")
-    den = int_pow(q_ints(idx), order)
-    qpow = int_pow(q, idx)
-    try:
-        term = qpow / den
-    except ZeroDivisionError:  # every regime's division raises it for a zero [idx]
-        raise errors[1](f"zero q-integer [{idx}] in a q-sum denominator") from None
-    return (-term if sign == -1 and (i - 1) % 2 == 1 else term), qpow
-
-
 def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPrecision":
-    """The infinite q-sum constant sum_{i>=1} sign^(i-1) q^(stride*i+shift)/[...]^order.
+    """V = sum_{i>=1} s^(i-1) q^n_i/[n_i]^l, n_i = c*i + d >= 1, for order l,
+    stride c, shift d and sign s, rounded once to q.prec.
 
-    Terms are dominated by q^(stride*i+shift) since [m] >= 1 for 0 < q < 1,
-    so summation stops once the geometric tail bound q^idx/(1-q^stride)
-    drops below 2^(-prec-8).
+    With x_i = q^n_i, V is the Lambert series (1-q)^l sum_i s^(i-1)
+    x_i/(1-x_i)^l.  Expanding x/(1-x)^l = sum_{m>=1} C(m+l-2, l-1) x^m and
+    summing the terms i > I by m, each a geometric series in i (Knopp on
+    Lambert series; Dirichlet's hyperbola method), gives with y = x_(I+1),
+    p = q^c and z_m = (1-q)^l C(m+l-2, l-1) y^m
+
+        V = sum_{i<=I} s^(i-1) (1-q)^l x_i/(1-x_i)^l + s^I sum_{m>=1} z_m/(1 - s p^m),
+
+    as the double series converges absolutely.  I is the first i with
+    x_(i+1) < 2^-e, e >= 2 and i e >= w, e read off the binary exponent of
+    the computed x_(i+1): I ~ sqrt(w/(c log2(1/q))), and about as many m
+    follow, so the sum takes O(sqrt(prec)) divisions.  The bounds below hold
+    for any I; it sets only the cost.
+
+    Truncation.  |1 - s p^m| >= kappa, with kappa = 1 - p for s = +1 and 1
+    for s = -1.  As y < 1/4 and z_(m+1)/z_m = y(m+l-1)/m falls with m, past
+    any M >= l-2 every ratio is below 1/2 and the terms after M sum to at
+    most 2 z_(M+1)/kappa.  Summation stops at the first such M whose computed
+    z_(M+1) is below 2^(-prec-12-b), 2^b > 1/kappa: the dropped tail is
+    below 2^(-prec-10).
+
+    Rounding.  Every operation rounds to nearest at w = prec + g bits (unit
+    u = 2^-w) and the terms are added exactly, so only their relative errors
+    count, in units u to first order.  A power of n factors q errs by at most
+    n - 1 (mpf_pow_int truncates at more bits and rounds once).  As
+    1 - q^n >= n q^(n-1) (1-q), (n-1) q^n/(1 -/+ q^n) <= sigma = q/(1-q), so
+    forming 1 - x_i or 1 - s p^m adds at most sigma + 1.  A direct term
+    t_i <= x_i errs by at most n_i + l sigma + 4l - 1, where sum_i n_i x_i <=
+    sigma(sigma+1) and sum_i x_i <= sigma; a tail term by at most
+    m n + sigma + 2l + 2, n = n_(I+1), where sum_m z_m <= 1 and
+    n sum_m m z_m = n y (1+(l-1)y)/((1-y) [n]^l) <= l sigma.  With
+    S = 1/(1-q) >= sigma, 1/kappa, the total is at most 2(l+1) S(S+3) u,
+    below 2^(-prec-11) for g = 12 + bitlen((l+1) K(K+3)), K = ceil(S).  A
+    term takes k < 3(w+l)(wK+1) roundings, so k u < 2^-9 and the second-order
+    terms fit the margin: the error before the final rounding is below
+    2^(-prec-8).
     """
     if not isinstance(q, HighPrecision):
         raise TypeError("infinite q-sums are evaluated in the HighPrecision regime")
     if not (0 < q and q < 1):
         raise NonConvergentBaseError("infinite q-sum requires 0 < q < 1")
     prec = q.prec
-    threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 8)), prec)
-    ratio_gap = 1 - int_pow(q, stride)
-    q_ints = QIntegers(q)
-    total = scalar_zero(q)
-    i = 1
+    a, b = q.to_fraction().as_integer_ratio()
+    k = -(-b // (b - a))  # K
+    wp = prec + 12 + ((order + 1) * k * (k + 3)).bit_length()
+    add, neg = libmp.mpf_add, libmp.mpf_neg  # without a precision, mpf_add is exact
+
+    def mul(u, v):
+        return libmp.mpf_mul(u, v, wp, _RND)
+
+    def power(u, n):
+        return libmp.mpf_pow_int(u, n, wp, _RND)
+
+    def one_minus(u):
+        return libmp.mpf_sub(libmp.fone, u, wp, _RND)
+
+    def over(u, v, n):  # u/(1-v)^n
+        return libmp.mpf_div(u, power(one_minus(v), n), wp, _RND)
+
+    scale, p = power(one_minus(q.raw), order), power(q.raw, stride)  # (1-q)^l, q^c
+    x = power(q.raw, stride + shift)
+    direct, i = libmp.fzero, 1
     while True:
-        term, qpow = q_sum_term(order, stride, shift, sign, q, q_ints, i)
-        total = total + term
-        if qpow / ratio_gap < threshold:
-            return total
+        t = over(mul(x, scale), x, order)
+        direct = add(direct, neg(t) if sign == -1 and i % 2 == 0 else t)
+        x = mul(x, p)
+        e = -(x[2] + x[3])  # x < 2^-e
+        if e >= 2 and i * e >= wp:
+            break
         i += 1
+    limit = -prec - 12 - (k if sign == 1 else 1).bit_length()
+    tail, pm, binom, m = libmp.fzero, p, 1, 1
+    z = gy = mul(scale, x)
+    while True:
+        tail = add(tail, over(z, pm if sign == 1 else neg(pm), 1))
+        binom = binom * (m + order - 1) // m
+        m += 1
+        gy, pm = mul(gy, x), mul(pm, p)
+        z = mul(gy, libmp.from_int(binom))
+        if m + 1 >= order and z[2] + z[3] <= limit:
+            break
+    total = add(direct, neg(tail) if sign == -1 and i % 2 else tail)
+    return HighPrecision(libmp.mpf_pos(total, prec, _RND), prec)
 
 
 # ---------------------------------------------------------------------------

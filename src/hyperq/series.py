@@ -81,7 +81,6 @@ from .functions import (
     pi_constant,
     q_pochhammer_infinite,
     q_sum_infinite,
-    q_sum_term,
     sinpi_constant,
     sqrt_constant,
 )
@@ -562,11 +561,18 @@ def _harmx(order, a, b, ctx, cache, slot, offset, n):
 
 
 def _qsum(atom, ctx, cache, slot, q, m):
+    # the i-th summand sign^(i-1) q^idx/[idx]^order, idx = stride*i + shift
     def extend(state, i):
         s, q_ints = state
-        t, _ = q_sum_term(atom.order, atom.stride, atom.shift, atom.sign, q, q_ints, i,
-                          errors=(EvalError, PoleInTermError))
-        return s + t, q_ints
+        idx = atom.stride * i + atom.shift
+        if idx < 1:
+            raise EvalError(f"nonpositive q-sum index {idx} at i={i}")
+        den = int_pow(q_ints(idx), atom.order)
+        try:
+            t = int_pow(q, idx) / den
+        except ZeroDivisionError:  # every regime's division raises it for a zero [idx]
+            raise PoleInTermError(f"zero q-integer [{idx}] in a q-sum denominator") from None
+        return s + (-t if atom.sign == -1 and i % 2 == 0 else t), q_ints
 
     return _advance(cache, slot, (q,), m, lambda: (scalar_zero(q), QIntegers(q)), extend)[0]
 

@@ -519,6 +519,97 @@ class TestConstants:
         assert (via_ctx.raw, via_ctx.prec) == (q_sum_infinite(2, 2, 0, 1, q).raw, 80)
 
 
+def _qsum_enclosure(order, stride, shift, sign, q: F, prec):
+    """(lo, hi) enclosing sum_{i>=1} sign^(i-1) q^n/[n]^order, n = stride*i + shift.
+
+    Exact integer arithmetic at scale 2^e, e = prec + 64, for a dyadic q with
+    at most e fraction bits: floor and ceiling of every x_i = q^n enclose it,
+    and each term (1-q)^order x/(1-x)^order, increasing in x, is enclosed by
+    its values at those two ends.  Past the last term the geometric tail is
+    at most x_(N+1)/(1-q^stride), summed once it is below 2^(-prec-20).
+    """
+    e = prec + 64
+    one, big = 1 << e, _fixed(q, e)
+
+    def power(n):  # floor and ceiling of q^n 2^e
+        v = big ** n
+        return v >> e * (n - 1), -(-v >> e * (n - 1))
+
+    (p_lo, p_hi), (x_lo, x_hi) = power(stride), power(stride + shift)
+    scale = (one - big) ** order
+    lo = hi = 0
+    i = 0
+    while True:
+        i += 1
+        t_lo = scale * x_lo // (one - x_lo) ** order
+        t_hi = -(-scale * x_hi // (one - x_hi) ** order)
+        if sign == -1 and i % 2 == 0:
+            lo, hi = lo - t_hi, hi - t_lo
+        else:
+            lo, hi = lo + t_lo, hi + t_hi
+        x_lo, x_hi = x_lo * p_lo >> e, -(-x_hi * p_hi >> e)
+        if x_hi << prec + 20 <= one - p_hi:
+            tail = -(-x_hi * one // (one - p_hi))
+            return F(lo - tail, one), F(hi + tail, one)
+
+
+def _assert_qsum_within_bound(order, stride, shift, sign, q: F, prec):
+    """q_sum_infinite lies within its docstring's bound of the enclosure: below
+    2^(-prec-8) before the final rounding, plus half a unit of that rounding."""
+    value = q_sum_infinite(order, stride, shift, sign, HighPrecision.from_fraction(q, prec))
+    lo, hi = _qsum_enclosure(order, stride, shift, sign, HighPrecision.from_fraction(q, prec)
+                             .to_fraction(), prec)
+    _, _, exp, _ = value.raw
+    allowance = F(1, 2 ** (prec + 8)) + F(2) ** (exp - 1)
+    assert lo - allowance <= value.to_fraction() <= hi + allowance
+    return value
+
+
+class TestQSumSplit:
+    """The hyperbola split of q_sum_infinite against an exact enclosure of its sum."""
+
+    @given(order=st.integers(1, 3), stride=st.integers(1, 3), shift=st.integers(-2, 2),
+           sign=st.sampled_from((1, -1)), q=st.sampled_from((F(1, 2), F(1, 3), F(7, 10), F(99, 100))),
+           data=st.data())
+    def test_within_stated_bound(self, order, stride, shift, sign, q, data):
+        assume(stride + shift >= 1)
+        # 99/100 needs thousands of enclosure steps per precision bit, so it runs small
+        prec = data.draw(st.integers(8, 24 if q == F(99, 100) else 200), label="prec")
+        _assert_qsum_within_bound(order, stride, shift, sign, q, prec)
+
+    def test_smallest_first_index(self):
+        # stride 2, shift -1: the first index is 1
+        for q in (F(1, 2), F(7, 10)):
+            for prec in (8, 53, 300):
+                _assert_qsum_within_bound(2, 2, -1, 1, q, prec)
+                _assert_qsum_within_bound(1, 2, -1, -1, q, prec)
+
+    def test_least_precision(self):
+        for q in (F(1, 2), F(1, 3), F(7, 10), F(99, 100)):
+            value = _assert_qsum_within_bound(3, 1, 0, -1, q, 8)
+            assert value.prec == 8
+
+    def test_q_near_one(self):
+        # at q = 99/100 the direct part is longest: x_(I+1) < 1/4 takes I >= 137
+        for order, sign in ((1, 1), (2, -1), (3, 1)):
+            _assert_qsum_within_bound(order, 1, 0, sign, F(99, 100), 80)
+
+    def test_constant_jet_q(self):
+        q = HighPrecision.from_fraction(F(7, 10), 120)
+        via_ctx = FloatContext(120).qsuminf(2, 2, 0, 1, jet_lift(q, active=False))
+        assert (via_ctx.raw, via_ctx.prec) == (q_sum_infinite(2, 2, 0, 1, q).raw, 120)
+
+    def test_non_high_precision_q_is_a_type_error(self):
+        for q in (F(1, 2), 0, jet_lift(HighPrecision.from_fraction(F(1, 2), 64), active=False)):
+            with pytest.raises(TypeError):
+                q_sum_infinite(2, 1, 0, 1, q)
+
+    def test_q_outside_unit_interval_does_not_converge(self):
+        for q in (F(0), F(1), F(-1, 2), F(3, 2)):
+            with pytest.raises(NonConvergentBaseError):
+                q_sum_infinite(2, 1, 0, 1, HighPrecision.from_fraction(q, 64))
+
+
 class TestJetVersusFiniteDifferences:
     """First derivatives from jets match central differences at 64 digits."""
 
