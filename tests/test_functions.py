@@ -525,8 +525,9 @@ def _qsum_enclosure(order, stride, shift, sign, q: F, prec):
     Exact integer arithmetic at scale 2^e, e = prec + 64, for a dyadic q with
     at most e fraction bits: floor and ceiling of every x_i = q^n enclose it,
     and each term (1-q)^order x/(1-x)^order, increasing in x, is enclosed by
-    its values at those two ends.  Past the last term the geometric tail is
-    at most x_(N+1)/(1-q^stride), summed once it is below 2^(-prec-20).
+    its values at those two ends.  Past term N the terms sum to at most
+    x_(N+1)/(1-q^stride); summation stops once that is below 2^(-prec-20),
+    and the enclosure is widened by it.
     """
     e = prec + 64
     one, big = 1 << e, _fixed(q, e)
@@ -556,11 +557,11 @@ def _qsum_enclosure(order, stride, shift, sign, q: F, prec):
 def _assert_qsum_within_bound(order, stride, shift, sign, q: F, prec):
     """q_sum_infinite lies within its docstring's bound of the enclosure: below
     2^(-prec-8) before the final rounding, plus half a unit of that rounding."""
-    value = q_sum_infinite(order, stride, shift, sign, HighPrecision.from_fraction(q, prec))
-    lo, hi = _qsum_enclosure(order, stride, shift, sign, HighPrecision.from_fraction(q, prec)
-                             .to_fraction(), prec)
-    _, _, exp, _ = value.raw
-    allowance = F(1, 2 ** (prec + 8)) + F(2) ** (exp - 1)
+    q = HighPrecision.from_fraction(q, prec)
+    value = q_sum_infinite(order, stride, shift, sign, q)
+    lo, hi = _qsum_enclosure(order, stride, shift, sign, q.to_fraction(), prec)
+    _, _, exp, bc = value.raw  # value < 2^(exp+bc), so half its ulp is 2^(exp+bc-prec-1)
+    allowance = F(1, 2 ** (prec + 8)) + F(2) ** (exp + bc - prec - 1)
     assert lo - allowance <= value.to_fraction() <= hi + allowance
     return value
 
@@ -593,6 +594,12 @@ class TestQSumSplit:
         # at q = 99/100 the direct part is longest: x_(I+1) < 1/4 takes I >= 137
         for order, sign in ((1, 1), (2, -1), (3, 1)):
             _assert_qsum_within_bound(order, 1, 0, sign, F(99, 100), 80)
+
+    def test_tiny_sum_keeps_its_leading_digits(self):
+        # sum_{n>=1001} 2^-n/[n] = sum 2^(-n-1)/(1-2^-n) = 2^-1001 (1 + e), 0 < e < 2^-999;
+        # summing by i stopped after its first term, half the sum, as the tail was below 2^-72
+        value = q_sum_infinite(1, 1, 1000, 1, HighPrecision.from_fraction(F(1, 2), 64))
+        assert abs(value.to_fraction() * 2 ** 1001 - 1) < F(1, 2 ** 60)
 
     def test_constant_jet_q(self):
         q = HighPrecision.from_fraction(F(7, 10), 120)
