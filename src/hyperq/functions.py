@@ -172,7 +172,7 @@ def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPr
         raise NonConvergentBaseError("infinite q-sum requires 0 < q < 1")
     prec = q.prec
     a, b = q.to_fraction().as_integer_ratio()
-    k = -(-b // (b - a))  # K
+    k = -(-b // (b - a))  # K = ceil(1/(1-q))
     wp = prec + 12 + ((order + 1) * k * (k + 3)).bit_length()
     add, neg = libmp.mpf_add, libmp.mpf_neg  # without a precision, mpf_add is exact
 
