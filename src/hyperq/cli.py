@@ -29,6 +29,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 _OPTION = re.compile(r"--[A-Za-z][A-Za-z0-9_-]*(=|\Z)")  # --name or --name=value
+_DEFAULTS = verify.VerifyOptions()  # the one definition of the defaults the options share
 
 
 def _fraction(text: str) -> Fraction:
@@ -43,17 +44,18 @@ def _q_list(text: str):
 
 
 def _add_verify_flags(p: argparse.ArgumentParser):
-    p.add_argument("--digits", type=int, default=30, help="residual tolerance 10^-digits")
-    p.add_argument("--work-digits", type=int, default=None,
+    p.add_argument("--digits", type=int, help="residual tolerance 10^-digits")
+    p.add_argument("--work-digits", type=int,
                    help="working precision in digits (default digits+10)")
-    p.add_argument("--samples", type=int, default=20, help="exact samples per identity")
-    p.add_argument("--seed", type=int, default=0, help="sampler seed")
-    p.add_argument("--q", type=_q_list, default=(Fraction(1, 2),),
+    p.add_argument("--samples", type=int, help="exact samples per identity")
+    p.add_argument("--seed", type=int, help="sampler seed")
+    p.add_argument("--q", dest="q_values", metavar="Q", type=_q_list,
                    help="comma-separated q values, e.g. 1/3,1/2,7/10")
-    p.add_argument("--max-n", type=int, default=8, help="largest terminating order sampled")
-    p.add_argument("--terms-budget", type=int, default=10 ** 6,
+    p.add_argument("--max-n", type=int, help="largest terminating order sampled")
+    p.add_argument("--terms-budget", type=int,
                    help="term budget before a series is declared non-geometric")
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(**vars(_DEFAULTS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("text", help="DSL text, e.g. 'sum k=0..n : 1'")
     p_eval.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                         help="bind a parameter to a rational (repeatable)")
-    p_eval.add_argument("--digits", type=int, default=30)
-    p_eval.add_argument("--terms-budget", type=int, default=10 ** 6)
+    p_eval.add_argument("--digits", type=int, default=_DEFAULTS.digits)
+    p_eval.add_argument("--terms-budget", type=int, default=_DEFAULTS.terms_budget)
 
     p_derive = sub.add_parser("derive", help="operator-method derivative check")
     p_derive.add_argument("--id", required=True, help="terminating identity id")
@@ -87,11 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.add_argument("--bind", action="append", default=[], metavar="NAME=EXPR",
                           help="substitution binding, e.g. c=2-b (repeatable)")
     p_derive.add_argument("--samples", type=int, default=10)
-    p_derive.add_argument("--seed", type=int, default=0)
-    p_derive.add_argument("--max-n", type=int, default=8)
+    p_derive.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p_derive.add_argument("--max-n", type=int, default=_DEFAULTS.max_n)
 
     p_pi = sub.add_parser("pi", help="print digits of pi")
-    p_pi.add_argument("--digits", type=int, default=30)
+    p_pi.add_argument("--digits", type=int, default=_DEFAULTS.digits)
 
     return parser
 
@@ -113,15 +115,7 @@ def _check_common(args):
 
 
 def _options_from(args) -> verify.VerifyOptions:
-    return verify.VerifyOptions(
-        digits=args.digits,
-        samples=args.samples,
-        seed=args.seed,
-        q_values=args.q,
-        max_n=args.max_n,
-        terms_budget=args.terms_budget,
-        work_digits=args.work_digits,
-    )
+    return verify.VerifyOptions(**{name: getattr(args, name) for name in vars(_DEFAULTS)})
 
 
 def _cmd_list(args) -> int:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional, Union
 
 
@@ -389,21 +390,13 @@ class _Parser:
         if self.peek().kind != "EOF":
             self.error("end of input")
 
-    def parse_expr(self) -> Expr:
-        node, height = self.parse_term(), self.height
-        while tok := self.accept("+-"):
-            right = self.parse_term()
-            height = 1 + (height if height > self.height else self.height)
-            if height > MAX_DEPTH:
-                self.too_deep(tok)
-            node = _OPERATORS[tok.text](node, right)
-        self.height = height
-        return node
-
-    def parse_term(self) -> Expr:
-        node, height = self.parse_factor(), self.height
-        while tok := self.accept("*/"):
-            right = self.parse_factor()
+    def parse_expr(self, ops: str = "+-") -> Expr:
+        """A chain of terms joined by + and -, or (``ops`` "*/") a term: factors
+        joined by * and /."""
+        operand = self.parse_factor if ops == "*/" else partial(self.parse_expr, "*/")
+        node, height = operand(), self.height
+        while tok := self.accept(ops):
+            right = operand()
             height = 1 + (height if height > self.height else self.height)
             if height > MAX_DEPTH:
                 self.too_deep(tok)
@@ -439,6 +432,8 @@ class _Parser:
             if nxt := self.accept("("):
                 raise ParseError(self.src.origin, nxt.line, nxt.column,
                                  "a known atom before '('", repr(tok.text))
+            if tok.text in _KEYWORDS:  # sum, inf
+                self.error("a parameter name", tok)
             self.height = 1
             return Param(tok.text)
         if tok[:2] != ("OP", "("):
@@ -482,11 +477,9 @@ def parse_closed_form(text: Union[str, SourceText]) -> ClosedForm:
 
 
 def parse_side(text: Union[str, SourceText]) -> Union[SeriesSpec, ClosedForm]:
-    """Parse either side of an identity: a series if it starts with ``sum``."""
-    src = SourceText(text) if isinstance(text, str) else text
-    if src.text.lstrip().startswith("sum "):
-        return parse_series_spec(src)
-    return parse_closed_form(src)
+    """Parse either side of an identity: a series if its first token is ``sum``."""
+    parser = _Parser(text)
+    return parser.parse_series() if parser.peek()[:2] == ("IDENT", "sum") else parser.parse_closed()
 
 
 # --------------------------------------------------------------------- renderer

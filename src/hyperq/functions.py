@@ -1,9 +1,9 @@
 """The q-analogues and constants that the series engine evaluates whole:
-q-integers, infinite q-products and q-sums, pi, square roots and the
-algebraic sin/cos values on closed-form sides.
+infinite q-products and q-sums, pi, square roots and the algebraic sin/cos
+values on closed-form sides.
 
 The running atoms (Pochhammer and q-Pochhammer symbols, factorials,
-harmonic numbers, finite q-sums) have one definition each, as recurrences of
+q-integers, harmonic numbers, finite q-sums) have one definition each, as recurrences of
 the term programs in :mod:`hyperq.series`.  Everything here is generic over
 the scalar regimes of :mod:`hyperq.scalars` where its domain allows: exact
 rationals, correctly rounded ``HighPrecision`` floats, and jets; the infinite
@@ -26,8 +26,6 @@ from .scalars import (
     Jet2,
     Scalar,
     agree_to,
-    scalar_one,
-    scalar_zero,
 )
 
 
@@ -90,39 +88,17 @@ def _value(v):
     return v.value if isinstance(v, Jet2) else v
 
 
-class QIntegers:
-    """[m] = 1 + q + ... + q^(m-1) for nondecreasing m, by a running sum.
-
-    Holds (m, [m], q^m) and advances by ``total + p`` and ``p * q`` in the
-    order a fresh sum takes them, so every value is bit-identical to a sum
-    from 0 in every regime; a smaller m restarts from 0.
-    """
-
-    def __init__(self, q: Scalar):
-        self.q = q
-        self.m = 0
-        self.total = scalar_zero(q)
-        self.power = scalar_one(q)
-
-    def __call__(self, m: int) -> Scalar:
-        if m < 0:
-            raise ValueError("q-integer index must be nonnegative")
-        if m < self.m:
-            self.__init__(self.q)
-        while self.m < m:
-            self.total = self.total + self.power
-            self.power = self.power * self.q
-            self.m += 1
-        return self.total
-
-
 def q_integer(m: int, q: Scalar) -> Scalar:
-    """[m] = 1 + q + ... + q^(m-1).
+    """[m] = 1 + q + ... + q^(m-1), by the recurrence of the ``qint`` atom.
 
-    The package itself runs :class:`QIntegers`; this wrapper stays because the
+    The package runs the atom itself; this wrapper stays because the
     benchmark's per-layer tracer (``bench/layers.py``) hooks it by name.
     """
-    return QIntegers(q)(m)
+    from .series import _qint  # series imports this module
+
+    if m < 0:
+        raise ValueError("q-integer index must be nonnegative")
+    return _qint(None, {}, 0, q, m)
 
 
 def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPrecision":

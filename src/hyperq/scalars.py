@@ -19,7 +19,11 @@ coercion, with two exceptions:
   never computed.
 
 Every other mix, such as a jet over ``Fraction`` with a ``HighPrecision``,
-raises.
+raises.  The hand-off of a jet beside a ``HighPrecision`` goes through
+Python's reflected operators: ``HighPrecision._check`` returns
+``NotImplemented`` for a jet operand, which the forward operators return, so
+``h + j`` runs ``Jet2.__radd__``; a comparison or a reflected
+``HighPrecision`` operator given a jet raises instead.
 
 The exact regime computes on ``Rational``, a ``Fraction`` whose + - * / and
 integer ** run ``fractions``' own algorithms (Henrici's cross gcds for * and /,
@@ -59,10 +63,6 @@ _RND = "n"  # round to nearest everywhere
 
 class RegimeMismatchError(TypeError):
     """Raised when values from different numeric regimes are combined."""
-
-
-class _JetOperand(RegimeMismatchError):
-    """A ``Jet2`` met a ``HighPrecision`` operator, which defers to the jet."""
 
 
 class Rational(Fraction):
@@ -180,6 +180,7 @@ class HighPrecision:
     # -- helpers -----------------------------------------------------------
 
     def _check(self, other):
+        # the raw value of other, or NotImplemented for a jet (off the HighPrecision path)
         if isinstance(other, HighPrecision):
             if other.prec != self.prec:
                 raise RegimeMismatchError(
@@ -189,53 +190,51 @@ class HighPrecision:
         if isinstance(other, int):
             return libmp.from_int(other, self.prec, _RND)
         if isinstance(other, Jet2):
-            raise _JetOperand("HighPrecision operators leave jets to Jet2")
+            return NotImplemented
         raise RegimeMismatchError(
             f"cannot combine HighPrecision with {type(other).__name__}"
         )
+
+    def _operand(self, other):  # _check for the comparisons and reflected operators
+        raw = self._check(other)
+        if raw is NotImplemented:
+            raise RegimeMismatchError("a HighPrecision compares with or takes no Jet2")
+        return raw
 
     def is_zero(self) -> bool:
         return self.raw == libmp.fzero
 
     # -- arithmetic ---------------------------------------------------------
 
-    # The forward operators return NotImplemented for a jet operand, so that
-    # Python hands ``h + j`` to ``Jet2.__radd__``; the test sits in _check's
-    # fallback branch, off the HighPrecision-with-HighPrecision path.
-
     def __add__(self, other):
-        try:
-            raw = self._check(other)
-        except _JetOperand:
-            return NotImplemented
+        raw = self._check(other)
+        if raw is NotImplemented:
+            return raw
         return HighPrecision(libmp.mpf_add(self.raw, raw, self.prec, _RND), self.prec)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            raw = self._check(other)
-        except _JetOperand:
-            return NotImplemented
+        raw = self._check(other)
+        if raw is NotImplemented:
+            return raw
         return HighPrecision(libmp.mpf_sub(self.raw, raw, self.prec, _RND), self.prec)
 
     def __rsub__(self, other):
-        return HighPrecision(libmp.mpf_sub(self._check(other), self.raw, self.prec, _RND), self.prec)
+        return HighPrecision(libmp.mpf_sub(self._operand(other), self.raw, self.prec, _RND), self.prec)
 
     def __mul__(self, other):
-        try:
-            raw = self._check(other)
-        except _JetOperand:
-            return NotImplemented
+        raw = self._check(other)
+        if raw is NotImplemented:
+            return raw
         return HighPrecision(libmp.mpf_mul(self.raw, raw, self.prec, _RND), self.prec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            raw = self._check(other)
-        except _JetOperand:
-            return NotImplemented
+        raw = self._check(other)
+        if raw is NotImplemented:
+            return raw
         if raw == libmp.fzero:
             raise ZeroDivisionError("division by zero in HighPrecision regime")
         return HighPrecision(libmp.mpf_div(self.raw, raw, self.prec, _RND), self.prec)
@@ -243,7 +242,7 @@ class HighPrecision:
     def __rtruediv__(self, other):
         if self.is_zero():
             raise ZeroDivisionError("division by zero in HighPrecision regime")
-        return HighPrecision(libmp.mpf_div(self._check(other), self.raw, self.prec, _RND), self.prec)
+        return HighPrecision(libmp.mpf_div(self._operand(other), self.raw, self.prec, _RND), self.prec)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -261,7 +260,7 @@ class HighPrecision:
     # -- comparison ----------------------------------------------------------
 
     def _cmp(self, other) -> int:
-        return libmp.mpf_cmp(self.raw, self._check(other))
+        return libmp.mpf_cmp(self.raw, self._operand(other))
 
     def __eq__(self, other):
         if isinstance(other, HighPrecision) or isinstance(other, int):

@@ -75,7 +75,6 @@ from mpmath import libmp
 
 from . import dsl
 from .functions import (
-    QIntegers,
     _value,
     cospi_constant,
     pi_constant,
@@ -357,7 +356,7 @@ class _Compiler:
             offset = getattr(node, "offset", dsl.Num(0))
             recurrence, args = partial(_harmx, node.order, *step), [sub(offset)]
         elif kind is dsl.QSum:
-            recurrence, args = partial(_qsum, node), [sub(_Q)]
+            recurrence, args = partial(_qsum, node, next(self.slots)), [sub(_Q)]
         else:
             return partial(_raise, f"cannot evaluate node {kind.__name__}")
         return partial(_atom, dsl.ATOMS[kind], recurrence, args,
@@ -524,8 +523,19 @@ def _poch_least(n, x) -> float:
         math.log2(d.denominator) if m > 0 and d else 0
 
 
+def _zero_count(x):
+    """The count 1 - x whose factor x + (count - 1) is 0, at a plain integer
+    x <= 0 (a product stays 0 past it; a jet need not); otherwise inf."""
+    if isinstance(x, HighPrecision):
+        sign, man, exp, _ = x.raw
+        return 1 + (man << exp) if exp >= 0 and (sign or not man) else math.inf
+    if isinstance(x, Fraction) and x.denominator == 1 and x.numerator <= 0:
+        return 1 - x.numerator
+    return math.inf
+
+
 def _poch(a, b, ctx, cache, slot, x, n):
-    return _advance(cache, slot, (x,), n, partial(scalar_one, x),
+    return _advance(cache, slot, (x,), min(n, _zero_count(x)), partial(scalar_one, x),
                     lambda p, i: p * (x + (a * i + b)), _poch_free if ctx.exact else None,
                     _poch_least)
 
@@ -546,9 +556,9 @@ def _factorial(a, b, ctx, cache, slot, n):
 
 
 def _qint(ctx, cache, slot, q, n):
-    if slot not in cache or cache[slot].q != q:
-        cache[slot] = QIntegers(q)
-    return cache[slot](n)
+    # the state ([i], q^i): [i+1] = [i] + q^i, then q^(i+1) = q^i * q
+    return _advance(cache, slot, (q,), n, lambda: (scalar_zero(q), scalar_one(q)),
+                    lambda st, i: (st[0] + st[1], st[1] * q))[0]
 
 
 def _harmx(order, a, b, ctx, cache, slot, offset, n):
@@ -560,21 +570,21 @@ def _harmx(order, a, b, ctx, cache, slot, offset, n):
     return _advance(cache, slot, (offset,), n, lambda: scalar_zero(offset), extend)
 
 
-def _qsum(atom, ctx, cache, slot, q, m):
-    # the i-th summand sign^(i-1) q^idx/[idx]^order, idx = stride*i + shift
-    def extend(state, i):
-        s, q_ints = state
+def _qsum(atom, q_slot, ctx, cache, slot, q, m):
+    # the i-th summand sign^(i-1) q^idx/[idx]^order, idx = stride*i + shift,
+    # with [idx] from a qint state of its own, in ``q_slot``
+    def extend(s, i):
         idx = atom.stride * i + atom.shift
         if idx < 1:
             raise EvalError(f"nonpositive q-sum index {idx} at i={i}")
-        den = int_pow(q_ints(idx), atom.order)
+        den = int_pow(_qint(ctx, cache, q_slot, q, idx), atom.order)
         try:
             t = int_pow(q, idx) / den
         except ZeroDivisionError:  # every regime's division raises it for a zero [idx]
             raise PoleInTermError(f"zero q-integer [{idx}] in a q-sum denominator") from None
-        return s + (-t if atom.sign == -1 and i % 2 == 0 else t), q_ints
+        return s + (-t if atom.sign == -1 and i % 2 == 0 else t)
 
-    return _advance(cache, slot, (q,), m, lambda: (scalar_zero(q), QIntegers(q)), extend)[0]
+    return _advance(cache, slot, (q,), m, partial(scalar_zero, q), extend)
 
 
 # ------------------------------------------------------------------- summers

@@ -35,6 +35,7 @@ from . import dsl
 from .corpus import Domain, IdentityRecord, ParamSpec, get_identity, list_identities
 from .scalars import Jet2, jet_lift, scalar_zero
 from .series import (
+    DEFAULT_TERMS_BUDGET,
     EvalError,
     PoleInTermError,
     RationalContext,
@@ -69,7 +70,7 @@ class VerifyOptions:
     seed: int = 0
     q_values: Tuple[Fraction, ...] = (Fraction(1, 2),)
     max_n: int = 8
-    terms_budget: int = 10 ** 6
+    terms_budget: int = DEFAULT_TERMS_BUDGET
     work_digits: Optional[int] = None
 
     @property
@@ -239,10 +240,11 @@ def _eval_rhs_exact(rec: IdentityRecord, bindings: dict, ctx) -> object:
 
 
 def _exact_check(rec: IdentityRecord, options: VerifyOptions, rng: random.Random, count: int,
-                 params: Sequence[ParamSpec], fixed: Sequence[Tuple[str, Fraction]],
+                 params: Sequence[ParamSpec], combos: Sequence[Sequence[Tuple[str, Fraction]]],
                  active: Optional[str], order: int, subs: Optional[dict] = None):
     """Sum both sides of a terminating identity exactly at ``count`` admissible
-    samples and compare their jet components up to ``order``.
+    samples after each list of ``combos`` bindings and compare their jet
+    components up to ``order``.
 
     ``active`` (when not None) is lifted to a jet at its sampled point, then
     each ``subs`` binding -- a Fraction, or an expression that may use the
@@ -259,12 +261,13 @@ def _exact_check(rec: IdentityRecord, options: VerifyOptions, rng: random.Random
         return env, sum_terminating(rec.lhs, env, ctx), _eval_rhs_exact(rec, env, ctx)
 
     worst, terms = Fraction(0), 0
-    for _ in range(count):
-        env, lv, rv = _admissible(rec.id, params, options, rng, fixed, evaluate)
-        terms = max(terms, upper_bound(rec.lhs, env) + 1)
-        for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
-            worst = max(worst, abs(Fraction(lc) - Fraction(rc)))
-    return worst, terms, count
+    for fixed in combos:
+        for _ in range(count):
+            env, lv, rv = _admissible(rec.id, params, options, rng, fixed, evaluate)
+            terms = max(terms, upper_bound(rec.lhs, env) + 1)
+            for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
+                worst = max(worst, abs(Fraction(lc) - Fraction(rc)))
+    return worst, terms, count * len(combos)
 
 
 def _numeric_check(rec: IdentityRecord, options: VerifyOptions, rng: random.Random):
@@ -322,7 +325,8 @@ def verify_identity(rec_or_id: Union[str, IdentityRecord],
             active = rec.active if rec.kind == "jet-derived" else None
             tol = Fraction(0)
             worst, terms, taken = _exact_check(rec, options, rng, options.samples,
-                                               _sampled_params(rec), [], active,
+                                               _sampled_params(rec),
+                                               _enumerated_combos(rec, options), active,
                                                0 if active is None else 2)
         else:
             tol = options.tolerance
@@ -402,7 +406,7 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
             for name, v in bindings.items()}
     start = time.perf_counter()
     worst, terms, taken = _exact_check(rec, options, rng, count, params,
-                                       [] if point is None else [(parameter, point)],
+                                       [[] if point is None else [(parameter, point)]],
                                        parameter, order, subs)
     report = VerificationReport(rec.id, f"derive-{parameter}-d{order}",
                                 "pass" if worst == 0 else "fail",

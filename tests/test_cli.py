@@ -6,13 +6,16 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import libmp
 
+from hyperq.cli import main
 from hyperq.scalars import HighPrecision
 
 CLI = [sys.executable, "-m", "hyperq"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args, env=None):
@@ -258,6 +261,50 @@ class TestEval:
         out = run_cli("eval", "4/pi", "--digits", "20")
         assert out.returncode == 0
         assert out.stdout.startswith("1.2732395447351626862")  # correctly rounded at 20 digits
+
+
+class TestEvalInProcess:
+    """``eval`` run through ``main`` in this process: stdout, stderr, exit code."""
+
+    @staticmethod
+    def _run(capsys, *args):
+        status = main(["eval", *args])
+        out = capsys.readouterr()
+        return status, out.out, out.err
+
+    @pytest.mark.parametrize("text,expected", [("sum\tk=0..3 : k", "6"),
+                                               ("sum\nk=0..2 : k", "3"),
+                                               ("# note\nsum k=0..2 : k", "3")])
+    def test_series_after_any_whitespace_or_comment(self, capsys, text, expected):
+        assert self._run(capsys, text) == (0, expected + "\n", "")
+
+    def test_keyword_parameter_is_two(self, capsys):
+        status, out, err = self._run(capsys, "inf*2", "--param", "inf=3")
+        assert (status, out) == (2, "")
+        assert "expected a parameter name, found 'inf'" in err
+
+    # the runs that tests/golden/eval.txt pins: closed forms with repeated
+    # constants, exact and infinite sums on both summation paths, two refusals
+    GOLDEN_RUNS = [
+        ["pi*pi", "--digits", "50"],
+        ["sqrt(2)*sqrt(2)"],
+        ["qsuminf(2,2,0,+)*qsuminf(2,2,0,+)", "--param", "q=1/2"],
+        ["sum k=0..n : poch(-n,k)*poch(b,k)/(poch(c,k)*fact(k))",
+         "--param", "n=6", "--param", "b=1/3", "--param", "c=5/2"],
+        ["sum k=0..inf : (6*k+1)*poch(1/2,k)^3/(fact(k)^3*4^k)", "--digits", "100"],
+        ["sum k=0..inf : q^(k*(k+1)/2)*qpoch(q,1,k)/qpoch(q^3,2,k)", "--param", "q=1/2"],
+        ["sum k=0..inf : poch(1,k)*2^k/poch(1000,k)"],
+        ["sum k=0..inf : 1/((k-40)*2^k)"],
+    ]
+
+    def test_golden_replay(self, capsys):
+        lines = []
+        for args in self.GOLDEN_RUNS:
+            status, out, err = self._run(capsys, *args)
+            lines.append("$ hyperq eval " + " ".join(args))
+            lines += out.splitlines() + ["stderr: " + line for line in err.splitlines()]
+            lines.append(f"exit {status}")
+        assert "\n".join(lines) + "\n" == (GOLDEN / "eval.txt").read_text()
 
 
 class TestPi:

@@ -167,6 +167,27 @@ class TestVerifyAll:
         assert "NonGeometricTail" in report.error
 
 
+class TestEnumeratedExactDomains:
+    """A terminating record runs ``samples`` draws at each binding of its
+    enumerated (qvals, set) domains, as an infinite one runs its draws."""
+
+    RECORDS = ("[identity]\nid = QI\nkind = terminating-exact\n"
+               "lhs = sum k=0..n-1 : q^k\nrhs = {rhs}\n"
+               "params = q in qvals, n in nmax\nanchor = t\n\n"
+               "[identity]\nid = SET\nkind = terminating-exact\n"
+               "lhs = sum k=0..2 : x^k\nrhs = {rhs2}\nparams = x in {{1/3,2/5}}\nanchor = t\n")
+
+    def test_each_binding_is_verified(self):
+        options = VerifyOptions(samples=5, q_values=(F(1, 2), F(7, 10), F(3)))
+        for wrong in (False, True):
+            text = self.RECORDS.format(rhs="qint(n+1)" if wrong else "qint(n)",
+                                       rhs2="1 + x" if wrong else "1 + x + x^2")
+            for rec, samples in zip(parse_corpus(text), (15, 10)):
+                report = verify_identity(rec, options)
+                assert report.verdict == ("fail" if wrong else "pass"), report.error
+                assert report.samples == samples
+
+
 class TestOperatorDeriveCheck:
     def test_gosper_second_derivative(self):
         report = operator_derive_check(

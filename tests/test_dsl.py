@@ -61,6 +61,13 @@ class TestParsing:
         assert isinstance(parse_side("sum k=0..n : 1"), SeriesSpec)
         assert isinstance(parse_side("pi/2"), ClosedForm)
 
+    @pytest.mark.parametrize("text", ["sum\tk=0..3 : k", "sum\nk=0..2 : k",
+                                      "# note\nsum k=0..2 : k", "  sum k = 0..inf : 2^-k"])
+    def test_parse_side_reads_the_first_token(self, text):
+        # the grammar is whitespace-insensitive, and so is the choice of a series
+        assert isinstance(parse_side(text), SeriesSpec)
+        assert isinstance(parse_side("summit*sums"), ClosedForm)
+
     def test_power_binds_primary(self):
         # fact(k)^3*4^k is (fact(k)^3)*(4^k), not fact(k)^(3*4^k)
         spec = parse_series_spec("sum k=0..n : fact(k)^3*4^k")
@@ -113,6 +120,13 @@ class TestParseErrors:
     def test_keyword_index_rejected(self):
         with pytest.raises(ParseError):
             parse_series_spec("sum inf=0..n : 1")
+
+    @pytest.mark.parametrize("text,column", [("inf*2", 1), ("2*sum", 3), ("poch(inf,2)", 6),
+                                             ("sum k=0..n : inf", 14), ("sum k=0..inf : sum", 16)])
+    def test_keyword_parameter_rejected(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_side(text)
+        assert err.value.column == column and "a parameter name" in str(err.value)
 
     @pytest.mark.parametrize("text,column,expected", [
         ("harm(0,k)", 6, "an order >= 1"),

@@ -17,7 +17,6 @@ from hyperq import dsl
 from hyperq.dsl import ParseError, parse_closed_form
 from hyperq.functions import (
     NonConvergentBaseError,
-    QIntegers,
     cospi_constant,
     pi_constant,
     pi_machin_classic,
@@ -32,6 +31,7 @@ from hyperq.scalars import (
     HighPrecision,
     Jet2,
     agree_to,
+    int_pow,
     jet_lift,
     scalar_one,
     scalar_zero,
@@ -347,7 +347,28 @@ def fresh_q_integer(m, q):
     return total
 
 
+def running(text, ctx, q):
+    """``text`` as a function of m evaluated on one cache, whose key "index"
+    names m the summation index: the atoms resume their states as in a sum."""
+    expr, cache = parse_closed_form(text).expr, {"index": "m"}
+    return lambda m: evaluate_expr(expr, {"q": q, "m": m}, ctx, cache)
+
+
+def fresh_q_sums(order, stride, shift, sign, q, count):
+    """Reference values of qsum(order, stride, shift, sign, m) for m = 0..count,
+    each q-integer summed afresh and each summand added in the atom's order."""
+    total = scalar_zero(q)
+    yield total
+    for i in range(1, count + 1):
+        idx = stride * i + shift
+        t = int_pow(q, idx) / int_pow(fresh_q_integer(idx, q), order)
+        total = total + (-t if sign == -1 and i % 2 == 0 else t)
+        yield total
+
+
 class TestRunningQIntegers:
+    """The q-integer state of the ``qint`` and ``qsum`` atoms, and ``q_integer``."""
+
     QS = (F(1, 2), F(7, 10), F(99, 100))
     CHECKED = list(range(0, 500, 7)) + [500]
 
@@ -355,30 +376,47 @@ class TestRunningQIntegers:
     @pytest.mark.parametrize("q", QS)
     def test_bit_identical_to_fresh_sum(self, q, prec):
         hq = HighPrecision.from_fraction(q, prec)
-        q_ints = QIntegers(hq)
+        qint = running("qint(m)", FloatContext(prec), q)
         for m in range(501):
-            got = q_ints(m)
+            got = qint(m)
             if m in self.CHECKED:
                 want = fresh_q_integer(m, hq)
                 assert (got.raw, got.prec) == (want.raw, want.prec), m
                 assert q_integer(m, hq).raw == want.raw, m
+        # a q-sum's q-integers advance by its stride, from its own state
+        qsum = running("qsum(2,3,-1,-,m)", FloatContext(prec), q)
+        for m, want in enumerate(fresh_q_sums(2, 3, -1, -1, hq, 100)):
+            got = qsum(m)
+            assert (got.raw, got.prec) == (want.raw, want.prec), m
 
     @pytest.mark.parametrize("q", QS)
     def test_exact_for_fractions(self, q):
-        q_ints = QIntegers(q)
+        qint = running("qint(m)", RationalContext(), q)
         for m in self.CHECKED:
-            assert q_ints(m) == (1 - q ** m) / (1 - q)
+            assert qint(m) == q_integer(m, q) == (1 - q ** m) / (1 - q)
+        qsum = running("qsum(1,2,0,+,m)", RationalContext(), q)
+        for m, want in enumerate(fresh_q_sums(1, 2, 0, 1, q, 40)):
+            assert qsum(m) == want
 
     def test_smaller_index_restarts(self):
         hq = HighPrecision.from_fraction(F(7, 10), 64)
-        q_ints = QIntegers(hq)
-        q_ints(40)
-        assert q_ints(9).raw == fresh_q_integer(9, hq).raw
-        assert q_ints(9).raw == fresh_q_integer(9, hq).raw  # same index: no step
+        qint = running("qint(m)", FloatContext(64), F(7, 10))
+        qint(40)
+        assert qint(9).raw == fresh_q_integer(9, hq).raw
+        assert qint(9).raw == fresh_q_integer(9, hq).raw  # same index: no step
+        qsum = running("qsum(2,2,-1,+,m)", FloatContext(64), F(7, 10))
+        wants = list(fresh_q_sums(2, 2, -1, 1, hq, 40))
+        qsum(40)
+        assert qsum(9).raw == wants[9].raw
+        assert qsum(12).raw == wants[12].raw
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            QIntegers(F(1, 2))(-1)
+            q_integer(-1, F(1, 2))
+        with pytest.raises(EvalError):
+            ev("qint(m)", q=F(1, 2), m=-1)
+        with pytest.raises(EvalError):
+            ev("qsum(2,1,0,+,m)", q=F(1, 2), m=-1)
 
 
 class TestQPartialSum:

@@ -1,6 +1,7 @@
 """Scalar regimes: exact rationals, working-precision floats, second-order jets."""
 
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -287,6 +288,20 @@ class TestMixedOperands:
                 j / zero
         with pytest.raises(ZeroDivisionError):
             1 / jet_lift(scalar_zero(j.value))
+
+    @pytest.mark.parametrize("prec", [64, 3400])
+    def test_high_precision_hands_jets_to_jet2(self, prec):
+        # a forward operator defers to the jet's reflected one; a comparison or
+        # a reflected HighPrecision operator has nothing to defer to, and raises
+        h = HighPrecision.from_fraction(F(1, 3), prec)
+        jet = jet_lift(HighPrecision.from_fraction(F(2, 5), prec))
+        assert h + jet == jet + h and h * jet == jet * h
+        assert (h - jet).value == h - jet.value and (h / jet).value == h / jet.value
+        for fn in (operator.lt, operator.le, operator.gt, operator.ge,
+                   HighPrecision.__rsub__, HighPrecision.__rtruediv__):
+            with pytest.raises(RegimeMismatchError):
+                fn(h, jet)
+        assert h != jet
 
     @pytest.mark.parametrize("prec", [64, 3400])
     @pytest.mark.parametrize("op", sorted(OPS))

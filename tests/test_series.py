@@ -257,6 +257,23 @@ class TestRunningProductGuard:
         reference = reduce(operator.mul, [Jet2(F(i - 3), F(1), F(0)) for i in range(40)])
         assert (value.value, value.d1, value.d2) == (reference.value, reference.d1, reference.d2)
 
+    @pytest.mark.parametrize("ctx", [RationalContext(), FloatContext(64), FloatContext(3400)])
+    def test_poch_stops_at_its_zero_factor(self, ctx):
+        # (-m)_n takes the factor 0 at count m + 1, and a plain product stays 0
+        # past it: no later step is taken (poch(-3,100000) took 0.31 s in 99,996
+        # steps through zeros; 10^7 of them would take half a minute)
+        poch = dsl.parse_closed_form("poch(x,n)").expr
+        for m, n, expected in [(3, 3, -6), (3, 4, 0), (3, 5, 0), (0, 0, 1), (0, 1, 0),
+                               (3, 10 ** 7, 0), (0, 10 ** 7, 0)]:
+            start = time.perf_counter()
+            value = evaluate_expr(poch, {"x": F(-m), "n": n}, ctx)
+            assert time.perf_counter() - start < 0.5
+            assert value == expected, (m, n)
+        # a running state past the zero factor resumes from it and restarts below it
+        cache = {"index": "n"}
+        for n, expected in [(5, 0), (10 ** 7, 0), (2, 6), (6, 0)]:
+            assert evaluate_expr(poch, {"x": F(-3), "n": n}, ctx, cache) == expected
+
     @pytest.mark.parametrize("u", [0, -3, -10])
     def test_jet_poch_bound_through_zero(self, u):
         # the bound is below the bits of every exact product it is asked about

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from hyperq import dsl, series, verify
 from hyperq.corpus import list_identities
-from hyperq.functions import QIntegers
 from hyperq.scalars import HighPrecision, Jet2, int_pow, jet_lift, scalar_one, scalar_zero
 from hyperq.series import (
     MAX_EXACT_BITS,
@@ -111,11 +110,10 @@ def _incremental(cache, key, target, start_state, extend):
     return payload
 
 
-def _q_integers(cache, key, q):
-    q_ints = cache.get(key)
-    if q_ints is None:
-        q_ints = cache[key] = QIntegers(q)
-    return q_ints
+def _q_integer(cache, key, q, m):
+    """[m] from the running ([i], q^i) -> ([i] + q^i, q^i * q), the order of a fresh sum."""
+    return _incremental(cache, key, m, (scalar_zero(q), scalar_one(q)),
+                        lambda st, i: (st[0] + st[1], st[1] * q))[0]
 
 
 def _mentions(node, index):
@@ -248,7 +246,7 @@ def _walk(node, env, ctx, cache):
         return ctx.qpochinf(x, int_pow(q, node.step))
     if isinstance(node, dsl.QInt):
         q = _ambient_q(env, ctx)
-        return _q_integers(cache, (id(node), q), q)(_walk_count(node, env))
+        return _q_integer(cache, (id(node), q), q, _walk_count(node, env))
     if isinstance(node, (dsl.Harm, dsl.HarmX)):
         offset = ctx.lift(_walk(getattr(node, "offset", dsl.Num(0)), env, ctx, cache))
         n = _walk_count(node, env)
@@ -262,13 +260,12 @@ def _walk(node, env, ctx, cache):
     if isinstance(node, dsl.QSum):
         q = _ambient_q(env, ctx)
         m = _walk_count(node, env)
-        q_ints = _q_integers(cache, (id(node), q, "qint"), q)
 
         def extend(s, i):
             idx = node.stride * i + node.shift
             if idx < 1:
                 raise EvalError(f"nonpositive q-sum index {idx}")
-            den = int_pow(q_ints(idx), node.order)
+            den = int_pow(_q_integer(cache, (id(node), q, "qint"), q, idx), node.order)
             series._div_check(den)
             t = int_pow(q, idx) / den
             if node.sign == -1 and (i - 1) % 2 == 1:
