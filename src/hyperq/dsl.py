@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Optional, Union
 
 
@@ -393,10 +392,10 @@ class _Parser:
     def parse_expr(self, ops: str = "+-") -> Expr:
         """A chain of terms joined by + and -, or (``ops`` "*/") a term: factors
         joined by * and /."""
-        operand = self.parse_factor if ops == "*/" else partial(self.parse_expr, "*/")
-        node, height = operand(), self.height
+        term = ops == "*/"
+        node, height = self.parse_factor() if term else self.parse_expr("*/"), self.height
         while tok := self.accept(ops):
-            right = operand()
+            right = self.parse_factor() if term else self.parse_expr("*/")
             height = 1 + (height if height > self.height else self.height)
             if height > MAX_DEPTH:
                 self.too_deep(tok)

@@ -523,19 +523,22 @@ def _poch_least(n, x) -> float:
         math.log2(d.denominator) if m > 0 and d else 0
 
 
-def _zero_count(x):
-    """The count 1 - x whose factor x + (count - 1) is 0, at a plain integer
-    x <= 0 (a product stays 0 past it; a jet need not); otherwise inf."""
-    if isinstance(x, HighPrecision):
+def _zero_free(x, n) -> int:
+    """n, or the count 1 - x if smaller, at a plain integer x <= 0: the factor
+    x + (count - 1) is 0 there, and a product stays 0 past it (a jet need not).
+    The exact type tests keep the common case off ``Fraction``'s ABC check."""
+    if type(x) is Rational:
+        if x.denominator == 1 and x.numerator <= 0:
+            return min(n, 1 - x.numerator)
+    elif type(x) is HighPrecision:
         sign, man, exp, _ = x.raw
-        return 1 + (man << exp) if exp >= 0 and (sign or not man) else math.inf
-    if isinstance(x, Fraction) and x.denominator == 1 and x.numerator <= 0:
-        return 1 - x.numerator
-    return math.inf
+        if exp >= 0 and (sign or not man):
+            return min(n, 1 + (man << exp))
+    return n
 
 
 def _poch(a, b, ctx, cache, slot, x, n):
-    return _advance(cache, slot, (x,), min(n, _zero_count(x)), partial(scalar_one, x),
+    return _advance(cache, slot, (x,), _zero_free(x, n), partial(scalar_one, x),
                     lambda p, i: p * (x + (a * i + b)), _poch_free if ctx.exact else None,
                     _poch_least)
 
