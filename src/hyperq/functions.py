@@ -3,11 +3,11 @@ infinite q-products and q-sums, pi, square roots and the algebraic sin/cos
 values on closed-form sides.
 
 The running atoms (Pochhammer and q-Pochhammer symbols, factorials,
-q-integers, harmonic numbers, finite q-sums) have one definition each, as recurrences of
-the term programs in :mod:`hyperq.series`.  Everything here is generic over
-the scalar regimes of :mod:`hyperq.scalars` where its domain allows: exact
-rationals, correctly rounded ``HighPrecision`` floats, and jets; the infinite
-q-sum is a ``HighPrecision`` kernel on libmp values.
+q-integers, harmonic numbers, finite q-sums) have one definition each, as
+recurrences of the term programs in :mod:`hyperq.series`.  Everything here is
+generic over the scalar regimes of :mod:`hyperq.scalars` where its domain
+allows: exact rationals, correctly rounded ``HighPrecision`` floats, and jets;
+the infinite q-sum is a ``HighPrecision`` kernel on libmp values.
 
 Gamma ratios never appear: every ratio of Gamma values used by closed forms
 is expressed as a ratio of shifted factorials, which is exactly rational.

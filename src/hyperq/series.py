@@ -523,10 +523,10 @@ def _poch_least(n, x) -> float:
         math.log2(d.denominator) if m > 0 and d else 0
 
 
-def _zero_free(x, n) -> int:
-    """n, or the count 1 - x if smaller, at a plain integer x <= 0: the factor
-    x + (count - 1) is 0 there, and a product stays 0 past it (a jet need not).
-    The exact type tests keep the common case off ``Fraction``'s ABC check."""
+def _poch_count(x, n) -> int:
+    """The count to step for (x)_n: n, or 1 - x if smaller at a plain integer
+    x <= 0, whose factor x + (count - 1) is 0 there; a product stays 0 past it
+    (a jet need not)."""
     if type(x) is Rational:
         if x.denominator == 1 and x.numerator <= 0:
             return min(n, 1 - x.numerator)
@@ -538,7 +538,8 @@ def _zero_free(x, n) -> int:
 
 
 def _poch(a, b, ctx, cache, slot, x, n):
-    return _advance(cache, slot, (x,), _zero_free(x, n), partial(scalar_one, x),
+    # up to 64 steps through zeros cost less than testing every call for them
+    return _advance(cache, slot, (x,), _poch_count(x, n) if n > 64 else n, partial(scalar_one, x),
                     lambda p, i: p * (x + (a * i + b)), _poch_free if ctx.exact else None,
                     _poch_least)
 
