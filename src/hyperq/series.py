@@ -530,9 +530,9 @@ def _poch_count(x, n) -> int:
     if type(x) is Rational:
         if x.denominator == 1 and x.numerator <= 0:
             return min(n, 1 - x.numerator)
-    elif type(x) is HighPrecision:
-        sign, man, exp, _ = x.raw
-        if exp >= 0 and (sign or not man):
+    elif type(x) is HighPrecision:  # 1 - x exceeds n unless its bits are few
+        sign, man, exp, bits = x.raw
+        if exp >= 0 and (sign or not man) and bits + exp <= n.bit_length():
             return min(n, 1 + (man << exp))
     return n
 

@@ -269,6 +269,9 @@ class TestRunningProductGuard:
             value = evaluate_expr(poch, {"x": F(-m), "n": n}, ctx)
             assert time.perf_counter() - start < 0.5
             assert value == expected, (m, n)
+        # an integer beyond every count is not built out to test it
+        huge = HighPrecision((1, 1, 1 << 40, 1), 64)  # -2^(2^40)
+        assert series._poch_count(huge, 10 ** 7) == 10 ** 7
         # a running state past the zero factor resumes from it and restarts below it
         cache = {"index": "n"}
         for n, expected in [(5, 0), (10 ** 7, 0), (2, 6), (6, 0)]:
