@@ -196,24 +196,45 @@ def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPr
 
 
 def _arctan_recip(m: int, prec: int) -> HighPrecision:
-    """arctan(1/m) = sum_j (-1)^j / ((2j+1) m^(2j+1)) in N = wp + g bit fixed point.
+    """arctan(1/m) for an integer m >= 2, rounded to nearest at prec bits
+    from an exact partial sum of sum_j (-1)^j/((2j+1) m^(2j+1)).
 
-    p_j = floor(2^N / m^(2j+1)) exactly (nested floors compose), so each term
-    is off by less than 2^-N, as is the alternating tail dropped once p_j = 0.
-    At most N/2 + 1 terms and 2^g > N + 4 keep the sum within 2^-wp of arctan(1/m).
+    J is the least count with m^(2J+1) >= 2^(prec+16), found in integers.
+    The terms alternate and fall, so the sum A_J of the first J terms is
+    within 1/((2J+1) m^(2J+1)) <= 2^(-prec-16)/3 of arctan(1/m) >
+    (11/12)/m: a relative error below m 2^(-prec-17).  A_J is summed
+    exactly by binary splitting (Haible-Papanikolaou, ANTS-III 1998), in
+    O(M(N) log^2 N) bit operations at N bits where a fixed-point loop costs
+    O(N) per term, and rounded once by ``HighPrecision.from_quotient``.
+    So the result is within (1/2 + m 2^-17) ulp of arctan(1/m): the
+    correctly rounded value unless arctan(1/m) lies within m 2^-17 ulp of a
+    rounding boundary.
     """
-    wp = prec + 16
-    n = wp + wp.bit_length() + 4
-    p = (1 << n) // m
-    m2 = m * m
-    total = 0
-    j = 0
-    while p:
-        t = p // (2 * j + 1)
-        total += -t if j % 2 else t
-        p //= m2
-        j += 1
-    return HighPrecision(libmp.from_man_exp(total, -n, wp, "n"), wp)
+    m2, t = m * m, prec + 16
+    j = max(1, math.ceil((t / math.log2(m) - 1) / 2))  # an estimate, made exact below
+    power = m ** (2 * j - 1)
+    while (power * m2).bit_length() <= t:  # m^(2j+1) < 2^t
+        power, j = power * m2, j + 1
+    while j > 1 and power.bit_length() > t:  # m^(2j-1) >= 2^t
+        power, j = power // m2, j - 1
+    b, _, s = _arctan_split(m2, 0, j)
+    return HighPrecision.from_quotient(s, b * power, prec)  # A_J = m T/(B m^(2J))
+
+
+def _arctan_split(m2: int, lo: int, hi: int):
+    """(B, Q, T) with sum_{lo<=j<hi} (-1)^j/((2j+1) m^(2(j-lo+1))) = T/(B Q),
+    B = prod (2j+1) and Q = m^(2(hi-lo)), for m2 = m^2.  A range of up to 16
+    terms is summed in one loop; a longer one joins its halves as
+    T = T_1 B_2 Q_2 + B_1 T_2."""
+    if hi - lo <= 16:
+        b, s = 1, 0
+        for c in range(2 * lo + 1, 2 * hi, 2):  # c = 2j + 1, and j is odd where c & 2
+            s = s * c * m2 - b if c & 2 else s * c * m2 + b
+            b *= c
+        return b, m2 ** (hi - lo), s
+    b1, q1, s1 = _arctan_split(m2, lo, (lo + hi) // 2)
+    b2, q2, s2 = _arctan_split(m2, (lo + hi) // 2, hi)
+    return b1 * b2, q1 * q2, s1 * b2 * q2 + b1 * s2
 
 
 def pi_machin_classic(prec: int) -> HighPrecision:

@@ -177,6 +177,30 @@ class HighPrecision:
         x = Fraction(x)
         return cls(libmp.from_rational(x.numerator, x.denominator, prec, _RND), prec)
 
+    @classmethod
+    def from_quotient(cls, n: int, d: int, prec: int) -> "HighPrecision":
+        """n/d for ints n and d != 0, correctly rounded to nearest at prec bits.
+
+        Ziv's strategy (ACM TOMS 17, 1991) on truncated operands: an operand
+        longer than w = prec + 64 bits keeps its top w bits, a = |n| >> s and
+        b = |d| >> t, so |n/d| 2^(t-s) lies in [a/(b + [t>0]), (a + [s>0])/b].
+        Rounding to nearest is monotone, so when both ends round to the same
+        float, every value between them does, |n/d| 2^(t-s) included.  Then
+        the answer is that float times 2^(s-t), and each division took w-bit
+        operands; the ends differ only when the bracket, about 2^(2-w) wide
+        relative to the quotient, straddles a rounding boundary, and then n/d
+        is divided exactly.
+        """
+        w = prec + 64
+        s, t = max(abs(n).bit_length() - w, 0), max(abs(d).bit_length() - w, 0)
+        if s or t:
+            a, b = abs(n) >> s, abs(d) >> t
+            low = libmp.from_rational(a, b + (t > 0), prec, _RND)
+            if low == libmp.from_rational(a + (s > 0), b, prec, _RND):
+                raw = libmp.mpf_shift(low, s - t)
+                return cls(libmp.mpf_neg(raw) if (n < 0) != (d < 0) else raw, prec)
+        return cls(libmp.from_rational(n, d, prec, _RND), prec)
+
     # -- helpers -----------------------------------------------------------
 
     def _check(self, other):

@@ -71,8 +71,6 @@ from fractions import Fraction
 from functools import partial, reduce
 from typing import NamedTuple, Optional, Tuple
 
-from mpmath import libmp
-
 from . import dsl
 from .functions import (
     _value,
@@ -84,7 +82,6 @@ from .functions import (
     sqrt_constant,
 )
 from .scalars import (
-    _RND,
     HighPrecision,
     Jet2,
     Rational,
@@ -1015,10 +1012,9 @@ def _split_sum(spec, bindings, prec, terms_budget):
     except _NotSplit:
         return None
     total, last, den = term.partial_sum(k)
-    value = HighPrecision(libmp.from_rational(total, den, prec, _RND), prec)
-    bound = libmp.from_rational(TAIL_FACTOR * abs(last), abs(den), prec, _RND)
-    return (value, TailBound(k, HighPrecision.from_fraction(RATIO_CAP, prec),
-                             HighPrecision(bound, prec)), k + 1)
+    bound = HighPrecision.from_quotient(TAIL_FACTOR * abs(last), abs(den), prec)
+    return (HighPrecision.from_quotient(total, den, prec),
+            TailBound(k, HighPrecision.from_fraction(RATIO_CAP, prec), bound), k + 1)
 
 
 def sum_infinite(spec: dsl.SeriesSpec, bindings: dict, prec: int, *,

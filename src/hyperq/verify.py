@@ -186,10 +186,14 @@ def _draw(domain: Domain, rng: random.Random, options: VerifyOptions, env: dict)
     raise EvalError(f"domain {domain.kind!r} cannot be sampled")
 
 
-def _enumerated_combos(rec: IdentityRecord, options: VerifyOptions) -> List[List[Tuple[str, Fraction]]]:
-    """Cartesian product over the record's enumerated (qvals/set) domains."""
+def _enumerated_combos(rec: IdentityRecord, options: VerifyOptions,
+                       skip=()) -> List[List[Tuple[str, Fraction]]]:
+    """Cartesian product over the record's enumerated (qvals/set) domains,
+    those of the ``skip`` names left out."""
     axes = []
     for p in rec.params:
+        if p.name in skip:
+            continue
         if p.domain.kind == "qvals":
             axes.append([(p.name, Fraction(q)) for q in options.q_values])
         elif p.domain.kind == "set":
@@ -396,17 +400,22 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
 
     rng = record_rng(options.seed, rec.id, salt=f"derive:{parameter}:{order}")
     count = samples if samples is not None else (1 if point is not None else options.samples)
-    # free parameters first, then the point: the order of the derive RNG stream
-    params = [p for p in rec.params if p.name != parameter and p.name not in bindings]
+    # free parameters first, then the point: the order of the derive RNG stream;
+    # enumerated (qvals/set) parameters are bound per combo, as verify binds them
+    params = [p for p in _sampled_params(rec) if p.name != parameter and p.name not in bindings]
+    fixed, skip = [], set(bindings)
     if point is None:
         domain = rec.domain_of(parameter) if parameter in declared else Domain("rat7")
-        params.append(ParamSpec(parameter, domain))
+        if not domain.enumerated:
+            params.append(ParamSpec(parameter, domain))
+    else:
+        fixed, skip = [(parameter, point)], skip | {parameter}
+    combos = [combo + fixed for combo in _enumerated_combos(rec, options, skip)]
     # parsed (and so compiled) once, not once per attempt
     subs = {name: dsl.parse_closed_form(v).expr if isinstance(v, str) else Fraction(v)
             for name, v in bindings.items()}
     start = time.perf_counter()
-    worst, terms, taken = _exact_check(rec, options, rng, count, params,
-                                       [[] if point is None else [(parameter, point)]],
+    worst, terms, taken = _exact_check(rec, options, rng, count, params, combos,
                                        parameter, order, subs)
     report = VerificationReport(rec.id, f"derive-{parameter}-d{order}",
                                 "pass" if worst == 0 else "fail",

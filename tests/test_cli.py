@@ -394,6 +394,26 @@ class TestDerive:
         assert "PASS" in out.stdout
 
 
+    @pytest.mark.parametrize("rhs,code", [("x^2*(1-q^(n+1))/(1-q)", 0),
+                                          ("x^2*(1-q^(n+2))/(1-q)", 1)])
+    def test_qvals_parameter_is_bound_per_q(self, tmp_path, rhs, code):
+        # q in qvals cannot be drawn: derive binds it to each q value, as verify does
+        alt = tmp_path / "qx.txt"
+        alt.write_text(
+            "[identity]\n"
+            "id = QX\n"
+            "kind = terminating-exact\n"
+            "lhs = sum k=0..n : x^2*q^k\n"
+            f"rhs = {rhs}\n"
+            "params = q in qvals, x in rat7, n in nmax\n"
+            "anchor = finite geometric sum\n")
+        out = run_cli("derive", "--id", "QX", "--param", "x", "--order", "2",
+                      "--samples", "3", env={"HYPERQ_CORPUS": str(alt)})
+        assert out.returncode == code, out.stderr
+        assert ("PASS" if code == 0 else "FAIL") in out.stdout
+        assert "samples=3" in out.stdout  # at the default q = 1/2
+
+
 class TestVerifyAllSubset:
     def test_json_lines_and_summary(self, tmp_path):
         alt = tmp_path / "two.txt"

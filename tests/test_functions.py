@@ -17,6 +17,7 @@ from hyperq import dsl
 from hyperq.dsl import ParseError, parse_closed_form
 from hyperq.functions import (
     NonConvergentBaseError,
+    _arctan_recip,
     cospi_constant,
     pi_constant,
     pi_machin_classic,
@@ -450,10 +451,25 @@ class TestConstants:
         v = pi_constant(160)
         assert v.to_decimal(41).startswith("3.141592653589793238462643383279502884197")
 
-    @pytest.mark.parametrize("prec", list(range(8, 600, 7)) + [3372, 16672])
+    # 16610 and 66439 bits: 5000 and 20000 digits, where the arctangents split deepest
+    @pytest.mark.parametrize("prec", list(range(8, 600, 7)) + [3372, 16610, 16672, 66439])
     def test_pi_matches_mpmath(self, prec):
         # mpmath's pi is Chudnovsky-based, independent of both arctangent formulas
         assert pi_constant(prec).raw == libmp.mpf_pi(prec, "n")
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 239])
+    @pytest.mark.parametrize("digits", [30, 300, 1000, 5000])
+    def test_arctan_recip_error_bound(self, m, digits):
+        # within (1/2 + m 2^-17) ulp of arctan(1/m), as its docstring proves; m = 239 at
+        # 30 digits sums one flat range of terms, the others split
+        prec = math.ceil(digits * math.log2(10))
+        got = _arctan_recip(m, prec)
+        ref = libmp.mpf_atan(libmp.from_rational(1, m, prec + 128, "n"), prec + 64, "n")
+        _, man, exp, bc = got.raw
+        ulp = F(2) ** (exp + bc - prec)
+        assert got.prec == prec and bc <= prec
+        assert abs(got.to_fraction() - HighPrecision(ref, prec + 64).to_fraction()) <= \
+            (F(1, 2) + F(m, 2 ** 17)) * ulp
 
     def test_pi_formulas_cross_check(self):
         prec = 128

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from hyperq.scalars import (
     HighPrecision,
@@ -110,6 +111,41 @@ class TestToPrecision:
             assert approx == 0
         else:
             assert abs(approx - x) <= abs(x) * F(1, 2 ** (p - 1))
+
+
+# signed ints of up to 320, 4800 and 10^5 bits: shorter and longer than p + 64
+_signed_ints = st.tuples(
+    st.one_of(st.binary(max_size=40), st.binary(min_size=40, max_size=600),
+              st.binary(min_size=600, max_size=12500)),
+    st.booleans()).map(lambda t: (-1) ** t[1] * int.from_bytes(t[0], "big"))
+
+
+class TestFromQuotient:
+    @given(n=_signed_ints, d=_signed_ints.filter(bool),
+           p=st.integers(8, 4000))
+    def test_is_the_exact_rounding(self, n, d, p):
+        # operands shorter and longer than p + 64 bits, and quotients of any size
+        assert HighPrecision.from_quotient(n, d, p).raw == libmp.from_rational(n, d, p, "n")
+
+    def test_a_tie_is_divided_exactly(self, monkeypatch):
+        # 1 + 2^-p and 1 + 3*2^-p lie halfway between p-bit floats; over a common
+        # factor of about 10^5 bits the truncated bracket holds the tie, so only the
+        # exact division can round it to even
+        p, common = 200, 3 ** 63093
+        exact, lengths = libmp.from_rational, []
+
+        def spy(n, d, *args):
+            lengths.append(max(abs(n), abs(d)).bit_length())
+            return exact(n, d, *args)
+
+        monkeypatch.setattr(libmp, "from_rational", spy)
+        n, d = (2 ** p + 1) * common, common << p
+        cases = [(n, 1), (n + 2 * common, 1 + F(1, 2 ** (p - 2))), (-n, -1),
+                 (n + 1, 1 + F(1, 2 ** (p - 1))), (n - 1, 1)]  # just above and below a tie
+        for n, want in cases:
+            lengths.clear()
+            assert HighPrecision.from_quotient(n, d, p).to_fraction() == want
+            assert lengths[-1] > 10 ** 5  # the fallback divided the whole operands
 
 
 class TestAgreeTo:
