@@ -175,7 +175,7 @@ class HighPrecision:
     @classmethod
     def from_fraction(cls, x: Union[Fraction, int], prec: int) -> "HighPrecision":
         x = Fraction(x)
-        return cls(libmp.from_rational(x.numerator, x.denominator, prec, _RND), prec)
+        return cls.from_quotient(x.numerator, x.denominator, prec)
 
     @classmethod
     def from_quotient(cls, n: int, d: int, prec: int) -> "HighPrecision":
