@@ -393,7 +393,6 @@ class TestDerive:
         assert out.returncode == 0
         assert "PASS" in out.stdout
 
-
     @pytest.mark.parametrize("rhs,code", [("x^2*(1-q^(n+1))/(1-q)", 0),
                                           ("x^2*(1-q^(n+2))/(1-q)", 1)])
     def test_qvals_parameter_is_bound_per_q(self, tmp_path, rhs, code):

@@ -465,7 +465,7 @@ class TestConstants:
         prec = math.ceil(digits * math.log2(10))
         got = _arctan_recip(m, prec)
         ref = libmp.mpf_atan(libmp.from_rational(1, m, prec + 128, "n"), prec + 64, "n")
-        _, man, exp, bc = got.raw
+        _, _, exp, bc = got.raw
         ulp = F(2) ** (exp + bc - prec)
         assert got.prec == prec and bc <= prec
         assert abs(got.to_fraction() - HighPrecision(ref, prec + 64).to_fraction()) <= \

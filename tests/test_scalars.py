@@ -121,8 +121,7 @@ _signed_ints = st.tuples(
 
 
 class TestFromQuotient:
-    @given(n=_signed_ints, d=_signed_ints.filter(bool),
-           p=st.integers(8, 4000))
+    @given(n=_signed_ints, d=_signed_ints.filter(bool), p=st.integers(8, 4000))
     def test_is_the_exact_rounding(self, n, d, p):
         # operands shorter and longer than p + 64 bits, and quotients of any size
         assert HighPrecision.from_quotient(n, d, p).raw == libmp.from_rational(n, d, p, "n")
