@@ -98,18 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LEAST = {"digits": 4, "samples": 1, "max_n": 0, "terms_budget": 1}  # least value of each option
+
+
 def _check_common(args):
-    digits = getattr(args, "digits", None)
-    if digits is not None and digits < 4:
-        raise argparse.ArgumentTypeError("--digits must be at least 4")
-    samples = getattr(args, "samples", None)
-    if samples is not None and samples < 1:
-        raise argparse.ArgumentTypeError("--samples must be at least 1")
-    max_n = getattr(args, "max_n", None)
-    if max_n is not None and max_n < 0:
-        raise argparse.ArgumentTypeError("--max-n must be at least 0")
+    for name, least in _LEAST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise argparse.ArgumentTypeError(
+                f"--{name.replace('_', '-')} must be at least {least}")
     work_digits = getattr(args, "work_digits", None)
-    if work_digits is not None and work_digits < digits:
+    if work_digits is not None and work_digits < args.digits:
         # fewer working digits than the tolerance asks for can print a false PASS
         raise argparse.ArgumentTypeError("--work-digits must be at least --digits")
 
@@ -135,6 +134,10 @@ def _print_report(report, fmt: str):
     print(report.machine_line() if fmt == "json" else report.text_line())
 
 
+# the exit code of each verdict; a run of several exits with the largest
+_VERDICT_EXIT = {"pass": EXIT_OK, "fail": EXIT_FAIL, "error": EXIT_INTERNAL}
+
+
 def _cmd_verify(args) -> int:
     options = _options_from(args)
     if args.target == "all":
@@ -144,9 +147,7 @@ def _cmd_verify(args) -> int:
         if args.format == "text":
             print(f"summary: {summary['pass']} pass, {summary['fail']} fail, "
                   f"{summary['error']} error")
-        if summary["error"]:
-            return EXIT_INTERNAL
-        return EXIT_OK if summary["fail"] == 0 else EXIT_FAIL
+        return max((_VERDICT_EXIT[rep.verdict] for rep in reports), default=EXIT_OK)
     try:
         rec = corpus.get_identity(args.target)
     except KeyError as exc:
@@ -154,9 +155,7 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     report = verify.verify_identity(rec, options)
     _print_report(report, args.format)
-    if report.verdict == "error":
-        return EXIT_INTERNAL
-    return EXIT_OK if report.verdict == "pass" else EXIT_FAIL
+    return _VERDICT_EXIT[report.verdict]
 
 
 def _parse_bindings(pairs, allow_expr: bool):
@@ -226,14 +225,12 @@ def _cmd_eval(args) -> int:
             print(f"tail bound <= {tail.bound.to_decimal(3)} after {terms} terms "
                   f"(ratio {tail.ratio.to_decimal(3)} at k={tail.start_index})")
     else:
-        exact_ok = True
         try:
-            print(_exact_text(series.evaluate_closed(side, bindings)))
-        except series.EvalError:
-            exact_ok = False
-        if not exact_ok:
-            value = series.evaluate_closed(side, bindings, prec)
-            print(value.to_decimal(args.digits))
+            value = series.evaluate_closed(side, bindings)
+        except series.EvalError:  # no exact value (pi, an irrational sqrt, ...)
+            print(series.evaluate_closed(side, bindings, prec).to_decimal(args.digits))
+        else:
+            print(_exact_text(value))
     return EXIT_OK
 
 
@@ -244,9 +241,7 @@ def _cmd_derive(args) -> int:
                                           point=args.point, bindings=bindings,
                                           options=options, samples=args.samples)
     print(report.text_line())
-    if report.verdict == "error":
-        return EXIT_INTERNAL
-    return EXIT_OK if report.verdict == "pass" else EXIT_FAIL
+    return _VERDICT_EXIT[report.verdict]
 
 
 def _cmd_pi(args) -> int:

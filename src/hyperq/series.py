@@ -11,7 +11,7 @@ geometric ratio test:
   itself, and summation stops when that bound drops below 2^(-prec-4).
 
 A term of the split form (hypergeometric, times rational functions and
-harmonic weights, at rational bindings, without q or an active jet; see the
+harmonic weights, at rational bindings, without q or a jet binding; see the
 binary-split section) is summed over 0..K exactly and rounded once, and its
 term ratio must tend to a limit of modulus below 1; its K comes from an
 integer walk with a stated error bound.  Every other infinite sum, and every
@@ -29,11 +29,14 @@ step of ``poch``, ``fact``, ``dfactodd``, ``harm`` and ``harmx`` is stated
 once, in ``_STEP``, which the term programs run and the split analysis reads.
 The q-atoms read ``q`` as an ordinary parameter, lifted like atom arguments.
 
-Derivatives flow only from the active parameter: the caller binds it to a
-``Jet2``, and only values computed from it become jets.  Constants (literals,
-bound rationals, pi, infinite q-sums, ...) stay plain values of the regime,
-which ``Jet2`` arithmetic takes as constant jets, so jets need no context of
-their own.  An infinite q-sum refuses a q that carries derivatives.
+Derivatives flow only from the active parameter: in every regime and every
+summer the caller binds it to an exact jet (``jet_lift`` of a rational), which
+a float regime lifts component by component at its own working precision, as
+it lifts a bound rational.  Only values computed from it become jets.
+Constants (literals, bound rationals, pi, infinite q-sums, ...) stay plain
+values of the regime, which ``Jet2`` arithmetic takes as constant jets, so jets
+need no context of their own.  An infinite q-sum refuses a q that carries
+derivatives.
 
 Programs are shared by every regime; a step that differs by regime
 branches on ``ctx.exact``.  A float regime (``FloatContext``, with or without
@@ -91,7 +94,6 @@ from .scalars import (
     _rational,
     agree_to,
     int_pow,
-    jet_lift,
     scalar_one,
     scalar_zero,
 )
@@ -187,7 +189,10 @@ class FloatContext:
             return HighPrecision.from_int(v, self.prec)
         return v
 
-    def from_fraction(self, x: Fraction):
+    def from_fraction(self, x):
+        """A rational, or each component of a ``RationalJet``, at the working precision."""
+        if isinstance(x, RationalJet):
+            return Jet2(*map(self.from_fraction, (x.value, x.d1, x.d2)))
         return HighPrecision.from_fraction(x, self.prec)
 
     def pi(self):
@@ -369,7 +374,7 @@ def _param(name, exact, env, ctx, cache):
         return v
     if exact and not isinstance(v, Fraction):
         raise EvalError(f"parameter {name!r} must be exact here, got {type(v).__name__}")
-    return ctx.from_fraction(v) if not exact and isinstance(v, Fraction) else v
+    return ctx.from_fraction(v) if not exact and isinstance(v, (Fraction, RationalJet)) else v
 
 
 def _once(step, slot, env, ctx, cache):
@@ -618,18 +623,6 @@ def _norm(t, prec: int) -> HighPrecision:
     return abs(HighPrecision.from_int(t, prec) if isinstance(t, int) else t)
 
 
-def _numeric_env(bindings, active, prec):
-    """The bindings and context of one run at ``prec`` bits, with the
-    ``active`` parameter, if any, lifted to a jet at its exact point."""
-    env = dict(bindings)
-    if active is not None:
-        point = env[active]
-        if not isinstance(point, (int, Fraction)):
-            raise EvalError("active parameter must be bound to an exact point")
-        env[active] = jet_lift(HighPrecision.from_fraction(Fraction(point), prec))
-    return env, FloatContext(prec)
-
-
 def _validated(low, high, prec, what):
     """The double-evaluation policy, for sums and closed forms alike.
 
@@ -697,8 +690,8 @@ def _stopping_index(magnitudes, threshold, terms_budget, check=None):
         f"(window of {WINDOW_TERMS} ratios <= {RATIO_CAP} after {WARMUP_TERMS} warm-up terms)")
 
 
-def _sum_infinite_once(spec, bindings, prec, work_prec, active, terms_budget):
-    env, ctx = _numeric_env(bindings, active, work_prec)
+def _sum_infinite_once(spec, bindings, prec, work_prec, terms_budget):
+    env, ctx = dict(bindings), FloatContext(work_prec)
     cache = {_INDEX: spec.index}
     total = mag = None
 
@@ -1018,36 +1011,33 @@ def _split_sum(spec, bindings, prec, terms_budget):
 
 
 def sum_infinite(spec: dsl.SeriesSpec, bindings: dict, prec: int, *,
-                 active: Optional[str] = None,
                  terms_budget: int = DEFAULT_TERMS_BUDGET) -> Tuple[Scalar, TailBound, int]:
     """Sum an infinite series to ``prec`` bits with a tail bound.
 
     Returns ``(value, tail_bound, terms_used)``.  A term of the split form
     is summed by ``_split_sum``.  Any other is summed twice by its term
     program, ``_validated`` checks the two runs and rounds the value, and the
-    tail bound is the higher run's.  When ``active`` names a binding, that
-    parameter is lifted to a jet and the sum is carried out in the
+    tail bound is the higher run's.  A parameter bound to a ``RationalJet``
+    is lifted at each run's precision, so the sum is carried out in the
     jet-over-HighPrecision regime.
     """
     if spec.terminating:
         raise EvalError("sum_infinite requires an infinite upper bound")
-    split = None if active is not None else _split_sum(spec, bindings, prec, terms_budget)
+    split = _split_sum(spec, bindings, prec, terms_budget)
     if split is not None:
         return split
-    low, _, _ = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS,
-                                   active, terms_budget)
+    low, _, _ = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS, terms_budget)
     high, tail, terms = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS + 32,
-                                           active, terms_budget)
+                                           terms_budget)
     value = _validated(low, high, prec, "double evaluation")
     bound = TailBound(tail.start_index, tail.ratio.round_to(prec), tail.bound.round_to(prec))
     return value, bound, terms
 
 
-def evaluate_closed(cf: dsl.ClosedForm, bindings: dict, prec: Optional[int] = None, *,
-                    active: Optional[str] = None) -> Scalar:
+def evaluate_closed(cf: dsl.ClosedForm, bindings: dict, prec: Optional[int] = None) -> Scalar:
     """Evaluate a closed form exactly (prec None) or at prec bits, validated."""
     if prec is None:
         return evaluate_expr(cf.expr, bindings, RationalContext())
-    low, high = (evaluate_expr(cf.expr, *_numeric_env(bindings, active, p))
+    low, high = (evaluate_expr(cf.expr, bindings, FloatContext(p))
                  for p in (prec + GUARD_BITS, prec + GUARD_BITS + 32))
     return _validated(low, high, prec, "closed-form evaluation")

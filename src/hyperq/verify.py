@@ -1,18 +1,20 @@
 """Verification procedures over the identity corpus, plus the report model.
 
-Two checks, one per verdict regime, serve the three record kinds:
+One check serves the three record kinds and the operator method.  It binds
+the active parameter, if any, to an exact second-order jet at its sampled
+point, evaluates both sides in the record's regime and compares them:
 
-* the exact check sums both sides of a terminating identity over the
-  rationals and requires exact equality.  A ``terminating-exact`` record
-  compares values; a terminating ``jet-derived`` record first lifts its
-  active parameter to a second-order jet and compares all three jet
-  components, the machine form of differentiating the identity with
-  respect to a parameter.  ``operator_derive_check`` runs the same check
-  for a chosen parameter, order and substitution bindings.
-* the numeric check sums an infinite identity with a validated tail bound
-  and requires the residual to stay below 10^(-digits): absolute for an
-  ``infinite-numeric`` record, and per jet component, relative to
-  max(1, |left component|), for an infinite ``jet-derived`` record.
+* a terminating identity is summed over the rationals and must hold exactly.
+  A ``terminating-exact`` record compares values; a terminating
+  ``jet-derived`` record compares all three jet components, the machine form
+  of differentiating the identity with respect to a parameter.
+  ``operator_derive_check`` runs the same check for a chosen parameter,
+  order and substitution bindings.
+* an infinite identity is summed with a validated tail bound, each summer
+  lifting the jet at its working precision, and the residual must stay below
+  10^(-digits): absolute for an ``infinite-numeric`` record, and per jet
+  component up to the record's order, relative to max(1, |left component|),
+  for an infinite ``jet-derived`` record.
 
 One sampler draws from each record's declared domains, rejecting bindings
 that hit a pole anywhere in range (budget 1000 per sample); each record
@@ -237,73 +239,55 @@ def _jet_components(v, order: int):
     return (v,) + (scalar_zero(v),) * order
 
 
-def _eval_rhs_exact(rec: IdentityRecord, bindings: dict, ctx) -> object:
-    if isinstance(rec.rhs, dsl.SeriesSpec):
-        return sum_terminating(rec.rhs, bindings, ctx)
-    return evaluate_expr(rec.rhs.expr, bindings, ctx)
+def _side(side, env: dict, prec: Optional[int], terms_budget: int):
+    """(value, terms) of one side: exact at prec None (a sum must terminate),
+    else at ``prec`` bits (a sum must be infinite, and is tail-bounded)."""
+    if isinstance(side, dsl.ClosedForm):
+        return evaluate_closed(side, env, prec), 0
+    if prec is None:
+        return sum_terminating(side, env), upper_bound(side, env) + 1
+    value, _, terms = sum_infinite(side, env, prec, terms_budget=terms_budget)
+    return value, terms
 
 
-def _exact_check(rec: IdentityRecord, options: VerifyOptions, rng: random.Random, count: int,
-                 params: Sequence[ParamSpec], combos: Sequence[Sequence[Tuple[str, Fraction]]],
-                 active: Optional[str], order: int, subs: Optional[dict] = None):
-    """Sum both sides of a terminating identity exactly at ``count`` admissible
-    samples after each list of ``combos`` bindings and compare their jet
-    components up to ``order``.
+def _check(rec: IdentityRecord, options: VerifyOptions, rng: random.Random, draws: int,
+           params: Sequence[ParamSpec], combos: Sequence[Sequence[Tuple[str, Fraction]]],
+           active: Optional[str], order: int, subs: Optional[dict] = None):
+    """Evaluate both sides at ``draws`` admissible samples (one when there is
+    nothing to draw) after each list of ``combos`` bindings, and compare their
+    jet components up to ``order``: exactly for a terminating record, else at
+    the working precision with a tail bound.
 
-    ``active`` (when not None) is lifted to a jet at its sampled point, then
-    each ``subs`` binding -- a Fraction, or an expression that may use the
-    active parameter -- is evaluated.  Returns (worst residual, terms, samples).
+    ``active`` (when not None) is bound to an exact jet at its sampled point,
+    then each ``subs`` binding -- a Fraction, or an expression that may use
+    the active parameter -- is evaluated.  A residual is absolute, except a
+    numeric jet component's, which is divided by max(1, |left component|).
+    Returns (worst residual, terms, samples).
     """
-    ctx = RationalContext()
+    exact = rec.lhs.terminating
+    prec = None if exact else options.work_prec
+    relative = order and not exact
 
     def evaluate(bindings):
         env = dict(bindings)
         if active is not None:
             env[active] = jet_lift(Fraction(env[active]))
         for name, value in (subs or {}).items():
-            env[name] = value if isinstance(value, Fraction) else evaluate_expr(value, env, ctx)
-        return env, sum_terminating(rec.lhs, env, ctx), _eval_rhs_exact(rec, env, ctx)
-
-    worst, terms = Fraction(0), 0
-    for fixed in combos:
-        for _ in range(count):
-            env, lv, rv = _admissible(rec.id, params, options, rng, fixed, evaluate)
-            terms = max(terms, upper_bound(rec.lhs, env) + 1)
-            for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
-                worst = max(worst, abs(Fraction(lc) - Fraction(rc)))
-    return worst, terms, count * len(combos)
-
-
-def _numeric_check(rec: IdentityRecord, options: VerifyOptions, rng: random.Random):
-    """Sum an infinite identity at the working precision, per enumerated combo
-    and sampled point, with ``rec.active`` lifted to a jet when it has one.
-
-    The residual is absolute for plain values; for jets, each component's
-    is divided by max(1, |left component|).  Returns (worst, terms, samples).
-    """
-    prec, params = options.work_prec, _sampled_params(rec)
-    active, order = (rec.active, rec.order) if rec.kind == "jet-derived" else (None, 0)
-
-    def evaluate(bindings):
-        lv, _, used = sum_infinite(rec.lhs, bindings, prec, active=active,
-                                   terms_budget=options.terms_budget)
-        if isinstance(rec.rhs, dsl.SeriesSpec):
-            rv, _, _ = sum_infinite(rec.rhs, bindings, prec, active=active,
-                                    terms_budget=options.terms_budget)
-        else:
-            rv = evaluate_closed(rec.rhs, bindings, prec, active=active)
-        return lv, rv, used
+            env[name] = value if isinstance(value, Fraction) else evaluate_expr(
+                value, env, RationalContext())
+        return (_side(rec.lhs, env, prec, options.terms_budget),
+                _side(rec.rhs, env, prec, options.terms_budget)[0])
 
     worst, terms, taken = Fraction(0), 0, 0
-    for combo in _enumerated_combos(rec, options):
-        for _ in range(options.numeric_draws if params else 1):
-            lv, rv, used = _admissible(rec.id, params, options, rng, combo, evaluate)
+    for fixed in combos:
+        for _ in range(draws if params else 1):
+            (lv, used), rv = _admissible(rec.id, params, options, rng, fixed, evaluate)
             taken += 1
             terms = max(terms, used)
             for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
-                left = lc.to_fraction()
-                residual = abs(left - rc.to_fraction())
-                worst = max(worst, residual / max(1, abs(left)) if order else residual)
+                left = Fraction(lc) if exact else lc.to_fraction()
+                residual = abs(left - (Fraction(rc) if exact else rc.to_fraction()))
+                worst = max(worst, residual / max(1, abs(left)) if relative else residual)
     return worst, terms, taken
 
 
@@ -323,18 +307,16 @@ def verify_identity(rec_or_id: Union[str, IdentityRecord],
     rec = get_identity(rec_or_id) if isinstance(rec_or_id, str) else rec_or_id
     start = time.perf_counter()
     try:
-        rng = record_rng(options.seed, rec.id)
-        if rec.lhs.terminating:
-            # a terminating-exact record is the order-0 case: no lift, values only
-            active = rec.active if rec.kind == "jet-derived" else None
-            tol = Fraction(0)
-            worst, terms, taken = _exact_check(rec, options, rng, options.samples,
-                                               _sampled_params(rec),
-                                               _enumerated_combos(rec, options), active,
-                                               0 if active is None else 2)
-        else:
-            tol = options.tolerance
-            worst, terms, taken = _numeric_check(rec, options, rng)
+        exact = rec.lhs.terminating
+        # a record that is not jet-derived is the order-0 case: no lift, values
+        # only; an exact jet compares all three components
+        active = rec.active if rec.kind == "jet-derived" else None
+        order = 0 if active is None else 2 if exact else rec.order
+        tol = Fraction(0) if exact else options.tolerance
+        worst, terms, taken = _check(rec, options, record_rng(options.seed, rec.id),
+                                     options.samples if exact else options.numeric_draws,
+                                     _sampled_params(rec), _enumerated_combos(rec, options),
+                                     active, order)
         report = VerificationReport(rec.id, rec.kind, "pass" if worst <= tol else "fail",
                                     residual=worst, tolerance=tol, terms=terms, samples=taken)
     except _CAUGHT as exc:
@@ -415,8 +397,8 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
     subs = {name: dsl.parse_closed_form(v).expr if isinstance(v, str) else Fraction(v)
             for name, v in bindings.items()}
     start = time.perf_counter()
-    worst, terms, taken = _exact_check(rec, options, rng, count, params, combos,
-                                       parameter, order, subs)
+    worst, terms, taken = _check(rec, options, rng, count, params, combos, parameter, order,
+                                 subs)
     report = VerificationReport(rec.id, f"derive-{parameter}-d{order}",
                                 "pass" if worst == 0 else "fail",
                                 residual=worst, terms=terms, samples=taken)

@@ -167,6 +167,14 @@ class TestExitCodes:
         assert out.returncode == 1
         assert "FAIL" in out.stdout
 
+    @pytest.mark.parametrize("args", [["verify", "R1", "--terms-budget", "-1"],
+                                      ["eval", "sum k=0..inf : 2^(-k)", "--terms-budget", "0"]])
+    def test_terms_budget_below_one_is_two(self, args):
+        # these exited 3: "no geometric tail bound within -1 terms"
+        out = run_cli(*args)
+        self._assert_domain_error(out)
+        assert out.stderr == "error: --terms-budget must be at least 1\n"
+
 
 class TestEval:
     def test_exact_terminating(self):
@@ -305,6 +313,59 @@ class TestEvalInProcess:
             lines += out.splitlines() + ["stderr: " + line for line in err.splitlines()]
             lines.append(f"exit {status}")
         assert "\n".join(lines) + "\n" == (GOLDEN / "eval.txt").read_text()
+
+
+class TestVerifyAllGolden:
+    """``verify all --format json`` through ``main`` in this process, against
+    the committed 30-digit goldens (the 300-digit and deep ones run in CI)."""
+
+    RUNS = [
+        ("verify-all-seed0.json", ["--seed", "0"], 0),
+        ("verify-all-seed7.json", ["--seed", "7"], 0),
+        # the q half of the corpus where the q-products take the most factors
+        ("verify-all-seed0-q7-10.json", ["--seed", "0", "--q", "7/10"], 0),
+        # verdict, terms and samples of the exact and jet records at 200 samples
+        ("verify-all-seed0-s200.json", ["--seed", "0", "--samples", "200"], 0),
+        # the deliberately wrong variants fail, so exit status 1 is the expected one
+        ("verify-all-variants-seed0.json", ["--include-variants", "--seed", "0"], 1),
+    ]
+
+    @pytest.mark.parametrize("golden,args,status", RUNS, ids=[run[0] for run in RUNS])
+    def test_golden_replay(self, capsys, golden, args, status):
+        assert main(["verify", "all", "--format", "json", *args]) == status
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ((GOLDEN / golden).read_text(), "")
+
+
+class TestJetRecordResiduals:
+    """Jet-derived records through ``verify``: an exact one compares f, f' and
+    f'' whatever its order; a numeric one divides each component's residual
+    by max(1, |left component|)."""
+
+    @staticmethod
+    def _verify(tmp_path, monkeypatch, capsys, lhs, rhs):
+        alt = tmp_path / "jet.txt"
+        alt.write_text("[identity]\nid = J\nkind = jet-derived\n"
+                       f"lhs = {lhs}\nrhs = {rhs}\n"
+                       "params = x in {1}\nactive = x\norder = 1\nanchor = test corpus\n")
+        monkeypatch.setenv("HYPERQ_CORPUS", str(alt))
+        status = main(["verify", "J", "--format", "json"])
+        record = json.loads(capsys.readouterr().out)
+        return status, record["verdict"], record["residual"], record["samples"]
+
+    @pytest.mark.parametrize("rhs,expected", [("x^2", (0, "pass", "0", 1)),
+                                              # agrees with x^2 in f and f' at x = 1
+                                              ("2*x - 1", (1, "fail", "2.00e+00", 1))])
+    def test_exact_compares_the_second_derivative(self, tmp_path, monkeypatch, capsys,
+                                                  rhs, expected):
+        assert self._verify(tmp_path, monkeypatch, capsys, "sum k=0..0 : x^2", rhs) == expected
+
+    @pytest.mark.parametrize("gap,expected", [(10, (0, "pass", "5.00e-31", 1)),
+                                              (11, (1, "fail", "5.00e-30", 1))])
+    def test_numeric_residual_is_relative(self, tmp_path, monkeypatch, capsys, gap, expected):
+        # an absolute gap of 10^gap beside a value of 2*10^40, at 30 digits
+        assert self._verify(tmp_path, monkeypatch, capsys, "sum k=0..inf : x*10^40/2^k",
+                            f"2*10^40*x + 10^{gap}") == expected
 
 
 class TestPi:

@@ -383,10 +383,9 @@ class TestSumInfinite:
         # an EvalError (exit 3), not the TypeError of q_sum_infinite given a jet
         spec = dsl.parse_series_spec("sum k=0..inf : q^k*qsuminf(2,2,0,+)")
         with pytest.raises(EvalError, match="active q"):
-            sum_infinite(spec, {"q": F(1, 2)}, 64, active="q")
+            sum_infinite(spec, {"q": jet_lift(F(1, 2))}, 64)
         with pytest.raises(EvalError, match="active q"):
-            evaluate_closed(dsl.parse_closed_form("qsuminf(2,2,0,+)"), {"q": F(1, 2)}, 64,
-                            active="q")
+            evaluate_closed(dsl.parse_closed_form("qsuminf(2,2,0,+)"), {"q": jet_lift(F(1, 2))}, 64)
 
     def test_zero_tail_detected(self):
         # x = q^-2 zeroes the factor 1 - x q^2, so every term with k >= 3 vanishes
@@ -406,7 +405,7 @@ class TestSumInfinite:
         spec = dsl.parse_series_spec("sum k=0..inf : s*r^k")
         env = {"r": F(num, den), "s": F(scale)}
         prec = 64
-        value1, tail1, terms1 = _sum_infinite_once(spec, env, prec, prec + 64, None, 10 ** 6)
+        value1, tail1, terms1 = _sum_infinite_once(spec, env, prec, prec + 64, 10 ** 6)
         # the same additions in the same order, twice as many terms
         value2 = sum_terminating(replace(spec, upper=dsl.Num(2 * terms1 - 1)), env,
                                  FloatContext(prec + 64))
@@ -418,7 +417,7 @@ class TestSumInfinite:
         rec = get_identity(rid)
         env = {"q": F(1, 2)} if rid == "T3a" else {}
         prec = 100
-        value1, tail1, terms1 = _sum_infinite_once(rec.lhs, env, prec, prec + 64, None, 10 ** 6)
+        value1, tail1, terms1 = _sum_infinite_once(rec.lhs, env, prec, prec + 64, 10 ** 6)
         value2 = sum_terminating(replace(rec.lhs, upper=dsl.Num(2 * terms1 - 1)), env,
                                  FloatContext(prec + 64))
         assert abs(value2.to_fraction() - value1.to_fraction()) <= tail1.bound.to_fraction()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hyperq import dsl
+from hyperq import dsl, series
 from hyperq.corpus import list_identities
 from hyperq.scalars import agree_to, jet_lift
 from hyperq.series import (
@@ -41,9 +41,8 @@ def _combos(rid):
 
 def _compiled(spec, bindings, prec):
     """The compiled path: the term program run twice and validated."""
-    low, _, _ = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS, None, 10 ** 6)
-    high, tail, terms = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS + 32, None,
-                                           10 ** 6)
+    low, _, _ = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS, 10 ** 6)
+    high, tail, terms = _sum_infinite_once(spec, bindings, prec, prec + GUARD_BITS + 32, 10 ** 6)
     return _validated(low, high, prec, "double evaluation"), tail, terms
 
 
@@ -79,6 +78,18 @@ class TestAgainstCompiledPath:
             assert _analysed(rec.lhs, bindings) is None, rec.id
             seen += 1
         assert seen >= 19
+
+    def test_a_jet_the_term_never_reads_keeps_the_split_path(self, monkeypatch):
+        # R1's lhs never mentions x: binding x to a jet changes neither path nor bits
+        spec, prec = RECORDS["R1"].lhs, VerifyOptions().work_prec
+        plain, tail, terms = sum_infinite(spec, {}, prec)
+
+        def compiled(*args):
+            raise AssertionError("the compiled path ran")
+
+        monkeypatch.setattr(series, "_sum_infinite_once", compiled)
+        value, jet_tail, jet_terms = sum_infinite(spec, {"x": jet_lift(F(1, 3))}, prec)
+        assert (value.raw, jet_tail.bound.raw, jet_terms) == (plain.raw, tail.bound.raw, terms)
 
 
 class TestRejectedFromTheRatio:
@@ -241,7 +252,7 @@ class TestSplitWalkLaw:
     def test_split_stops_where_the_compiled_path_stops(self, text, digits):
         spec = dsl.parse_series_spec(text)
         prec = VerifyOptions(digits=digits).work_prec
-        once = (spec, {}, prec, prec + GUARD_BITS + 32, None, LAW_BUDGET)
+        once = (spec, {}, prec, prec + GUARD_BITS + 32, LAW_BUDGET)
         try:
             split = _split_sum(spec, {}, prec, LAW_BUDGET)
         except NonGeometricTailError as exc:
