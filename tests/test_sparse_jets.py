@@ -83,10 +83,8 @@ def _components(v):
     return tuple(F(c) for c in verify._jet_components(v, 2))
 
 
-def _exact_sides(rec, env, ctx):
-    rhs = sum_terminating(rec.rhs, env, ctx) if isinstance(rec.rhs, dsl.SeriesSpec) else \
-        evaluate_expr(rec.rhs.expr, env, ctx)
-    return sum_terminating(rec.lhs, env, ctx), rhs
+def _exact_sides(rec, env, ctx):  # every case's rhs is a closed form
+    return sum_terminating(rec.lhs, env, ctx), evaluate_expr(rec.rhs.expr, env, ctx)
 
 
 def _exact_samples(rec, active, subs, seed):
