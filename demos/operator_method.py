@@ -34,12 +34,12 @@ def gosper_by_hand():
 
 
 def harness_checks():
-    options = VerifyOptions(seed=1, max_n=6)
+    options = VerifyOptions(seed=1, max_n=6, samples=10)
     print("sampled second-derivative checks (exact jet equality):")
     print(" ", operator_derive_check("GOS", "b", 2, bindings={"c": "2-b"},
-                                     options=options, samples=10).text_line())
+                                     options=options).text_line())
     print(" ", operator_derive_check("QB", "b", 2, bindings={"c": "q^4/b"},
-                                     options=options, samples=10).text_line())
+                                     options=options).text_line())
     print()
     print("the explicit harmonic-weight forms of those derivatives are corpus")
     print("records of their own (GOS-D1, GOS-D2, QB-D2, OMEGA-D, UV-D).")

@@ -81,14 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--terms-budget", type=int, default=_DEFAULTS.terms_budget)
 
     p_derive = sub.add_parser("derive", help="operator-method derivative check")
-    p_derive.add_argument("--id", required=True, help="terminating identity id")
+    p_derive.add_argument("--id", required=True, help="identity id")
     p_derive.add_argument("--param", required=True, help="parameter to differentiate")
     p_derive.add_argument("--order", type=int, choices=(1, 2), default=1)
     p_derive.add_argument("--point", type=_fraction, default=None,
                           help="rational point for the lift (sampled when omitted)")
     p_derive.add_argument("--bind", action="append", default=[], metavar="NAME=EXPR",
                           help="substitution binding, e.g. c=2-b (repeatable)")
-    p_derive.add_argument("--samples", type=int, default=10)
+    p_derive.add_argument("--samples", type=int, default=10,
+                          help="draws for a terminating identity")
     p_derive.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p_derive.add_argument("--max-n", type=int, default=_DEFAULTS.max_n)
 
@@ -148,12 +149,7 @@ def _cmd_verify(args) -> int:
             print(f"summary: {summary['pass']} pass, {summary['fail']} fail, "
                   f"{summary['error']} error")
         return max((_VERDICT_EXIT[rep.verdict] for rep in reports), default=EXIT_OK)
-    try:
-        rec = corpus.get_identity(args.target)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    report = verify.verify_identity(rec, options)
+    report = verify.verify_identity(args.target, options)
     _print_report(report, args.format)
     return _VERDICT_EXIT[report.verdict]
 
@@ -239,7 +235,7 @@ def _cmd_derive(args) -> int:
     bindings = _parse_bindings(args.bind, allow_expr=True)
     report = verify.operator_derive_check(args.id, args.param, args.order,
                                           point=args.point, bindings=bindings,
-                                          options=options, samples=args.samples)
+                                          options=options)
     print(report.text_line())
     return _VERDICT_EXIT[report.verdict]
 
@@ -271,7 +267,10 @@ def main(argv=None) -> int:
     except dsl.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (corpus.CorpusError, argparse.ArgumentTypeError, KeyError, DomainError) as exc:
+    except KeyError as exc:  # its str() is the repr of the message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_USAGE
+    except (corpus.CorpusError, argparse.ArgumentTypeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, series.EvalError, verify.SampleExhaustedError) as exc:

@@ -68,12 +68,6 @@ class IdentityRecord:
     expect_fail: bool = False
     fallback: Optional[str] = None
 
-    def domain_of(self, name: str) -> Domain:
-        for p in self.params:
-            if p.name == name:
-                return p.domain
-        raise KeyError(name)
-
 
 def _parse_domain(text: str) -> Domain:
     text = text.strip()

@@ -480,8 +480,6 @@ def _exact_bits(v) -> int:
         return max(map(_exact_bits, v))
     if isinstance(v, RationalJet):
         return max(map(int.bit_length, v.ints))
-    if isinstance(v, Jet2):  # a reference jet with Fraction components
-        return _exact_bits(RationalJet(v.value, v.d1, v.d2))
     return v.bit_length()  # an int
 
 

@@ -1,20 +1,23 @@
 """Verification procedures over the identity corpus, plus the report model.
 
-One check serves the three record kinds and the operator method.  It binds
-the active parameter, if any, to an exact second-order jet at its sampled
-point, evaluates both sides in the record's regime and compares them:
+One check serves the three record kinds and the operator method, and writes
+every report.  It binds the active parameter, if any, to an exact
+second-order jet at its sampled point, evaluates both sides in the record's
+regime and compares them:
 
 * a terminating identity is summed over the rationals and must hold exactly.
   A ``terminating-exact`` record compares values; a terminating
   ``jet-derived`` record compares all three jet components, the machine form
   of differentiating the identity with respect to a parameter.
-  ``operator_derive_check`` runs the same check for a chosen parameter,
-  order and substitution bindings.
 * an infinite identity is summed with a validated tail bound, each summer
   lifting the jet at its working precision, and the residual must stay below
   10^(-digits): absolute for an ``infinite-numeric`` record, and per jet
   component up to the record's order, relative to max(1, |left component|),
   for an infinite ``jet-derived`` record.
+
+``operator_derive_check`` runs the same check on a record of either kind for
+a chosen parameter, order and substitution bindings, comparing components up
+to that order.
 
 One sampler draws from each record's declared domains, rejecting bindings
 that hit a pole anywhere in range (budget 1000 per sample); each record
@@ -250,23 +253,29 @@ def _side(side, env: dict, prec: Optional[int], terms_budget: int):
     return value, terms
 
 
-def _check(rec: IdentityRecord, options: VerifyOptions, rng: random.Random, draws: int,
+def _check(rec: IdentityRecord, mode: str, options: VerifyOptions, rng: random.Random,
            params: Sequence[ParamSpec], combos: Sequence[Sequence[Tuple[str, Fraction]]],
-           active: Optional[str], order: int, subs: Optional[dict] = None):
-    """Evaluate both sides at ``draws`` admissible samples (one when there is
-    nothing to draw) after each list of ``combos`` bindings, and compare their
-    jet components up to ``order``: exactly for a terminating record, else at
-    the working precision with a tail bound.
+           active: Optional[str], order: int, subs: Optional[dict] = None) -> VerificationReport:
+    """The report on ``rec``: both sides at admissible samples after each list
+    of ``combos`` bindings, their jet components compared up to ``order``.
+
+    A terminating record draws ``options.samples`` per combo and must hold
+    exactly; an infinite one draws ``options.numeric_draws``, is summed at the
+    working precision with a tail bound and must hold to 10^(-digits).  With
+    nothing to draw, each combo is evaluated once.
 
     ``active`` (when not None) is bound to an exact jet at its sampled point,
     then each ``subs`` binding -- a Fraction, or an expression that may use
     the active parameter -- is evaluated.  A residual is absolute, except a
     numeric jet component's, which is divided by max(1, |left component|).
-    Returns (worst residual, terms, samples).
+    An arithmetic, evaluation or sampling error is the verdict ``error``.
     """
+    start = time.perf_counter()
     exact = rec.lhs.terminating
     prec = None if exact else options.work_prec
     relative = order and not exact
+    tol = Fraction(0) if exact else options.tolerance
+    draws = (options.samples if exact else options.numeric_draws) if params else 1
 
     def evaluate(bindings):
         env = dict(bindings)
@@ -279,19 +288,23 @@ def _check(rec: IdentityRecord, options: VerifyOptions, rng: random.Random, draw
                 _side(rec.rhs, env, prec, options.terms_budget)[0])
 
     worst, terms, taken = Fraction(0), 0, 0
-    for fixed in combos:
-        for _ in range(draws if params else 1):
-            (lv, used), rv = _admissible(rec.id, params, options, rng, fixed, evaluate)
-            taken += 1
-            terms = max(terms, used)
-            for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
-                left = Fraction(lc) if exact else lc.to_fraction()
-                residual = abs(left - (Fraction(rc) if exact else rc.to_fraction()))
-                worst = max(worst, residual / max(1, abs(left)) if relative else residual)
-    return worst, terms, taken
-
-
-_CAUGHT = (ArithmeticError, EvalError, SampleExhaustedError)
+    try:
+        for fixed in combos:
+            for _ in range(draws):
+                (lv, used), rv = _admissible(rec.id, params, options, rng, fixed, evaluate)
+                taken += 1
+                terms = max(terms, used)
+                for lc, rc in zip(_jet_components(lv, order), _jet_components(rv, order)):
+                    left = Fraction(lc) if exact else lc.to_fraction()
+                    residual = abs(left - (Fraction(rc) if exact else rc.to_fraction()))
+                    worst = max(worst, residual / max(1, abs(left)) if relative else residual)
+    except (ArithmeticError, EvalError, SampleExhaustedError) as exc:
+        report = VerificationReport(rec.id, mode, "error", error=f"{type(exc).__name__}: {exc}")
+    else:
+        report = VerificationReport(rec.id, mode, "pass" if worst <= tol else "fail",
+                                    residual=worst, tolerance=tol, terms=terms, samples=taken)
+    report.elapsed_ms = (time.perf_counter() - start) * 1000
+    return report
 
 
 def verify_identity(rec_or_id: Union[str, IdentityRecord],
@@ -305,28 +318,15 @@ def verify_identity(rec_or_id: Union[str, IdentityRecord],
     """
     options = options or VerifyOptions()
     rec = get_identity(rec_or_id) if isinstance(rec_or_id, str) else rec_or_id
-    start = time.perf_counter()
-    try:
-        exact = rec.lhs.terminating
-        # a record that is not jet-derived is the order-0 case: no lift, values
-        # only; an exact jet compares all three components
-        active = rec.active if rec.kind == "jet-derived" else None
-        order = 0 if active is None else 2 if exact else rec.order
-        tol = Fraction(0) if exact else options.tolerance
-        worst, terms, taken = _check(rec, options, record_rng(options.seed, rec.id),
-                                     options.samples if exact else options.numeric_draws,
-                                     _sampled_params(rec), _enumerated_combos(rec, options),
-                                     active, order)
-        report = VerificationReport(rec.id, rec.kind, "pass" if worst <= tol else "fail",
-                                    residual=worst, tolerance=tol, terms=terms, samples=taken)
-    except _CAUGHT as exc:
-        report = VerificationReport(rec.id, rec.kind, "error",
-                                    error=f"{type(exc).__name__}: {exc}")
-    report.elapsed_ms = (time.perf_counter() - start) * 1000
+    # a record that is not jet-derived is the order-0 case: no lift, values
+    # only; an exact jet compares all three components
+    active = rec.active if rec.kind == "jet-derived" else None
+    order = 0 if active is None else 2 if rec.lhs.terminating else rec.order
+    report = _check(rec, rec.kind, options, record_rng(options.seed, rec.id),
+                    _sampled_params(rec), _enumerated_combos(rec, options), active, order)
     if report.verdict == "fail" and rec.fallback and follow_fallback:
         fb = verify_identity(rec.fallback, options, follow_fallback=False)
-        report.notes = (report.notes + "; " if report.notes else "") + \
-            f"stated form fails; variant {rec.fallback} verdict: {fb.verdict}"
+        report.notes = f"stated form fails; variant {rec.fallback} verdict: {fb.verdict}"
     return report
 
 
@@ -339,11 +339,8 @@ def verify_all(options: Optional[VerifyOptions] = None, *,
     raised.
     """
     options = options or VerifyOptions()
-    reports = []
-    for rec in list_identities(include_variants=include_variants):
-        if rec.expect_fail and not include_variants:
-            continue
-        reports.append(verify_identity(rec, options))
+    reports = [verify_identity(rec, options)
+               for rec in list_identities(include_variants=include_variants)]
     summary = {"pass": 0, "fail": 0, "error": 0}
     for rep in reports:
         summary[rep.verdict] += 1
@@ -356,38 +353,38 @@ def verify_all(options: Optional[VerifyOptions] = None, *,
 def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
                           order: int, point: Optional[Fraction] = None,
                           bindings: Optional[dict] = None,
-                          options: Optional[VerifyOptions] = None, *,
-                          samples: Optional[int] = None) -> VerificationReport:
-    """Differentiate a terminating identity with respect to ``parameter``.
+                          options: Optional[VerifyOptions] = None) -> VerificationReport:
+    """Differentiate an identity of any kind with respect to ``parameter``.
 
     The parameter is lifted to a jet at a rational point, substitution
     bindings (values or DSL expressions such as ``c = 2-b``, evaluated after
-    the lift so they may depend on the active parameter) are applied, both
-    sides are evaluated exactly, and the jet components up to ``order`` must
-    agree.  This reproduces applying a derivative operator once or twice to
-    the identity.
+    the lift so they may depend on the active parameter) are applied, and the
+    jet components up to ``order`` are compared as ``verify_identity``
+    compares a jet-derived record's.  This reproduces applying a derivative
+    operator once or twice to the identity.  An undeclared parameter without
+    a point, or a count (``nmax``, ``int``), raises UnknownParameterError.
     """
     options = options or VerifyOptions()
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
     rec = get_identity(rec_or_id) if isinstance(rec_or_id, str) else rec_or_id
-    if not rec.lhs.terminating:
-        raise EvalError(f"{rec.id}: operator checks need a terminating identity")
     bindings = dict(bindings or {})
-    declared = {p.name for p in rec.params}
+    declared = {p.name: p.domain for p in rec.params}
     if parameter not in declared and parameter not in bindings and point is None:
         raise UnknownParameterError(
             f"{rec.id} has no parameter {parameter!r} and no point was given")
+    domain = declared.get(parameter, Domain("rat7"))
+    if domain.kind in ("nmax", "int"):
+        raise UnknownParameterError(
+            f"{rec.id}: parameter {parameter!r} is a count and has no derivative")
     bindings.pop(parameter, None)
 
     rng = record_rng(options.seed, rec.id, salt=f"derive:{parameter}:{order}")
-    count = samples if samples is not None else (1 if point is not None else options.samples)
     # free parameters first, then the point: the order of the derive RNG stream;
     # enumerated (qvals/set) parameters are bound per combo, as verify binds them
     params = [p for p in _sampled_params(rec) if p.name != parameter and p.name not in bindings]
     fixed, skip = [], set(bindings)
     if point is None:
-        domain = rec.domain_of(parameter) if parameter in declared else Domain("rat7")
         if not domain.enumerated:
             params.append(ParamSpec(parameter, domain))
     else:
@@ -396,14 +393,8 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
     # parsed (and so compiled) once, not once per attempt
     subs = {name: dsl.parse_closed_form(v).expr if isinstance(v, str) else Fraction(v)
             for name, v in bindings.items()}
-    start = time.perf_counter()
-    worst, terms, taken = _check(rec, options, rng, count, params, combos, parameter, order,
-                                 subs)
-    report = VerificationReport(rec.id, f"derive-{parameter}-d{order}",
-                                "pass" if worst == 0 else "fail",
-                                residual=worst, terms=terms, samples=taken)
-    report.elapsed_ms = (time.perf_counter() - start) * 1000
-    return report
+    return _check(rec, f"derive-{parameter}-d{order}", options, rng, params, combos,
+                  parameter, order, subs)
 
 
 # --------------------------------------------------------- mutation testing

@@ -91,11 +91,9 @@ class TestCriterion4ExactTerminating:
 
 class TestCriterion5OperatorMethod:
     def test_gosper_and_q_second_derivatives(self):
-        options = VerifyOptions(seed=0, max_n=6)
-        gos = operator_derive_check("GOS", "b", 2, bindings={"c": "2-b"},
-                                    options=options, samples=10)
-        qb = operator_derive_check("QB", "b", 2, bindings={"c": "q^4/b"},
-                                   options=options, samples=10)
+        options = VerifyOptions(seed=0, max_n=6, samples=10)
+        gos = operator_derive_check("GOS", "b", 2, bindings={"c": "2-b"}, options=options)
+        qb = operator_derive_check("QB", "b", 2, bindings={"c": "q^4/b"}, options=options)
         ok = (gos.verdict == "pass" and gos.samples >= 10
               and qb.verdict == "pass" and qb.samples >= 10)
         _criterion(5, "operator-method suite (second derivatives via jets)",

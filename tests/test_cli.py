@@ -473,6 +473,59 @@ class TestDerive:
         assert ("PASS" if code == 0 else "FAIL") in out.stdout
         assert "samples=3" in out.stdout  # at the default q = 1/2
 
+    def test_infinite_record_is_compared_to_its_tolerance(self):
+        # SBD's lhs is an infinite q-series; derive refused it with exit 3
+        out = run_cli("derive", "--id", "SBD", "--param", "x")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("PASS  SBD")
+        assert "tol=1.00e-30" in out.stdout
+
+    @pytest.mark.parametrize("rid,parameter", [("GOS", "n"), ("R1", "x")])
+    def test_count_or_undeclared_parameter_is_two(self, rid, parameter):
+        # each exited 3: n, a count, was lifted to a jet; R1 has no x
+        out = run_cli("derive", "--id", rid, "--param", parameter)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+
+    def test_unknown_id_reads_as_in_verify(self):
+        # derive printed the KeyError's repr, quotes and all
+        for args in (["verify", "NOPE"], ["derive", "--id", "NOPE", "--param", "b"]):
+            out = run_cli(*args)
+            assert (out.returncode, out.stderr) == (2, "error: unknown identity id 'NOPE'\n")
+
+
+class TestDeriveInProcess:
+    """``derive`` and ``verify`` through ``main`` on an alternate corpus: an
+    infinite record is compared up to the order, and an evaluation error is
+    a report line on stdout."""
+
+    CORPUS = ("[identity]\nid = SQ\nkind = infinite-numeric\n"
+              "lhs = sum k=0..inf : x^2/2^(k+1)\nrhs = 2*x - 1\n"
+              "params = x in rat7\nanchor = test corpus\n\n"
+              "[identity]\nid = POLE\nkind = terminating-exact\n"
+              "lhs = sum k=0..2 : 1/(x-1)\nrhs = 0\n"
+              "params = x in {1}\nanchor = test corpus\n")
+
+    @pytest.mark.parametrize("args,status,parts", [
+        # x^2 and 2x - 1 agree in value and slope at x = 1, not in curvature
+        (["derive", "--id", "SQ", "--param", "x", "--point", "1"], 0,
+         ["PASS  SQ", "residual=0", "tol=1.00e-30", "samples=1"]),
+        (["derive", "--id", "SQ", "--param", "x", "--point", "1", "--order", "2"], 1,
+         ["FAIL  SQ", "residual=1.00e+00"]),
+        # with nothing to draw, the pole is the verdict
+        (["derive", "--id", "POLE", "--param", "x", "--point", "1"], 3,
+         ["ERROR POLE", "PoleInTermError"]),
+        (["verify", "POLE"], 3, ["ERROR POLE", "PoleInTermError"]),
+    ])
+    def test_report_line(self, tmp_path, monkeypatch, capsys, args, status, parts):
+        alt = tmp_path / "derive.txt"
+        alt.write_text(self.CORPUS)
+        monkeypatch.setenv("HYPERQ_CORPUS", str(alt))
+        assert main(args) == status
+        out = capsys.readouterr()
+        assert out.err == "" and len(out.out.splitlines()) == 1
+        assert all(part in out.out for part in parts), out.out
+
 
 class TestVerifyAllSubset:
     def test_json_lines_and_summary(self, tmp_path):

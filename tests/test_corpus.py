@@ -189,6 +189,23 @@ class TestEnumeratedExactDomains:
                 assert report.samples == samples
 
 
+class TestDrawnCountAndIntegerSide:
+    RECORDS = ("[identity]\nid = CNT\nkind = terminating-exact\n"
+               "lhs = sum k=0..n : 1\nrhs = n + 1\nparams = n in int(2..4)\nanchor = t\n\n"
+               "[identity]\nid = ONE\nkind = infinite-numeric\n"
+               "lhs = sum k=0..inf : 1/2^(k+1)\nrhs = 1\nparams =\nanchor = t\n")
+
+    def test_int_domain_draws_within_its_bounds(self):
+        rec = parse_corpus(self.RECORDS)[0]
+        reports = [verify_identity(rec, VerifyOptions(samples=1, seed=s)) for s in range(30)]
+        assert {r.verdict for r in reports} == {"pass"}
+        assert {r.terms for r in reports} == {3, 4, 5}  # n + 1 terms for n in 2..4
+
+    def test_integer_rhs_of_an_infinite_record(self):
+        report = verify_identity(parse_corpus(self.RECORDS)[1])
+        assert (report.verdict, report.residual) == ("pass", 0), report.error
+
+
 class TestOperatorDeriveCheck:
     def test_gosper_second_derivative(self):
         report = operator_derive_check(
@@ -197,9 +214,9 @@ class TestOperatorDeriveCheck:
         assert report.residual == 0
 
     def test_gosper_sampled_points(self):
-        options = VerifyOptions(seed=5, max_n=6)
+        options = VerifyOptions(seed=5, max_n=6, samples=10)
         report = operator_derive_check("GOS", "b", 2, bindings={"c": "2-b"},
-                                       options=options, samples=10)
+                                       options=options)
         assert report.verdict == "pass"
         assert report.samples == 10
 
@@ -210,15 +227,16 @@ class TestOperatorDeriveCheck:
         assert report.verdict == "pass"
 
     def test_absent_parameter_gives_zero_derivative(self):
-        report = operator_derive_check("GOS-SPC", "u", 1, point=F(1, 3), samples=2)
+        report = operator_derive_check("GOS-SPC", "u", 1, point=F(1, 3),
+                                       options=VerifyOptions(samples=2))
         assert report.verdict == "pass"
 
     @pytest.mark.parametrize("rid, parameter, order, kwargs, pinned", [
-        ("GOS", "b", 2, dict(bindings={"c": "2-b"}, options=VerifyOptions(seed=0, max_n=6),
-                             samples=3), (0, 1, 3)),
-        ("QB", "b", 2, dict(bindings={"c": "q^4/b"}, options=VerifyOptions(seed=3, max_n=6),
-                            samples=3), (0, 6, 3)),
-        ("GOS-SPC", "u", 1, dict(point=F(1, 3), samples=2), (0, 7, 2)),
+        ("GOS", "b", 2, dict(bindings={"c": "2-b"},
+                             options=VerifyOptions(seed=0, max_n=6, samples=3)), (0, 1, 3)),
+        ("QB", "b", 2, dict(bindings={"c": "q^4/b"},
+                            options=VerifyOptions(seed=3, max_n=6, samples=3)), (0, 6, 3)),
+        ("GOS-SPC", "u", 1, dict(point=F(1, 3), options=VerifyOptions(samples=2)), (0, 7, 2)),
     ])
     def test_reports_are_pinned(self, rid, parameter, order, kwargs, pinned):
         # terms is the largest upper index + 1 over the drawn samples, so it
@@ -234,9 +252,9 @@ class TestOperatorDeriveCheck:
     def test_first_derivative_matches_weighted_record(self):
         # d1 of the plain specialized companion reproduces GOS-D1's structure:
         # check the jet route agrees with the explicit harmonic-weight record
-        options = VerifyOptions(seed=1, max_n=5)
+        options = VerifyOptions(seed=1, max_n=5, samples=5)
         jet_report = operator_derive_check("GOS", "b", 1, bindings={"c": "2-b"},
-                                           options=options, samples=5)
+                                           options=options)
         weighted = verify_identity("GOS-D1", VerifyOptions(samples=5, max_n=5, seed=1))
         assert jet_report.verdict == "pass" and weighted.verdict == "pass"
 

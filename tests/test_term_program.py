@@ -608,6 +608,7 @@ def test_derive_check_parses_each_string_binding_once(monkeypatch):
         return original(text)
 
     monkeypatch.setattr(dsl, "parse_closed_form", counting)
-    report = verify.operator_derive_check("GOS", "b", 2, bindings={"c": "2-b"}, samples=20)
+    report = verify.operator_derive_check("GOS", "b", 2, bindings={"c": "2-b"},
+                                          options=VerifyOptions(samples=20))
     assert report.verdict == "pass"
     assert parses == ["2-b"]
