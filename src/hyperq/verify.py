@@ -59,7 +59,7 @@ class SampleExhaustedError(RuntimeError):
 
 
 class UnknownParameterError(KeyError):
-    """The requested derivative parameter is not bound anywhere."""
+    """The derivative parameter is neither declared nor given a point, or is a count."""
 
 
 @dataclass
