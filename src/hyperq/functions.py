@@ -89,16 +89,18 @@ def _value(v):
 
 
 def q_integer(m: int, q: Scalar) -> Scalar:
-    """[m] = 1 + q + ... + q^(m-1), by the recurrence of the ``qint`` atom.
+    """[m] = 1 + q + ... + q^(m-1), by the recurrence of the ``qint`` atom, in
+    the context of q's regime: exact, or float at the precision of q's value.
 
     The package runs the atom itself; this wrapper stays because the
     benchmark's per-layer tracer (``bench/layers.py``) hooks it by name.
     """
-    from .series import _qint  # series imports this module
+    from .series import FloatContext, RationalContext, _qint  # series imports this module
 
     if m < 0:
         raise ValueError("q-integer index must be nonnegative")
-    return _qint(None, {}, 0, q, m)
+    prec = getattr(_value(q), "prec", None)
+    return _qint(FloatContext(prec) if prec else RationalContext(), {}, 0, q, m)
 
 
 def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPrecision":

@@ -34,7 +34,7 @@ and ``hash`` are ``Fraction``'s.  Any other operand gets ``NotImplemented``: a
 ``HighPrecision`` or a jet decides as beside a ``Fraction``, a float raises.
 
 The exact jet is a ``RationalJet``: the ``Jet2`` over ``Fraction`` that
-``jet_lift``, ``scalar_one`` and ``scalar_zero`` build for rational input.
+``jet_lift`` builds for rational input, and that its own arithmetic returns.
 It keeps three integer numerators over one positive denominator,
 (n0, n1, n2)/den, in canonical form: gcd(n0, n1, n2, den) = 1.  Each
 operation computes the integer numerators of its result over a common
@@ -426,7 +426,7 @@ class Jet2:
         if n < 0:
             return (1 / self) ** (-n)
         if n == 0:
-            return scalar_one(self)
+            return self * 0 + 1
         result = None
         base = self
         while True:
@@ -572,7 +572,6 @@ def _ratio(c):
     raise RegimeMismatchError(f"cannot combine a rational jet with {type(c).__name__}")
 
 
-_ZERO = _canonical((0, 0, 0, 1))
 _ONE = _canonical((1, 0, 0, 1))
 
 Scalar = Union[Fraction, HighPrecision, Jet2]
@@ -582,31 +581,6 @@ def _is_zero(x) -> bool:
     if isinstance(x, HighPrecision):
         return x.is_zero()
     return x == 0
-
-
-def _int_like(x, n: int):
-    """The int ``n`` in the regime of the plain value ``x``."""
-    return HighPrecision.from_int(n, x.prec) if isinstance(x, HighPrecision) else _rational(n, 1)
-
-
-def scalar_zero(x: Scalar):
-    """Additive identity in the regime of ``x``."""
-    if isinstance(x, RationalJet):
-        return _ZERO
-    if isinstance(x, Jet2):
-        z = _int_like(x.value, 0)
-        return Jet2(z, z, z)
-    return _int_like(x, 0)
-
-
-def scalar_one(x: Scalar):
-    """Multiplicative identity in the regime of ``x``."""
-    if isinstance(x, RationalJet):
-        return _ONE
-    if isinstance(x, Jet2):
-        z = _int_like(x.value, 0)
-        return Jet2(_int_like(x.value, 1), z, z)
-    return _int_like(x, 1)
 
 
 def int_pow(x: Scalar, n: int) -> Scalar:
@@ -622,7 +596,7 @@ def jet_lift(x: Union[Fraction, HighPrecision, int], active: bool = True) -> Jet
         return _canonical((p, q if active else 0, 0, q))
     if not isinstance(x, HighPrecision):
         raise RegimeMismatchError("jets lift rationals or HighPrecision values")
-    return Jet2(x, _int_like(x, int(active)), _int_like(x, 0))
+    return Jet2(x, HighPrecision.from_int(int(active), x.prec), HighPrecision.from_int(0, x.prec))
 
 
 def agree_to(a: HighPrecision, b: HighPrecision, t: int) -> bool:

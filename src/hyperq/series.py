@@ -29,11 +29,14 @@ step of ``poch``, ``fact``, ``dfactodd``, ``harm`` and ``harmx`` is stated
 once, in ``_STEP``, which the term programs run and the split analysis reads.
 The q-atoms read ``q`` as an ordinary parameter, lifted like atom arguments.
 
+Values enter their regime through the context's ``lift``: bound ints,
+rationals and rational jets, atom arguments, the start values of the running
+atoms, and each term or closed-form value a float summer receives.
 Derivatives flow only from the active parameter: in every regime and every
 summer the caller binds it to an exact jet (``jet_lift`` of a rational), which
-a float regime lifts component by component at its own working precision, as
-it lifts a bound rational.  Only values computed from it become jets.
-Constants (literals, bound rationals, pi, infinite q-sums, ...) stay plain
+a float regime lifts component by component at its own working precision.
+Only values computed from it become jets.  Constants (literals, bound
+rationals, pi, infinite q-sums, a running atom at count 0, ...) stay plain
 values of the regime, which ``Jet2`` arithmetic takes as constant jets, so jets
 need no context of their own.  An infinite q-sum refuses a q that carries
 derivatives.
@@ -94,8 +97,6 @@ from .scalars import (
     _rational,
     agree_to,
     int_pow,
-    scalar_one,
-    scalar_zero,
 )
 
 WARMUP_TERMS = 32
@@ -141,7 +142,8 @@ class TailBound:
 
 
 class RationalContext:
-    """Exact evaluation over ``Rational`` values; transcendental constants are errors."""
+    """Exact evaluation over ``Rational`` values, made by ``lift``; transcendental
+    constants are errors."""
 
     exact = True
 
@@ -152,8 +154,6 @@ class RationalContext:
         if type(v) is Fraction:
             return _rational(v.numerator, v.denominator)
         return v
-
-    from_fraction = lift
 
     def pi(self):
         raise EvalError("pi has no exact rational value; use a numeric context")
@@ -177,7 +177,7 @@ class RationalContext:
 
 
 class FloatContext:
-    """Correctly rounded evaluation at a fixed working precision."""
+    """Correctly rounded evaluation at a fixed working precision, of values made by ``lift``."""
 
     exact = False
 
@@ -185,15 +185,15 @@ class FloatContext:
         self.prec = prec
 
     def lift(self, v):
+        """An int, a rational or each component of a ``RationalJet`` at the
+        working precision; other values unchanged."""
         if isinstance(v, int):
             return HighPrecision.from_int(v, self.prec)
-        return v
-
-    def from_fraction(self, x):
-        """A rational, or each component of a ``RationalJet``, at the working precision."""
-        if isinstance(x, RationalJet):
-            return Jet2(*map(self.from_fraction, (x.value, x.d1, x.d2)))
-        return HighPrecision.from_fraction(x, self.prec)
+        if type(v) is HighPrecision or type(v) is Jet2:  # most calls: no Fraction ABC test
+            return v
+        if isinstance(v, RationalJet):
+            return Jet2(*map(self.lift, (v.value, v.d1, v.d2)))
+        return HighPrecision.from_fraction(v, self.prec) if isinstance(v, Fraction) else v
 
     def pi(self):
         return pi_constant(self.prec)
@@ -374,7 +374,7 @@ def _param(name, exact, env, ctx, cache):
         return v
     if exact and not isinstance(v, Fraction):
         raise EvalError(f"parameter {name!r} must be exact here, got {type(v).__name__}")
-    return ctx.from_fraction(v) if not exact and isinstance(v, (Fraction, RationalJet)) else v
+    return v if exact else ctx.lift(v)
 
 
 def _once(step, slot, env, ctx, cache):
@@ -539,14 +539,14 @@ def _poch_count(x, n) -> int:
 
 def _poch(a, b, ctx, cache, slot, x, n):
     # up to 64 steps through zeros cost less than testing every call for them
-    return _advance(cache, slot, (x,), _poch_count(x, n) if n > 64 else n, partial(scalar_one, x),
+    return _advance(cache, slot, (x,), _poch_count(x, n) if n > 64 else n, partial(ctx.lift, 1),
                     lambda p, i: p * (x + (a * i + b)), _poch_free if ctx.exact else None,
                     _poch_least)
 
 
 def _qpoch(ctx, cache, slot, x, qs, n):
     # the state (product, x*q^(s*i)) saves multiplying x by q^(s*i) at each step
-    return _advance(cache, slot, (x, qs), n, lambda: (scalar_one(qs), x),
+    return _advance(cache, slot, (x, qs), n, lambda: (ctx.lift(1), x),
                     lambda st, i: (st[0] * (1 - st[1]), st[1] * qs),
                     _qpoch_free if ctx.exact else None)[0]
 
@@ -561,7 +561,7 @@ def _factorial(a, b, ctx, cache, slot, n):
 
 def _qint(ctx, cache, slot, q, n):
     # the state ([i], q^i): [i+1] = [i] + q^i, then q^(i+1) = q^i * q
-    return _advance(cache, slot, (q,), n, lambda: (scalar_zero(q), scalar_one(q)),
+    return _advance(cache, slot, (q,), n, lambda: (ctx.lift(0), ctx.lift(1)),
                     lambda st, i: (st[0] + st[1], st[1] * q))[0]
 
 
@@ -571,7 +571,7 @@ def _harmx(order, a, b, ctx, cache, slot, offset, n):
         _div_check(d)
         return s + 1 / d
 
-    return _advance(cache, slot, (offset,), n, lambda: scalar_zero(offset), extend)
+    return _advance(cache, slot, (offset,), n, partial(ctx.lift, 0), extend)
 
 
 def _qsum(atom, q_slot, ctx, cache, slot, q, m):
@@ -588,7 +588,7 @@ def _qsum(atom, q_slot, ctx, cache, slot, q, m):
             raise PoleInTermError(f"zero q-integer [{idx}] in a q-sum denominator") from None
         return s + (-t if atom.sign == -1 and i % 2 == 0 else t)
 
-    return _advance(cache, slot, (q,), m, partial(scalar_zero, q), extend)
+    return _advance(cache, slot, (q,), m, partial(ctx.lift, 0), extend)
 
 
 # ------------------------------------------------------------------- summers
@@ -614,11 +614,11 @@ def sum_terminating(spec: dsl.SeriesSpec, bindings: dict, ctx=None) -> Scalar:
     return total
 
 
-def _norm(t, prec: int) -> HighPrecision:
+def _norm(t) -> HighPrecision:
     """Magnitude used for ratio tests: max |component| for jets."""
     if isinstance(t, Jet2):
-        return max(_norm(t.value, prec), _norm(t.d1, prec), _norm(t.d2, prec))
-    return abs(HighPrecision.from_int(t, prec) if isinstance(t, int) else t)
+        return max(map(_norm, (t.value, t.d1, t.d2)))
+    return abs(t)
 
 
 def _validated(low, high, prec, what):
@@ -633,9 +633,6 @@ def _validated(low, high, prec, what):
     if isinstance(high, Jet2):
         return Jet2(*(_validated(lo, hi, prec, what) for lo, hi in
                       zip((low.value, low.d1, low.d2), (high.value, high.d1, high.d2))))
-    if isinstance(high, int):  # an integer-valued expression never met a float
-        low = HighPrecision.from_int(low, prec + GUARD_BITS)
-        high = HighPrecision.from_int(high, prec + GUARD_BITS + 32)
     if not agree_to(low, high.round_to(low.prec), prec - 8):
         raise PrecisionLossError(
             f"{what} at {prec} and {prec + 32} bits disagrees beyond 2^-{prec - 8}")
@@ -697,9 +694,9 @@ def _sum_infinite_once(spec, bindings, prec, work_prec, terms_budget):
         nonlocal total, mag
         for k in itertools.count():
             env[spec.index] = k
-            t = evaluate_expr(spec.term, env, ctx, cache)
+            t = ctx.lift(evaluate_expr(spec.term, env, ctx, cache))
             total = t if total is None else total + t
-            mag = _norm(t, work_prec)
+            mag = _norm(t)
             yield mag.raw[1:3]  # (man, exp) of the rounded |t_k|
 
     k = _stopping_index(magnitudes(), (1, -prec - 4), terms_budget)
@@ -1036,6 +1033,6 @@ def evaluate_closed(cf: dsl.ClosedForm, bindings: dict, prec: Optional[int] = No
     """Evaluate a closed form exactly (prec None) or at prec bits, validated."""
     if prec is None:
         return evaluate_expr(cf.expr, bindings, RationalContext())
-    low, high = (evaluate_expr(cf.expr, bindings, FloatContext(p))
-                 for p in (prec + GUARD_BITS, prec + GUARD_BITS + 32))
+    low, high = (ctx.lift(evaluate_expr(cf.expr, bindings, ctx))
+                 for ctx in (FloatContext(prec + GUARD_BITS), FloatContext(prec + GUARD_BITS + 32)))
     return _validated(low, high, prec, "closed-form evaluation")

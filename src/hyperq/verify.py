@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import dsl
 from .corpus import Domain, IdentityRecord, ParamSpec, get_identity, list_identities
-from .scalars import Jet2, jet_lift, scalar_zero
+from .scalars import Jet2, jet_lift
 from .series import (
     DEFAULT_TERMS_BUDGET,
     EvalError,
@@ -239,7 +239,7 @@ def _jet_components(v, order: int):
     """(f, f', f'') up to ``order``; a plain value is constant, its derivatives zero."""
     if isinstance(v, Jet2):
         return (v.value, v.d1, v.d2)[: order + 1]
-    return (v,) + (scalar_zero(v),) * order
+    return (v,) + (v * 0,) * order
 
 
 def _side(side, env: dict, prec: Optional[int], terms_budget: int):

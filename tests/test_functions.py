@@ -34,8 +34,6 @@ from hyperq.scalars import (
     agree_to,
     int_pow,
     jet_lift,
-    scalar_one,
-    scalar_zero,
 )
 from hyperq.series import (
     EvalError,
@@ -341,7 +339,7 @@ def zeta2(prec):
 
 def fresh_q_integer(m, q):
     """Reference [m]: the direct loop 1 + q + ... + q^(m-1), started from zero."""
-    total, p = scalar_zero(q), scalar_one(q)
+    total, p = q * 0, q ** 0
     for _ in range(m):
         total = total + p
         p = p * q
@@ -358,7 +356,7 @@ def running(text, ctx, q):
 def fresh_q_sums(order, stride, shift, sign, q, count):
     """Reference values of qsum(order, stride, shift, sign, m) for m = 0..count,
     each q-integer summed afresh and each summand added in the atom's order."""
-    total = scalar_zero(q)
+    total = q * 0
     yield total
     for i in range(1, count + 1):
         idx = stride * i + shift

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hyperq import dsl, series
 from hyperq.corpus import get_identity
 from hyperq.functions import pi_constant
-from hyperq.scalars import HighPrecision, Jet2, RationalJet, agree_to, jet_lift
+from hyperq.scalars import HighPrecision, Jet2, Rational, RationalJet, agree_to, jet_lift
 from hyperq.series import (
     MAX_EXACT_BITS,
     MAX_FLOAT_BITS,
@@ -442,6 +442,28 @@ class TestIncrementalWeights:
         fresh = sum((evaluate_expr(rec.lhs.term, {**env, rec.lhs.index: k}, RationalContext())
                      for k in range(10)), F(0))
         assert shared == fresh
+
+
+class TestRunningStartValues:
+    """A running atom starts from its context's plain 1 or 0, also beside a jet."""
+
+    @pytest.mark.parametrize("ctx,kind", [(RationalContext(), Rational),
+                                          (FloatContext(64), HighPrecision)])
+    def test_count_zero_is_the_plain_value_of_the_regime(self, ctx, kind):
+        # the empty product and sum are not computed from the active parameter
+        expr = dsl.parse_closed_form("poch(x,0)*harmx(1,0,x) + poch(x,0)").expr
+        value = evaluate_expr(expr, {"x": jet_lift(F(1, 3))}, ctx)
+        assert type(value) is kind and value == 1
+
+    def test_float_jet_through_a_running_sum(self):
+        # term 0 is harmx(1,0,x) = 0, a plain float; the later terms are jets
+        spec = dsl.parse_series_spec("sum k=0..inf : harmx(1,k,x)/2^k")
+        got, _, _ = sum_infinite(spec, {"x": jet_lift(F(1, 3))}, 200)
+        for component, text in ((got.d1, "-harmx(2,k,x)/2^k"), (got.d2, "2*harmx(3,k,x)/2^k")):
+            derivative = dsl.parse_series_spec(f"sum k=0..inf : {text}")
+            assert series._analysed(derivative, {"x": F(1, 3)}) is not None  # the split path
+            want, _, _ = sum_infinite(derivative, {"x": F(1, 3)}, 200)
+            assert abs(component.to_fraction() - want.to_fraction()) <= F(1, 2 ** 190)
 
 
 class TestPrecisionStability:

@@ -187,11 +187,12 @@ WEIGHTS = st.one_of(
 
 @st.composite
 def hypergeometric(draw):
-    """A product of hypergeometric factors, each in the numerator or the denominator."""
+    """A product of hypergeometric factors, each in the numerator or the
+    denominator, with an optional leading minus."""
     factors = draw(st.lists(st.tuples(HYPER_FACTORS, st.booleans()), min_size=1, max_size=3))
     num = "*".join([f for f, up in factors if up] or ["1"])
     den = "*".join([f for f, up in factors if not up] or ["1"])
-    return f"({num})/({den})"
+    return f"{draw(st.sampled_from(['', '-']))}({num})/({den})"
 
 
 @st.composite

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from hyperq import dsl, series, verify
 from hyperq.corpus import list_identities
-from hyperq.scalars import HighPrecision, Jet2, int_pow, jet_lift, scalar_one, scalar_zero
+from hyperq.scalars import HighPrecision, Jet2, int_pow, jet_lift
 from hyperq.series import (
     MAX_EXACT_BITS,
     MAX_FLOAT_BITS,
@@ -93,8 +93,6 @@ def _ambient_q(env, ctx):
         q = env["q"]
     except KeyError:
         raise UnboundParameterError("q-atoms need the parameter 'q' bound")
-    if isinstance(q, F):
-        return ctx.from_fraction(q)
     return ctx.lift(q)
 
 
@@ -110,9 +108,9 @@ def _incremental(cache, key, target, start_state, extend):
     return payload
 
 
-def _q_integer(cache, key, q, m):
+def _q_integer(ctx, cache, key, q, m):
     """[m] from the running ([i], q^i) -> ([i] + q^i, q^i * q), the order of a fresh sum."""
-    return _incremental(cache, key, m, (scalar_zero(q), scalar_one(q)),
+    return _incremental(cache, key, m, (ctx.lift(0), ctx.lift(1)),
                         lambda st, i: (st[0] + st[1], st[1] * q))[0]
 
 
@@ -177,7 +175,8 @@ def _walk(node, env, ctx, cache):
        float base, that would pass 2^``MAX_FLOAT_BITS`` in magnitude is
        refused.
 
-    In every regime
+    In every regime the other running states start from ``ctx.lift(1)``
+    or ``ctx.lift(0)``, a plain value even beside a jet, and
     ``qpoch`` keeps (p, x*q^(s*j)) and steps to (p*(1-x*q^(s*j)),
     x*q^(s*j)*q^s); the exact regime runs the plain recurrences of the
     other atoms, and refuses an exact power of more than ``MAX_EXACT_BITS``
@@ -192,7 +191,7 @@ def _walk(node, env, ctx, cache):
             v = env[node.name]
         except KeyError:
             raise UnboundParameterError(f"parameter {node.name!r} is not bound")
-        return ctx.from_fraction(v) if isinstance(v, F) else v
+        return ctx.lift(v) if isinstance(v, F) else v
     if isinstance(node, dsl.Add):
         return _walk(node.left, env, ctx, cache) + _walk(node.right, env, ctx, cache)
     if isinstance(node, dsl.Sub):
@@ -223,14 +222,14 @@ def _walk(node, env, ctx, cache):
     if isinstance(node, dsl.Poch):
         x = ctx.lift(_walk(node.x, env, ctx, cache))
         n = _walk_count(node, env)
-        return _incremental(cache, (id(node), x), n, scalar_one(x),
+        return _incremental(cache, (id(node), x), n, ctx.lift(1),
                             _bounded(ctx, lambda p, i: p * (x + (i - 1))))
     if isinstance(node, dsl.QPoch):
         x = ctx.lift(_walk(node.x, env, ctx, cache))
         q = _ambient_q(env, ctx)
         qs = int_pow(q, node.step)
         n = _walk_count(node, env)
-        return _incremental(cache, (id(node), x, q), n, (scalar_one(qs), x),
+        return _incremental(cache, (id(node), x, q), n, (ctx.lift(1), x),
                             _bounded(ctx, lambda st, i: (st[0] * (1 - st[1]), st[1] * qs)))[0]
     if isinstance(node, dsl.Fact):
         n = _walk_count(node, env)
@@ -246,7 +245,7 @@ def _walk(node, env, ctx, cache):
         return ctx.qpochinf(x, int_pow(q, node.step))
     if isinstance(node, dsl.QInt):
         q = _ambient_q(env, ctx)
-        return _q_integer(cache, (id(node), q), q, _walk_count(node, env))
+        return _q_integer(ctx, cache, (id(node), q), q, _walk_count(node, env))
     if isinstance(node, (dsl.Harm, dsl.HarmX)):
         offset = ctx.lift(_walk(getattr(node, "offset", dsl.Num(0)), env, ctx, cache))
         n = _walk_count(node, env)
@@ -256,7 +255,7 @@ def _walk(node, env, ctx, cache):
             series._div_check(d)
             return s + 1 / d
 
-        return _incremental(cache, (id(node), offset), n, scalar_zero(offset), extend)
+        return _incremental(cache, (id(node), offset), n, ctx.lift(0), extend)
     if isinstance(node, dsl.QSum):
         q = _ambient_q(env, ctx)
         m = _walk_count(node, env)
@@ -265,14 +264,14 @@ def _walk(node, env, ctx, cache):
             idx = node.stride * i + node.shift
             if idx < 1:
                 raise EvalError(f"nonpositive q-sum index {idx}")
-            den = int_pow(_q_integer(cache, (id(node), q, "qint"), q, idx), node.order)
+            den = int_pow(_q_integer(ctx, cache, (id(node), q, "qint"), q, idx), node.order)
             series._div_check(den)
             t = int_pow(q, idx) / den
             if node.sign == -1 and (i - 1) % 2 == 1:
                 t = -t
             return s + t
 
-        return _incremental(cache, (id(node), q), m, scalar_zero(q), extend)
+        return _incremental(cache, (id(node), q), m, ctx.lift(0), extend)
     if isinstance(node, dsl.QSumInf):
         q = _ambient_q(env, ctx)
         return ctx.qsuminf(node.order, node.stride, node.shift, node.sign, q)
