@@ -15,9 +15,9 @@ regime and compares them:
   component up to the record's order, relative to max(1, |left component|),
   for an infinite ``jet-derived`` record.
 
-``operator_derive_check`` runs the same check on a record of either kind for
-a chosen parameter, order and substitution bindings, comparing components up
-to that order.
+``operator_derive_check`` runs the same check on the record it derives from
+one of either kind for a chosen parameter, order and substitution bindings,
+comparing components up to that order.
 
 One sampler draws from each record's declared domains, rejecting bindings
 that hit a pole anywhere in range (budget 1000 per sample); each record
@@ -191,14 +191,11 @@ def _draw(domain: Domain, rng: random.Random, options: VerifyOptions, env: dict)
     raise EvalError(f"domain {domain.kind!r} cannot be sampled")
 
 
-def _enumerated_combos(rec: IdentityRecord, options: VerifyOptions,
-                       skip=()) -> List[List[Tuple[str, Fraction]]]:
-    """Cartesian product over the record's enumerated (qvals/set) domains,
-    those of the ``skip`` names left out."""
+def _enumerated_combos(rec: IdentityRecord,
+                       options: VerifyOptions) -> List[List[Tuple[str, Fraction]]]:
+    """Cartesian product over the record's enumerated (qvals/set) domains."""
     axes = []
     for p in rec.params:
-        if p.name in skip:
-            continue
         if p.domain.kind == "qvals":
             axes.append([(p.name, Fraction(q)) for q in options.q_values])
         elif p.domain.kind == "set":
@@ -254,27 +251,28 @@ def _side(side, env: dict, prec: Optional[int], terms_budget: int):
 
 
 def _check(rec: IdentityRecord, mode: str, options: VerifyOptions, rng: random.Random,
-           params: Sequence[ParamSpec], combos: Sequence[Sequence[Tuple[str, Fraction]]],
-           active: Optional[str], order: int, subs: Optional[dict] = None) -> VerificationReport:
-    """The report on ``rec``: both sides at admissible samples after each list
-    of ``combos`` bindings, their jet components compared up to ``order``.
+           order: int, subs: Optional[dict] = None) -> VerificationReport:
+    """The report on ``rec``: both sides at admissible draws after each combo
+    of its enumerated parameters, jet components compared up to ``order``.
 
     A terminating record draws ``options.samples`` per combo and must hold
     exactly; an infinite one draws ``options.numeric_draws``, is summed at the
     working precision with a tail bound and must hold to 10^(-digits).  With
     nothing to draw, each combo is evaluated once.
 
-    ``active`` (when not None) is bound to an exact jet at its sampled point,
-    then each ``subs`` binding -- a Fraction, or an expression that may use
-    the active parameter -- is evaluated.  A residual is absolute, except a
-    numeric jet component's, which is divided by max(1, |left component|).
-    An arithmetic, evaluation or sampling error is the verdict ``error``.
+    With ``order`` > 0, ``rec.active`` is bound to an exact jet at its sampled
+    point, then each ``subs`` binding -- a Fraction, or an expression that may
+    use it -- is evaluated.  A residual is absolute, except a numeric jet
+    component's, which is divided by max(1, |left component|).  An
+    arithmetic, evaluation or sampling error is the verdict ``error``.
     """
     start = time.perf_counter()
     exact = rec.lhs.terminating
     prec = None if exact else options.work_prec
     relative = order and not exact
     tol = Fraction(0) if exact else options.tolerance
+    params = _sampled_params(rec)
+    active = rec.active if order else None
     draws = (options.samples if exact else options.numeric_draws) if params else 1
 
     def evaluate(bindings):
@@ -289,7 +287,7 @@ def _check(rec: IdentityRecord, mode: str, options: VerifyOptions, rng: random.R
 
     worst, terms, taken = Fraction(0), 0, 0
     try:
-        for fixed in combos:
+        for fixed in _enumerated_combos(rec, options):
             for _ in range(draws):
                 (lv, used), rv = _admissible(rec.id, params, options, rng, fixed, evaluate)
                 taken += 1
@@ -320,10 +318,8 @@ def verify_identity(rec_or_id: Union[str, IdentityRecord],
     rec = get_identity(rec_or_id) if isinstance(rec_or_id, str) else rec_or_id
     # a record that is not jet-derived is the order-0 case: no lift, values
     # only; an exact jet compares all three components
-    active = rec.active if rec.kind == "jet-derived" else None
-    order = 0 if active is None else 2 if rec.lhs.terminating else rec.order
-    report = _check(rec, rec.kind, options, record_rng(options.seed, rec.id),
-                    _sampled_params(rec), _enumerated_combos(rec, options), active, order)
+    order = 0 if rec.kind != "jet-derived" else 2 if rec.lhs.terminating else rec.order
+    report = _check(rec, rec.kind, options, record_rng(options.seed, rec.id), order)
     if report.verdict == "fail" and rec.fallback and follow_fallback:
         fb = verify_identity(rec.fallback, options, follow_fallback=False)
         report.notes = f"stated form fails; variant {rec.fallback} verdict: {fb.verdict}"
@@ -360,41 +356,36 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
     bindings (values or DSL expressions such as ``c = 2-b``, evaluated after
     the lift so they may depend on the active parameter) are applied, and the
     jet components up to ``order`` are compared as ``verify_identity``
-    compares a jet-derived record's.  This reproduces applying a derivative
-    operator once or twice to the identity.  An undeclared parameter without
-    a point, or a count (``nmax``, ``int``), raises UnknownParameterError.
+    compares a jet-derived record's, on the record this call derives.  This
+    reproduces applying a derivative operator once or twice to the identity.
+    A bound derived parameter, an undeclared one without a point, or a count
+    (``nmax``, ``int``) raises UnknownParameterError.
     """
     options = options or VerifyOptions()
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
     rec = get_identity(rec_or_id) if isinstance(rec_or_id, str) else rec_or_id
-    bindings = dict(bindings or {})
+    bindings = bindings or {}
     declared = {p.name: p.domain for p in rec.params}
-    if parameter not in declared and parameter not in bindings and point is None:
+    if parameter in bindings:
+        raise UnknownParameterError(
+            f"{rec.id}: parameter {parameter!r} is the one derived; give its point with --point")
+    if parameter not in declared and point is None:
         raise UnknownParameterError(
             f"{rec.id} has no parameter {parameter!r} and no point was given")
     domain = declared.get(parameter, Domain("rat7"))
     if domain.kind in ("nmax", "int"):
         raise UnknownParameterError(
             f"{rec.id}: parameter {parameter!r} is a count and has no derivative")
-    bindings.pop(parameter, None)
-
-    rng = record_rng(options.seed, rec.id, salt=f"derive:{parameter}:{order}")
-    # free parameters first, then the point: the order of the derive RNG stream;
-    # enumerated (qvals/set) parameters are bound per combo, as verify binds them
-    params = [p for p in _sampled_params(rec) if p.name != parameter and p.name not in bindings]
-    fixed, skip = [], set(bindings)
-    if point is None:
-        if not domain.enumerated:
-            params.append(ParamSpec(parameter, domain))
-    else:
-        fixed, skip = [(parameter, point)], skip | {parameter}
-    combos = [combo + fixed for combo in _enumerated_combos(rec, options, skip)]
+    # the record checked: bound names out, the derived parameter last (a point: one value)
+    derived = ParamSpec(parameter, domain if point is None else Domain("set", values=(point,)))
+    params = tuple(p for p in rec.params if p.name != parameter and p.name not in bindings)
+    rec = replace(rec, params=params + (derived,), active=parameter)
     # parsed (and so compiled) once, not once per attempt
     subs = {name: dsl.parse_closed_form(v).expr if isinstance(v, str) else Fraction(v)
             for name, v in bindings.items()}
-    return _check(rec, f"derive-{parameter}-d{order}", options, rng, params, combos,
-                  parameter, order, subs)
+    rng = record_rng(options.seed, rec.id, salt=f"derive:{parameter}:{order}")
+    return _check(rec, f"derive-{parameter}-d{order}", options, rng, order, subs)
 
 
 # --------------------------------------------------------- mutation testing

@@ -466,6 +466,26 @@ class TestRunningStartValues:
             assert abs(component.to_fraction() - want.to_fraction()) <= F(1, 2 ** 190)
 
 
+class TestTrueZeroTails:
+    """QCD and SB end on the 64-zero-run rule of the stopping index where
+    ``verify all --seed 0`` draws x = q (SB) or a = q (QCD): the factor
+    qpoch(q/x,1,k) or qpoch(q/a,1,k) is then (1;q)_k, zero for every k >= 1,
+    so the zero tail the rule claims is true.  Deleting the rule must first
+    prove these q-product zeros."""
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(7, 10)])
+    def test_sb_at_x_equal_to_q(self, q):
+        value, tail, terms = sum_infinite(get_identity("SB").lhs, {"q": q, "x": q}, 140)
+        assert (value.to_fraction(), tail.bound.to_fraction(), terms) == (0, 0, 64)
+
+    def test_qcd_at_a_equal_to_q(self):
+        rec = get_identity("QCD")
+        env = {"q": F(1, 2), "a": F(1, 2), "b": F(1, 3), "c": F(1, 16)}
+        value, tail, terms = sum_infinite(rec.lhs, env, 140)
+        assert (value.to_fraction(), tail.bound.to_fraction(), terms) == (F(1365, 2048), 0, 65)
+        assert evaluate_closed(rec.rhs, env, 140).to_fraction() == F(1365, 2048)  # 0.66650390625
+
+
 class TestPrecisionStability:
     """Re-running a pipeline with 32 guard bits agrees to p-8 bits."""
 

@@ -2,10 +2,12 @@
 term program as the oracle: the same terms, the same tail start, the same
 value to prec-8 bits; plus the term analysis and its exactness laws."""
 
+import math
 import time
 from dataclasses import replace
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -264,3 +266,41 @@ class TestSplitWalkLaw:
         if split is not None:
             _, tail, terms = _sum_infinite_once(*once)
             assert (split[2], split[1].start_index) == (terms, tail.start_index)
+
+
+def _harm(order, k):
+    return sum((F(1, j ** order) for j in range(1, k + 1)), F(0))
+
+
+def _ln2(prec):
+    with mpmath.workprec(prec):
+        man, exp = mpmath.log(2).man_exp
+    return F(man) * F(2) ** exp
+
+
+class TestRefusedToTheCompiledPath:
+    """A term the split path analyses or walks into and then leaves to the
+    compiled path, which sums it within its tail bound and 2^-prec of the
+    exact value: the closed form where there is one, else the exact sum of
+    the terms it used."""
+
+    PREC = 140
+
+    @pytest.mark.parametrize("text, exact, term", [
+        ("(k-40)/2^k", F(-78), None),                      # a zero term past the warm-up
+        ("(harm(1,k)-1)/2^k", 2 * _ln2(300) - 2, None),    # cancellation within 2^-32
+        ("(k-k)/2^k", F(0), None),                         # the zero term
+        ("harm(1,k)*harm(2,k)/4^k", None,                  # a product of two weights
+         lambda k: _harm(1, k) * _harm(2, k) / 4 ** k),
+        ("1/fact(17*k)", None, lambda k: F(1, math.factorial(17 * k))),  # a count slope over 16
+        ("0^k", F(1), None),                               # a zero base
+    ])
+    def test_split_refuses_and_the_compiled_path_sums(self, text, exact, term):
+        spec = dsl.parse_series_spec(f"sum k=0..inf : {text}")
+        assert _split_sum(spec, {}, self.PREC, 10 ** 6) is None
+        value, tail, terms = sum_infinite(spec, {}, self.PREC)
+        if exact is None:
+            exact = sum((term(k) for k in range(terms)), F(0))
+        # 2^-290 covers the error of the 300-bit ln 2
+        slack = tail.bound.to_fraction() + F(1, 2 ** self.PREC) + F(1, 2 ** 290)
+        assert abs(value.to_fraction() - exact) <= slack
