@@ -91,6 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.add_argument("--samples", type=int, default=10,
                           help="draws for a terminating identity")
     p_derive.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p_derive.add_argument("--q", dest="q_values", metavar="Q", type=_q_list,
+                          default=_DEFAULTS.q_values,
+                          help="comma-separated q values for a 'q in qvals' record")
     p_derive.add_argument("--max-n", type=int, default=_DEFAULTS.max_n)
 
     p_pi = sub.add_parser("pi", help="print digits of pi")
@@ -231,7 +234,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    options = verify.VerifyOptions(seed=args.seed, samples=args.samples, max_n=args.max_n)
+    options = verify.VerifyOptions(seed=args.seed, samples=args.samples, max_n=args.max_n,
+                                   q_values=args.q_values)
     bindings = _parse_bindings(args.bind, allow_expr=True)
     report = verify.operator_derive_check(args.id, args.param, args.order,
                                           point=args.point, bindings=bindings,

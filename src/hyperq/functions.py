@@ -100,7 +100,7 @@ def q_integer(m: int, q: Scalar) -> Scalar:
     if m < 0:
         raise ValueError("q-integer index must be nonnegative")
     prec = getattr(_value(q), "prec", None)
-    return _qint(FloatContext(prec) if prec else RationalContext(), {}, 0, q, m)
+    return _qint(FloatContext(prec) if prec else RationalContext(), {}, 0, (q,), m)
 
 
 def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPrecision":

@@ -21,13 +21,17 @@ double-evaluation policy -- accepts the value only when the two runs agree
 to prec-8 bits, then rounds the higher run to prec bits.
 
 Every expression is compiled once, on its first evaluation, into a term
-program with one step per node (``_Compiler``).  A summation evaluates the
-parts of its term that do not mention the index once, and the product and
-sum atoms advance running states between consecutive terms, so harmonic-
-weighted double series cost O(1) extra work per term rather than O(k).  The
-step of ``poch``, ``fact``, ``dfactodd``, ``harm`` and ``harmx`` is stated
-once, in ``_STEP``, which the term programs run and the split analysis reads.
-The q-atoms read ``q`` as an ordinary parameter, lifted like atom arguments.
+program (``_Compiler``): one generated Python function per node and
+summation index, one statement per node, in evaluation order.  A summation
+evaluates the parts of its term that do not mention the index once, into
+cache slots that the function fills on first use, and the product and sum
+atoms advance running states between consecutive terms, so harmonic-weighted
+double series cost O(1) extra work per term rather than O(k).  Each running
+atom's start and step is a module function that reads the atom's arguments
+and fixed parameters from its state's key; the step of ``poch``, ``fact``,
+``dfactodd``, ``harm`` and ``harmx`` is stated once, in ``_STEP``, which the
+term programs run and the split analysis reads.  The q-atoms read ``q`` as an
+ordinary parameter, lifted like atom arguments.
 
 Values enter their regime through the context's ``lift``: bound ints,
 rationals and rational jets, atom arguments, the start values of the running
@@ -42,9 +46,10 @@ need no context of their own.  An infinite q-sum refuses a q that carries
 derivatives.
 
 Programs are shared by every regime; a step that differs by regime
-branches on ``ctx.exact``.  A float regime (``FloatContext``, with or without
-jets) keeps every running state at working precision, so a term costs O(p)
-per small-integer factor plus a few p-bit products, whatever its index:
+branches on ``ctx.exact`` when it runs.  A float regime (``FloatContext``,
+with or without jets) keeps every running state at working precision, so a
+term costs O(p) per small-integer factor plus a few p-bit products, whatever
+its index:
 
 1. ``fact`` and ``dfactodd`` start from a float 1; an int base under an
    index-dependent exponent (``4^k``) is lifted before it is raised;
@@ -226,8 +231,9 @@ def _div_check(denom):
 # -------------------------------------------------------------- term programs
 
 _INDEX = "index"  # the cache key naming a summation's index; slots are ints
-_BINARY = {dsl.Add: operator.add, dsl.Sub: operator.sub, dsl.Mul: operator.mul}
+_BINARY = {dsl.Add: "+", dsl.Sub: "-", dsl.Mul: "*"}
 _Q = dsl.Param("q")  # the parameter the q-atoms read
+_MISSING = object()  # the value of an empty cache slot
 
 # The step of each running atom with a linear one, the one definition that the
 # term programs run and the split analysis reads: step i multiplies by a*i + b
@@ -250,7 +256,7 @@ def evaluate_expr(node, env, ctx, cache: Optional[dict] = None) -> Scalar:
     index = cache.get(_INDEX)
     programs = node.__dict__.setdefault("_programs", {})  # the AST is immutable
     if index not in programs:
-        programs[index] = _Compiler(index).operand(node, True)
+        programs[index] = _Compiler(index).program(node)
     return programs[index](env, ctx, cache)
 
 
@@ -259,23 +265,32 @@ def upper_bound(spec: dsl.SeriesSpec, bindings: dict) -> int:
     the bound is compiled for an integer position once, as term programs are."""
     attrs = spec.upper.__dict__
     if "_bound" not in attrs:
-        attrs["_bound"] = _Compiler(None).operand(spec.upper, exact="int")
+        attrs["_bound"] = _Compiler(None).program(spec.upper, exact="int")
     return attrs["_bound"](bindings, None, None)
 
 
 class _Compiler:
     """Compiles an expression into a term program for one summation index.
 
-    A program is a step ``(env, ctx, cache) -> value`` calling the steps of
-    its subtrees, so node types are dispatched once, here.  Each maximal
-    subtree free of the index (``None``: of every parameter) is evaluated on
-    first use and kept in an integer cache slot: once per summation, lazily
-    (an empty sum evaluates nothing; exceptions arise in term order).
+    A program is one generated Python function ``(env, ctx, cache) -> value``,
+    so node types are dispatched once, here.  Its source is in statement
+    form, one temporary per node, in evaluation order: an operator's left
+    operand first, a power's exponent before its base, an exact quotient's
+    denominator before its numerator, and an atom's arguments before its
+    count.  Each maximal subtree free of the index (``None``: of every
+    parameter) sits in an ``if`` block over its integer cache slot, entered on
+    first use: once per summation, lazily (an empty sum evaluates nothing;
+    exceptions arise in term order).  A value in scope is not computed again,
+    so the index is read once per term.  Literals, parameter names and
+    messages are never source text: the function reads each from a variable
+    of the closure it is made in, and the helpers it calls from this module.
     """
 
     def __init__(self, index: Optional[str]):
-        self.index, self.slots = index, itertools.count()
-        self.deps, self.operands = {}, {}  # by id(node); by (node, hoist, lift, exact) or literal
+        self.index = index
+        self.deps, self.slot_of = {}, {}  # by id(node); by hoisted operand or running atom
+        self.names, self.lines, self.depth = {}, [], 2  # names of constants by (type, value)
+        self.values = {}  # operand key or parameter name -> its name, in the current block
 
     def depends(self, node) -> bool:
         """Whether ``node`` mentions the index, q counting for the q-atoms."""
@@ -286,122 +301,156 @@ class _Compiler:
                 isinstance(node, dsl.Q_ATOMS) and self.index in (None, "q"))
         return self.deps[id(node)]
 
-    def operand(self, node, hoist=False, lift=False, exact=False):
-        """Step for an operand: ``exact`` in an index expression ("int": an
-        integer one), ``lift`` for an atom's argument, hoisted if index-free
-        (but not a literal) under a ``hoist`` parent.  Equal operands compute
-        equal values, so they share one step, slots included."""
-        key = (node, hoist, lift, exact)
-        if key not in self.operands:
-            step = self.scalar(node, exact)
-            if exact == "int" and not isinstance(node, dsl.Num):
-                step = partial(_integer, step)
-            if lift:
-                step = lambda env, ctx, cache, f=step: ctx.lift(f(env, ctx, cache))  # noqa: E731
-            if hoist and not self.depends(node) and (lift or not isinstance(node, dsl.Num)):
-                step = partial(_once, step, next(self.slots))
-            self.operands[key] = step
-        return self.operands[key]
+    def program(self, node, exact=False):
+        """The function computing ``node``: a term (hoisting its index-free
+        parts) or, ``exact``, an index expression."""
+        value = self.operand(node, hoist=not exact, exact=exact)
+        constants = {name: c for (_, c), name in self.names.items()}
+        source = "\n".join([f"def bind({', '.join(constants)}):",
+                            "    def program(env, ctx, cache):", *self.lines,
+                            f"        return {value}", "    return program"])
+        made = {}  # bind, which closes the program over the constants
+        exec(compile(source, "<term program>", "exec"), globals(), made)
+        return made["bind"](**constants)
 
-    def scalar(self, node, exact=False):
-        """Step computing ``node`` in the regime of the context or, ``exact``
-        (counts, exponents, sinpi/cospi arguments), as an int or a Fraction."""
+    def emit(self, line: str):
+        self.lines.append("    " * self.depth + line)
+
+    def temp(self, expr: str) -> str:
+        """A new temporary assigned ``expr``."""
+        name = f"t{len(self.lines)}"  # unique: one line at most assigns a new one
+        self.emit(f"{name} = {expr}")
+        return name
+
+    def constant(self, value) -> str:
+        """The name of the closure variable holding ``value``."""
+        return self.names.setdefault((type(value), value), f"c{len(self.names)}")
+
+    def slot(self, key) -> int:
+        return self.slot_of.setdefault(key, len(self.slot_of))
+
+    def operand(self, node, hoist=False, lift=False, exact=False) -> str:
+        """The name of an operand's value: ``exact`` in an index expression
+        ("int": an integer one), ``lift`` for an atom's argument, hoisted if
+        index-free (but not a literal) under a ``hoist`` parent.  Equal
+        operands compute equal values, so they share one slot, and one in
+        scope is not computed again."""
+        hoist = hoist and not self.depends(node) and (lift or not isinstance(node, dsl.Num))
+        key = (node, hoist, lift, exact)
+        if key in self.values:
+            return self.values[key]
+        if hoist:
+            slot = self.slot(key)
+            name = self.temp(f"cache.get({slot}, _MISSING)")
+            self.emit(f"if {name} is _MISSING:")
+            outer, self.values, self.depth = self.values, dict(self.values), self.depth + 1
+            self.emit(f"{name} = cache[{slot}] = {self.computed(node, lift, exact)}")
+            self.values, self.depth = outer, self.depth - 1
+        else:
+            name = self.computed(node, lift, exact)
+        self.values[key] = name
+        return name
+
+    def computed(self, node, lift, exact) -> str:
+        value = self.scalar(node, exact)
+        if exact == "int" and not isinstance(node, dsl.Num):
+            value = self.temp(f"{value} if isinstance({value}, int) else _integer({value})")
+        return self.temp(f"ctx.lift({value})") if lift else value
+
+    def scalar(self, node, exact=False) -> str:
+        """The name of ``node``'s value in the regime of the context or,
+        ``exact`` (counts, exponents, sinpi/cospi arguments), as an int or a
+        Fraction."""
         kind = type(node)
-        if kind is dsl.Num:  # one step per literal in the program
-            return self.operands.setdefault(node, lambda env, ctx, cache, v=node.value: v)
+        if kind is dsl.Num:
+            return self.constant(node.value)
         if kind is dsl.Param:
-            return partial(_param, node.name, exact)
+            return self.param(node.name, exact)
         sub = partial(self.operand, exact=True) if exact else partial(
             self.operand, hoist=self.depends(node))
-        integer = partial(self.operand, exact="int")
         if kind in _BINARY:
-            return (lambda env, ctx, cache, op=_BINARY[kind], a=sub(node.left), b=sub(node.right):
-                    op(a(env, ctx, cache), b(env, ctx, cache)))
+            left = sub(node.left)
+            return self.temp(f"{left} {_BINARY[kind]} {sub(node.right)}")
         if kind is dsl.Neg:
-            return lambda env, ctx, cache, a=sub(node.operand): -a(env, ctx, cache)
+            return self.temp(f"-{sub(node.operand)}")
+        if kind is dsl.Div and exact:  # index expressions take the denominator first
+            den = sub(node.right)
+            message = self.constant("zero denominator in index expression")
+            self.emit(f"if {den} == 0: raise PoleInTermError({message})")
+            return self.temp(f"Fraction({sub(node.left)}) / {den}")
         if kind is dsl.Div:
-            return partial(_divide, exact, sub(node.left), sub(node.right))
+            num = sub(node.left)
+            den = self.temp(f"ctx.lift({sub(node.right)})")
+            self.emit(f"_div_check({den})")
+            return self.temp(f"ctx.lift({num}) / {den}")
         if kind is dsl.Pow:
-            e = node.exponent
-            return partial(_power, exact, self.depends(e), integer(e), sub(node.base))
+            e = self.operand(node.exponent, exact="int")
+            indexed = self.depends(node.exponent)
+            return self.temp(f"_power({sub(node.base)}, {e}, ctx, {bool(exact)}, {indexed})")
         if exact:
-            return partial(_raise, f"{kind.__name__} is not valid in an integer position")
+            return self.fail(f"{kind.__name__} is not valid in an integer position")
         if kind is dsl.QPochInf:
             x, qs = sub(node.x, lift=True), sub(dsl.Pow(_Q, dsl.Num(node.step)), lift=True)
-            return lambda env, ctx, cache: ctx.qpochinf(x(env, ctx, cache), qs(env, ctx, cache))
+            return self.temp(f"ctx.qpochinf({x}, {qs})")
         if kind is dsl.QSumInf:
-            return lambda env, ctx, cache, q=sub(_Q, lift=True): ctx.qsuminf(
-                node.order, node.stride, node.shift, node.sign, q(env, ctx, cache))
+            fixed = map(self.constant, (node.order, node.stride, node.shift, node.sign))
+            return self.temp(f"ctx.qsuminf({', '.join(fixed)}, {sub(_Q, lift=True)})")
         if kind is dsl.PiConst:
-            return lambda env, ctx, cache: ctx.pi()
+            return self.temp("ctx.pi()")
         if kind is dsl.Sqrt:
-            return lambda env, ctx, cache: ctx.sqrt(node.radicand)
+            return self.temp(f"ctx.sqrt({self.constant(node.radicand)})")
         if kind is dsl.SinPi or kind is dsl.CosPi:
-            method, x = ("sinpi" if kind is dsl.SinPi else "cospi"), sub(node.arg, exact=True)
-            return lambda env, ctx, cache: getattr(ctx, method)(Fraction(x(env, ctx, cache)))
+            method = "sinpi" if kind is dsl.SinPi else "cospi"
+            return self.temp(f"ctx.{method}(Fraction({sub(node.arg, exact=True)}))")
         return self.atom(node)
 
-    def atom(self, node):
-        """Step for an atom with a running state: arguments first, then the count."""
+    def param(self, name, exact) -> str:
+        """The name of a parameter's value, read from ``env`` once in scope."""
+        if name not in self.values:
+            self.values[name] = raw = f"t{len(self.lines)}"
+            self.emit(f"try: {raw} = env[{self.constant(name)}]")
+            message = self.constant(f"parameter {name!r} is not bound")
+            self.emit(f"except KeyError: raise UnboundParameterError({message})")
+        raw = self.values[name]
+        if exact:
+            message = self.constant(f"parameter {name!r} must be exact here, got ")
+            self.emit(f"if not isinstance({raw}, (int, Fraction)): "
+                      f"raise EvalError({message} + type({raw}).__name__)")
+            return raw
+        return self.temp(f"{raw} if isinstance({raw}, int) else ctx.lift({raw})")
+
+    def fail(self, message: str) -> str:
+        """Raise an ``EvalError`` when reached; the value is never read."""
+        self.emit(f"raise EvalError({self.constant(message)})")
+        return "None"
+
+    def atom(self, node) -> str:
+        """An atom with a running state: arguments first, then the count."""
         kind = type(node)
-        sub = partial(self.operand, hoist=self.depends(node), lift=True)
-        step = _STEP.get(kind, ())
         if kind is dsl.Poch:
-            recurrence, args = partial(_poch, *step), [sub(node.x)]
+            run, args, fixed = "_poch", [node.x], _STEP[kind]
         elif kind is dsl.QPoch:
-            recurrence, args = _qpoch, [sub(node.x), sub(dsl.Pow(_Q, dsl.Num(node.step)))]
+            run, args, fixed = "_qpoch", [node.x, dsl.Pow(_Q, dsl.Num(node.step))], ()
         elif kind is dsl.Fact or kind is dsl.DFactOdd:
-            recurrence, args = partial(_factorial, *step), []
+            run, args, fixed = "_factorial", [], _STEP[kind]
         elif kind is dsl.QInt:
-            recurrence, args = _qint, [sub(_Q)]
+            run, args, fixed = "_qint", [_Q], ()
         elif kind is dsl.Harm or kind is dsl.HarmX:  # harm(l,m) is harmx(l,m,0)
             offset = getattr(node, "offset", dsl.Num(0))
-            recurrence, args = partial(_harmx, node.order, *step), [sub(offset)]
+            run, args, fixed = "_harmx", [offset], (node.order, *_STEP[kind])
         elif kind is dsl.QSum:
-            recurrence, args = partial(_qsum, node, next(self.slots)), [sub(_Q)]
+            run, args, fixed = "_qsum", [_Q], (node.order, node.stride, node.shift, node.sign)
         else:
-            return partial(_raise, f"cannot evaluate node {kind.__name__}")
-        return partial(_atom, dsl.ATOMS[kind], recurrence, args,
-                       self.operand(node.count, exact="int"), next(self.slots))
+            return self.fail(f"cannot evaluate node {kind.__name__}")
+        key = [self.operand(a, hoist=self.depends(node), lift=True) for a in args]
+        n = self.operand(node.count, exact="int")
+        message = self.constant(f"{dsl.ATOMS[kind]} of a negative count ")
+        self.emit(f"if {n} < 0: raise EvalError({message} + str({n}))")
+        key += map(self.constant, fixed)
+        return self.temp(f"{run}(ctx, cache, {self.slot(node)}, ({', '.join(key)},), {n})")
 
 
-def _param(name, exact, env, ctx, cache):
-    try:
-        v = env[name]
-    except KeyError:
-        raise UnboundParameterError(f"parameter {name!r} is not bound")
-    if isinstance(v, int):  # the index, mostly: no test against the Fraction ABC
-        return v
-    if exact and not isinstance(v, Fraction):
-        raise EvalError(f"parameter {name!r} must be exact here, got {type(v).__name__}")
-    return v if exact else ctx.lift(v)
-
-
-def _once(step, slot, env, ctx, cache):
-    if slot not in cache:
-        cache[slot] = step(env, ctx, cache)
-    return cache[slot]
-
-
-def _raise(message, *_):
-    raise EvalError(message)
-
-
-def _divide(exact, num, den, env, ctx, cache):
-    if exact:  # index expressions take the denominator first
-        d = den(env, ctx, cache)
-        if d == 0:
-            raise PoleInTermError("zero denominator in index expression")
-        return Fraction(num(env, ctx, cache)) / d
-    n = num(env, ctx, cache)
-    d = ctx.lift(den(env, ctx, cache))
-    _div_check(d)
-    return ctx.lift(n) / d
-
-
-def _power(exact, indexed, exponent, base, env, ctx, cache):
-    e = exponent(env, ctx, cache)
-    b = base(env, ctx, cache)
+def _power(b, e, ctx, exact, indexed):
     # a float regime raises 1/c^k, c^k and a c^e too large to build exactly at
     # working precision; the exact regime and exact positions keep ints exact
     if isinstance(b, int) and not (exact or ctx.exact) and (
@@ -427,27 +476,19 @@ def _too_large(b, e, limit) -> bool:
     return magnitude > 1 and abs(e) > limit / math.log2(magnitude)
 
 
-def _integer(exact, env, ctx, cache):
-    v = exact(env, ctx, cache)
+def _integer(v):
     if isinstance(v, int) or v.denominator == 1:
         return int(v)
     raise EvalError(f"expected an integer value, got {v}")
 
 
-def _atom(name, recurrence, args, count, slot, env, ctx, cache):
-    values = [a(env, ctx, cache) for a in args]
-    n = count(env, ctx, cache)
-    if n < 0:
-        raise EvalError(f"{name} of a negative count {n}")
-    return recurrence(ctx, cache, slot, *values, n)
+def _advance(cache, slot, key: tuple, target: int, ctx, start, extend, free=None, least=None):
+    """The payload at count ``target``: ``start(ctx, key)`` at 0,
+    ``extend(payload, i, key)`` from i-1 to i.  ``key`` holds the atom's
+    arguments, then its fixed parameters; the state in the slot resumes while
+    it is unchanged, which hoisted arguments show by identity.
 
-
-def _advance(cache, slot, key: tuple, target: int, start, extend, free=None, least=None):
-    """The payload at count ``target``: ``start()`` at 0, ``extend(payload, i)``
-    from i-1 to i.  The state in the slot resumes while ``key`` (the atom's
-    arguments) is unchanged, which hoisted arguments show by identity.
-
-    ``free(*key)``, given for a running product of the exact regime, is a
+    ``free(*key)``, given for a running product, is in the exact regime a
     count up to which no state can have a numerator or denominator of more
     than ``MAX_EXACT_BITS`` bits, bounded from the sizes of the arguments.
     Each later state is measured, and one past the limit is an ``EvalError``;
@@ -456,14 +497,15 @@ def _advance(cache, slot, key: tuple, target: int, start, extend, free=None, lea
     """
     state = cache.get(slot)
     if state is None or state[1] > target or state[0] != key:
-        count, payload, unmeasured = 0, start(), free(*key) if free else math.inf
+        unmeasured = free(*key) if free and ctx.exact else math.inf
+        count, payload = 0, start(ctx, key)
     else:
         _, count, payload, unmeasured = state
     if target > unmeasured and least and least(target, *key) > MAX_EXACT_BITS:
         raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
     while count < target:
         count += 1
-        payload = extend(payload, count)
+        payload = extend(payload, count, key)
         if count > unmeasured and _exact_bits(payload) > MAX_EXACT_BITS:
             raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
     cache[slot] = (key, count, payload, unmeasured)
@@ -490,7 +532,7 @@ def _exact_bits(v) -> int:
 # larger term, and the start 1.  B is the bit length of MAX_EXACT_BITS; no
 # count up to a free one has more bits.
 
-def _poch_free(x) -> int:
+def _poch_free(x, *step) -> int:
     # step i multiplies by x+i-1, of at most bits(x) + B + 1 bits
     return MAX_EXACT_BITS // (_exact_bits(x) + MAX_EXACT_BITS.bit_length() + 4)
 
@@ -503,14 +545,12 @@ def _qpoch_free(x, qs) -> int:
     return min(MAX_EXACT_BITS // (2 * (sx + 4)), math.isqrt(MAX_EXACT_BITS // (2 * sq)))
 
 
-def _factorial_free() -> int:
+def _factorial_free(a, b) -> int:
     # step i multiplies by at most 2i+1, of at most B + 1 bits
     return MAX_EXACT_BITS // (MAX_EXACT_BITS.bit_length() + 2)
 
 
-# the running atoms: ([a, b of _STEP,] ctx, cache, slot, *arguments, count) -> value
-
-def _poch_least(n, x) -> float:
+def _poch_least(n, x, *step) -> float:
     # x = u/v (a jet's value) not an integer <= 0: (x)_n = prod (u + i*v)/v^n
     # in lowest terms, and past its first factor >= 1, at i0, the other m =
     # n - i0 - 1 are at least v, 2v, ..., m*v; v^m m! >= v^m (m/e)^m.  At an
@@ -537,58 +577,107 @@ def _poch_count(x, n) -> int:
     return n
 
 
-def _poch(a, b, ctx, cache, slot, x, n):
+# The running atoms: (ctx, cache, slot, key, count) -> value, ``key`` as in
+# ``_advance``.  Their starts and steps are defined once, here, and read the
+# atom's parameters from the key.
+
+def _one(ctx, key):
+    return ctx.lift(1)
+
+
+def _zero(ctx, key):
+    return ctx.lift(0)
+
+
+def _poch(ctx, cache, slot, key, n):
     # up to 64 steps through zeros cost less than testing every call for them
-    return _advance(cache, slot, (x,), _poch_count(x, n) if n > 64 else n, partial(ctx.lift, 1),
-                    lambda p, i: p * (x + (a * i + b)), _poch_free if ctx.exact else None,
-                    _poch_least)
+    return _advance(cache, slot, key, _poch_count(key[0], n) if n > 64 else n, ctx, _one,
+                    _poch_step, _poch_free, _poch_least)
 
 
-def _qpoch(ctx, cache, slot, x, qs, n):
+def _poch_step(p, i, key):
+    x, a, b = key
+    return p * (x + (a * i + b))
+
+
+def _qpoch(ctx, cache, slot, key, n):
     # the state (product, x*q^(s*i)) saves multiplying x by q^(s*i) at each step
-    return _advance(cache, slot, (x, qs), n, lambda: (ctx.lift(1), x),
-                    lambda st, i: (st[0] * (1 - st[1]), st[1] * qs),
-                    _qpoch_free if ctx.exact else None)[0]
+    return _advance(cache, slot, key, n, ctx, _qpoch_start, _qpoch_step, _qpoch_free)[0]
 
 
-def _factorial(a, b, ctx, cache, slot, n):
+def _qpoch_start(ctx, key):
+    return ctx.lift(1), key[0]
+
+
+def _qpoch_step(st, i, key):
+    return st[0] * (1 - st[1]), st[1] * key[1]
+
+
+def _factorial(ctx, cache, slot, key, n):
     # prod (a*i + b) >= (a*n/e)^n, as n! >= (n/e)^n and (2n+1)!! > 2^n n!
-    if ctx.exact and n > 2 and n * math.log2(a * n / math.e) > MAX_EXACT_BITS:
+    if ctx.exact and n > 2 and n * math.log2(key[0] * n / math.e) > MAX_EXACT_BITS:
         raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
-    return _advance(cache, slot, (), n, (lambda: 1) if ctx.exact else partial(ctx.lift, 1),
-                    lambda p, i: p * (a * i + b), _factorial_free if ctx.exact else None)
+    return _advance(cache, slot, key, n, ctx, _factorial_start, _factorial_step, _factorial_free)
 
 
-def _qint(ctx, cache, slot, q, n):
+def _factorial_start(ctx, key):
+    return 1 if ctx.exact else ctx.lift(1)
+
+
+def _factorial_step(p, i, key):
+    a, b = key
+    return p * (a * i + b)
+
+
+def _qint(ctx, cache, slot, key, n):
+    return _advance(cache, slot, key, n, ctx, _qint_start, _qint_step)[0]
+
+
+def _qint_start(ctx, key):
+    return ctx.lift(0), ctx.lift(1)
+
+
+def _qint_step(st, i, key):
     # the state ([i], q^i): [i+1] = [i] + q^i, then q^(i+1) = q^i * q
-    return _advance(cache, slot, (q,), n, lambda: (ctx.lift(0), ctx.lift(1)),
-                    lambda st, i: (st[0] + st[1], st[1] * q))[0]
+    return st[0] + st[1], st[1] * key[0]
 
 
-def _harmx(order, a, b, ctx, cache, slot, offset, n):
-    def extend(s, i):
-        d = int_pow(offset + (a * i + b), order)
-        _div_check(d)
-        return s + 1 / d
-
-    return _advance(cache, slot, (offset,), n, partial(ctx.lift, 0), extend)
+def _harmx(ctx, cache, slot, key, n):
+    return _advance(cache, slot, key, n, ctx, _zero, _harmx_step)
 
 
-def _qsum(atom, q_slot, ctx, cache, slot, q, m):
+def _harmx_step(s, i, key):
+    offset, order, a, b = key
+    d = int_pow(offset + (a * i + b), order)
+    _div_check(d)
+    return s + 1 / d
+
+
+def _qsum(ctx, cache, slot, key, m):
+    return _advance(cache, slot, key, m, ctx, _qsum_start, _qsum_step)[0]
+
+
+def _qsum_start(ctx, key):
+    return ctx.lift(0), 0, _qint_start(ctx, key)
+
+
+def _qsum_step(st, i, key):
     # the i-th summand sign^(i-1) q^idx/[idx]^order, idx = stride*i + shift,
-    # with [idx] from a qint state of its own, in ``q_slot``
-    def extend(s, i):
-        idx = atom.stride * i + atom.shift
-        if idx < 1:
-            raise EvalError(f"nonpositive q-sum index {idx} at i={i}")
-        den = int_pow(_qint(ctx, cache, q_slot, q, idx), atom.order)
-        try:
-            t = int_pow(q, idx) / den
-        except ZeroDivisionError:  # every regime's division raises it for a zero [idx]
-            raise PoleInTermError(f"zero q-integer [{idx}] in a q-sum denominator") from None
-        return s + (-t if atom.sign == -1 and i % 2 == 0 else t)
-
-    return _advance(cache, slot, (q,), m, partial(ctx.lift, 0), extend)
+    # with [idx] from the q-integer state (j, ([j], q^j)) it carries
+    s, j, qint = st
+    q, order, stride, shift, sign = key
+    idx = stride * i + shift
+    if idx < 1:
+        raise EvalError(f"nonpositive q-sum index {idx} at i={i}")
+    while j < idx:
+        j += 1
+        qint = _qint_step(qint, j, key)
+    den = int_pow(qint[0], order)
+    try:
+        t = int_pow(q, idx) / den
+    except ZeroDivisionError:  # every regime's division raises it for a zero [idx]
+        raise PoleInTermError(f"zero q-integer [{idx}] in a q-sum denominator") from None
+    return s + (-t if sign == -1 and i % 2 == 0 else t), j, qint
 
 
 # ------------------------------------------------------------------- summers

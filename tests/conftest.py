@@ -10,6 +10,13 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
+# ten times the examples, for a run that exercises the term compiler harder:
+# pytest tests/test_term_program.py --hypothesis-profile=deep
+settings.register_profile(
+    "deep",
+    parent=settings.get_profile("laws"),
+    max_examples=2000,
+)
 settings.load_profile("laws")
 
 

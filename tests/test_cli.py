@@ -505,6 +505,10 @@ class TestDerive:
         assert out.returncode == code, out.stderr
         assert ("PASS" if code == 0 else "FAIL") in out.stdout
         assert "samples=3" in out.stdout  # at the default q = 1/2
+        out = run_cli("derive", "--id", "QX", "--param", "x", "--order", "2", "--q", "1/3,1/2",
+                      "--samples", "3", env={"HYPERQ_CORPUS": str(alt)})
+        assert out.returncode == code, out.stderr
+        assert "samples=6" in out.stdout  # three draws at each q
 
     def test_infinite_record_is_compared_to_its_tolerance(self):
         # SBD's lhs is an infinite q-series; derive refused it with exit 3

@@ -12,6 +12,7 @@ are the specification of the programs' HighPrecision bits; a separate law,
 against exact sums without the walker.
 """
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction as F
@@ -611,3 +612,114 @@ def test_derive_check_parses_each_string_binding_once(monkeypatch):
                                           options=VerifyOptions(samples=20))
     assert report.verdict == "pass"
     assert parses == ["2-b"]
+
+
+def test_parameter_names_never_meet_the_generated_names():
+    # a program's source names its arguments, temporaries and constants, but
+    # never a parameter: each is read from env under a name in the namespace
+    spec = dsl.parse_series_spec(
+        "sum k=0..n : env*ctx/cache + t0^2 - c0*k + Fraction + poch(env,k)")
+    env = {"env": F(1, 3), "ctx": F(1, 2), "cache": F(1, 2), "t0": F(1, 3), "c0": 1,
+           "Fraction": F(1, 5), "n": 3}
+    assert sum_terminating(spec, env) == F(-82, 135) == _walk_sum(spec, env, RationalContext())
+    _assert_same(sum_terminating(spec, env, FloatContext(64)),
+                 _walk_sum(spec, env, FloatContext(64)))
+    spec = dsl.parse_series_spec("sum k=0..n : _MISSING*isinstance/program + k + int")
+    env = {"_MISSING": F(2, 3), "isinstance": F(3), "program": F(-5), "int": F(1, 7), "n": 2}
+    assert sum_terminating(spec, env) == _walk_sum(spec, env, RationalContext())
+
+
+def test_an_exact_quotient_takes_its_denominator_first():
+    # the count x/(k-k) meets its zero denominator before it reads the unbound x
+    spec = dsl.parse_series_spec("sum k=0..n : fact(x/(k-k))")
+    with pytest.raises(PoleInTermError):
+        sum_terminating(spec, {"n": 2})
+    with pytest.raises(PoleInTermError):
+        _walk_sum(spec, {"n": 2}, RationalContext())
+
+
+def _height(node) -> int:
+    return 1 + max((_height(child) for _, child in dsl.children(node)), default=0)
+
+
+def _third(n):
+    return dsl.Div(dsl.Num(n), dsl.Num(3))
+
+
+# each level wraps the term below it once: beside an atom, as an atom's
+# argument, or under a sign or a power; the last seven need a float regime
+_EXACT_LEVELS = [
+    lambda t: dsl.Add(t, dsl.Poch(_third(1), K)),
+    lambda t: dsl.Mul(t, dsl.QPoch(_third(1), 2, K)),
+    lambda t: dsl.Sub(t, dsl.Fact(K)),
+    lambda t: dsl.Div(t, dsl.DFactOdd(K)),
+    lambda t: dsl.Add(t, dsl.QInt(dsl.Add(K, dsl.Num(1)))),
+    lambda t: dsl.Sub(t, dsl.Harm(2, K)),
+    lambda t: dsl.Add(t, dsl.QSum(1, 1, 0, -1, K)),
+    lambda t: dsl.Neg(t),
+    lambda t: dsl.HarmX(1, K, dsl.Add(t, dsl.Num(2))),
+    lambda t: dsl.Poch(t, dsl.Num(1)),
+    lambda t: dsl.Pow(t, dsl.Num(1)),
+    lambda t: dsl.Add(t, dsl.Sqrt(4)),
+    lambda t: dsl.Mul(t, A),
+    lambda t: dsl.QPoch(t, 1, dsl.Num(1)),
+]
+_FLOAT_LEVELS = [
+    lambda t: dsl.Mul(t, dsl.QPochInf(_third(1), 1)),
+    lambda t: dsl.Add(t, dsl.QSumInf(1, 1, 0, 1)),
+    lambda t: dsl.Sub(t, dsl.PiConst()),
+    lambda t: dsl.Mul(t, dsl.Sqrt(2)),
+    lambda t: dsl.Add(t, dsl.SinPi(dsl.Div(dsl.Num(1), dsl.Num(6)))),
+    lambda t: dsl.Add(t, dsl.CosPi(_third(1))),
+    lambda t: dsl.Div(t, dsl.Add(dsl.Num(2), dsl.QInt(K))),
+]
+
+
+def _deep(levels, height=60):
+    term = A
+    for i in itertools.count():
+        if _height(term) == height:
+            return dsl.SeriesSpec("k", dsl.Param("n"), term)
+        term = levels[i % len(levels)](term)
+
+
+DEEP = _deep(_EXACT_LEVELS + _FLOAT_LEVELS)
+DEEP_EXACT = _deep(_EXACT_LEVELS)
+
+
+def _outcome_text(fn):
+    """The value of ``fn()``, or the class and message of the exception it raised."""
+    try:
+        return fn()
+    except _RAISED as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("regime", ["exact", "float", "rational-jet", "float-jet"])
+@pytest.mark.parametrize("spec", [DEEP, DEEP_EXACT], ids=["every-atom", "exact-atoms"])
+def test_a_deep_term_matches_the_walker(spec, regime):
+    used = {type(node) for node in _nodes(spec.term)}
+    assert _height(spec.term) == 60
+    if spec is DEEP:
+        assert set(dsl.ATOMS) <= used
+    env = {"a": F(2, 7), "q": F(1, 3), "n": 3}
+    if regime in ("exact", "rational-jet"):
+        ctx = RationalContext()
+        if regime == "rational-jet":
+            env["a"] = jet_lift(env["a"])
+    else:
+        ctx = FloatContext(64)
+        if regime == "float-jet":
+            env["a"] = jet_lift(HighPrecision.from_fraction(env["a"], 64))
+    program = _outcome_text(lambda: sum_terminating(spec, env, ctx))
+    walker = _outcome_text(lambda: _walk_sum(spec, env, _fresh(ctx)))
+    if spec is DEEP and ctx.exact:  # the first float-only atom in term order
+        assert program == walker == (EvalError, "infinite q-products require a numeric context")
+    else:
+        _assert_same(program, walker)
+
+
+def _nodes(node):
+    yield node
+    for _, child in dsl.children(node):
+        yield from _nodes(child)
