@@ -616,7 +616,7 @@ def test_derive_check_parses_each_string_binding_once(monkeypatch):
 
 def test_parameter_names_never_meet_the_generated_names():
     # a program's source names its arguments, temporaries and constants, but
-    # never a parameter: each is read from env under a name in the namespace
+    # never a parameter: each is read from env under a closure variable's name
     spec = dsl.parse_series_spec(
         "sum k=0..n : env*ctx/cache + t0^2 - c0*k + Fraction + poch(env,k)")
     env = {"env": F(1, 3), "ctx": F(1, 2), "cache": F(1, 2), "t0": F(1, 3), "c0": 1,
@@ -642,12 +642,18 @@ def _height(node) -> int:
     return 1 + max((_height(child) for _, child in dsl.children(node)), default=0)
 
 
+def _nodes(node):
+    yield node
+    for _, child in dsl.children(node):
+        yield from _nodes(child)
+
+
 def _third(n):
     return dsl.Div(dsl.Num(n), dsl.Num(3))
 
 
 # each level wraps the term below it once: beside an atom, as an atom's
-# argument, or under a sign or a power; the last seven need a float regime
+# argument, or under a sign or a power; the float levels need a float regime
 _EXACT_LEVELS = [
     lambda t: dsl.Add(t, dsl.Poch(_third(1), K)),
     lambda t: dsl.Mul(t, dsl.QPoch(_third(1), 2, K)),
@@ -698,10 +704,9 @@ def _outcome_text(fn):
 @pytest.mark.parametrize("regime", ["exact", "float", "rational-jet", "float-jet"])
 @pytest.mark.parametrize("spec", [DEEP, DEEP_EXACT], ids=["every-atom", "exact-atoms"])
 def test_a_deep_term_matches_the_walker(spec, regime):
-    used = {type(node) for node in _nodes(spec.term)}
     assert _height(spec.term) == 60
     if spec is DEEP:
-        assert set(dsl.ATOMS) <= used
+        assert set(dsl.ATOMS) <= {type(node) for node in _nodes(spec.term)}
     env = {"a": F(2, 7), "q": F(1, 3), "n": 3}
     if regime in ("exact", "rational-jet"):
         ctx = RationalContext()
@@ -717,9 +722,3 @@ def test_a_deep_term_matches_the_walker(spec, regime):
         assert program == walker == (EvalError, "infinite q-products require a numeric context")
     else:
         _assert_same(program, walker)
-
-
-def _nodes(node):
-    yield node
-    for _, child in dsl.children(node):
-        yield from _nodes(child)
