@@ -95,12 +95,13 @@ def q_integer(m: int, q: Scalar) -> Scalar:
     The package runs the atom itself; this wrapper stays because the
     benchmark's per-layer tracer (``bench/layers.py``) hooks it by name.
     """
-    from .series import FloatContext, RationalContext, _qint  # series imports this module
+    from . import series  # series imports this module
 
     if m < 0:
         raise ValueError("q-integer index must be nonnegative")
     prec = getattr(_value(q), "prec", None)
-    return _qint(FloatContext(prec) if prec else RationalContext(), {}, 0, (q,), m)
+    ctx = series.FloatContext(prec) if prec else series.RationalContext()
+    return series._advance({}, 0, (q,), m, ctx, series._qint_start, series._qint_step)[0]
 
 
 def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPrecision":

@@ -26,9 +26,10 @@ summation index, one statement per node, in evaluation order.  A summation
 evaluates the parts of its term that do not mention the index once, into
 cache slots that the function fills on first use, and the product and sum
 atoms advance running states between consecutive terms, so harmonic-weighted
-double series cost O(1) extra work per term rather than O(k).  Each running
-atom's start and step is a module function that reads the atom's arguments
-and fixed parameters from its state's key; the step of ``poch``, ``fact``,
+double series cost O(1) extra work per term rather than O(k).  Every running
+atom runs in ``_advance``, with its start and step (module functions that
+read the atom's arguments and fixed parameters from its state's key) and,
+for a product, its size bounds.  The step of ``poch``, ``fact``,
 ``dfactodd``, ``harm`` and ``harmx`` is stated once, in ``_STEP``, which the
 term programs run and the split analysis reads.  The q-atoms read ``q`` as an
 ordinary parameter, lifted like atom arguments.
@@ -67,7 +68,7 @@ An exact power whose result would exceed ``MAX_EXACT_BITS`` bits is an
 positions (counts, exponents, bounds) of every regime.  In the exact regime,
 so is a running ``poch``, ``qpoch``, ``fact`` or ``dfactodd`` product, plain
 or a rational jet, at the step where a numerator or denominator of its state
-passes that size; ``fact``, ``dfactodd`` and, past its free count, ``poch``
+passes that size; ``poch``, ``fact`` and ``dfactodd`` past their free counts
 at once, when the count alone shows it would (for a rational jet through
 zero, from the derivative that does not vanish).
 """
@@ -288,18 +289,14 @@ class _Compiler:
 
     def __init__(self, index: Optional[str]):
         self.index = index
-        self.deps, self.slot_of = {}, {}  # by id(node); by hoisted operand or running atom
+        self.slot_of = {}  # by hoisted operand or running atom
         self.names, self.lines, self.depth = {}, [], 2  # names of constants by (type, value)
-        self.values = {}  # operand key or parameter name -> its name, in the current block
+        self.values = {}  # operand key, parameter name or tested count -> its name, in scope
 
     def depends(self, node) -> bool:
-        """Whether ``node`` mentions the index, q counting for the q-atoms."""
-        if isinstance(node, dsl.Param):
-            return self.index in (None, node.name)
-        if id(node) not in self.deps:
-            self.deps[id(node)] = any([self.depends(c) for _, c in dsl.children(node)]) or (
-                isinstance(node, dsl.Q_ATOMS) and self.index in (None, "q"))
-        return self.deps[id(node)]
+        """Whether ``node`` mentions the index (``None``: any parameter; q: a q-atom)."""
+        names = dsl.parameters_of(node)
+        return bool(names) if self.index is None else self.index in names
 
     def program(self, node, exact=False):
         """The function computing ``node``: a term (hoisting its index-free
@@ -378,17 +375,18 @@ class _Compiler:
             message = self.constant("zero denominator in index expression")
             self.emit(f"if {den} == 0: raise PoleInTermError({message})")
             return self.temp(f"Fraction({sub(node.left)}) / {den}")
-        if kind is dsl.Div:
-            num = sub(node.left)
-            den = self.temp(f"ctx.lift({sub(node.right)})")
+        if kind is dsl.Div:  # a lifted numerator takes any denominator
+            num, den = sub(node.left), sub(node.right)
             self.emit(f"_div_check({den})")
             return self.temp(f"ctx.lift({num}) / {den}")
         if kind is dsl.Pow:
             e = self.operand(node.exponent, exact="int")
             indexed = self.depends(node.exponent)
             return self.temp(f"_power({sub(node.base)}, {e}, ctx, {bool(exact)}, {indexed})")
-        if exact:
-            return self.fail(f"{kind.__name__} is not valid in an integer position")
+        if exact:  # raised when reached; the value is never read
+            message = self.constant(f"{kind.__name__} is not valid in an integer position")
+            self.emit(f"raise EvalError({message})")
+            return "None"
         if kind is dsl.QPochInf:
             x, qs = sub(node.x, lift=True), sub(dsl.Pow(_Q, dsl.Num(node.step)), lift=True)
             return self.temp(f"ctx.qpochinf({x}, {qs})")
@@ -419,35 +417,35 @@ class _Compiler:
             return raw
         return self.temp(f"{raw} if isinstance({raw}, int) else ctx.lift({raw})")
 
-    def fail(self, message: str) -> str:
-        """Raise an ``EvalError`` when reached; the value is never read."""
-        self.emit(f"raise EvalError({self.constant(message)})")
-        return "None"
-
     def atom(self, node) -> str:
-        """An atom with a running state: arguments first, then the count."""
-        kind = type(node)
+        """An atom with a running state, stepped by ``_advance``: arguments
+        first, then the count; the q-atoms' states are tuples led by the value."""
+        kind, value = type(node), ""
         if kind is dsl.Poch:
-            run, args, fixed = "_poch", [node.x], _STEP[kind]
+            args, fixed, run = [node.x], _STEP[kind], "_one, _poch_step, _poch_free, _poch_least"
         elif kind is dsl.QPoch:
-            run, args, fixed = "_qpoch", [node.x, dsl.Pow(_Q, dsl.Num(node.step))], ()
+            args, fixed, value = [node.x, dsl.Pow(_Q, dsl.Num(node.step))], (), "[0]"
+            run = "_qpoch_start, _qpoch_step, _qpoch_free"
         elif kind is dsl.Fact or kind is dsl.DFactOdd:
-            run, args, fixed = "_factorial", [], _STEP[kind]
+            args, fixed = [], _STEP[kind]
+            run = "_factorial_start, _factorial_step, _factorial_free, _factorial_least"
         elif kind is dsl.QInt:
-            run, args, fixed = "_qint", [_Q], ()
+            args, fixed, run, value = [_Q], (), "_qint_start, _qint_step", "[0]"
         elif kind is dsl.Harm or kind is dsl.HarmX:  # harm(l,m) is harmx(l,m,0)
-            offset = getattr(node, "offset", dsl.Num(0))
-            run, args, fixed = "_harmx", [offset], (node.order, *_STEP[kind])
-        elif kind is dsl.QSum:
-            run, args, fixed = "_qsum", [_Q], (node.order, node.stride, node.shift, node.sign)
-        else:
-            return self.fail(f"cannot evaluate node {kind.__name__}")
+            args, fixed = [getattr(node, "offset", dsl.Num(0))], (node.order, *_STEP[kind])
+            run = "_zero, _harmx_step"
+        else:  # QSum
+            args, fixed = [_Q], (node.order, node.stride, node.shift, node.sign)
+            run, value = "_qsum_start, _qsum_step", "[0]"
         key = [self.operand(a, hoist=self.depends(node), lift=True) for a in args]
         n = self.operand(node.count, exact="int")
-        message = self.constant(f"{dsl.ATOMS[kind]} of a negative count ")
-        self.emit(f"if {n} < 0: raise EvalError({message} + str({n}))")
+        if ("count", n) not in self.values:  # one test per count in scope
+            message = self.constant(f"{dsl.ATOMS[kind]} of a negative count ")
+            self.emit(f"if {n} < 0: raise EvalError({message} + str({n}))")
+            self.values["count", n] = n
         key += map(self.constant, fixed)
-        return self.temp(f"{run}(ctx, cache, {self.slot(node)}, ({', '.join(key)},), {n})")
+        return self.temp(f"_advance(cache, {self.slot(node)}, ({', '.join(key)},), {n}, ctx, "
+                         f"{run}){value}")
 
 
 def _power(b, e, ctx, exact, indexed):
@@ -473,7 +471,10 @@ def _too_large(b, e, limit) -> bool:
     if -1 <= e <= 1:  # no larger than b itself
         return False
     magnitude = abs(b) if isinstance(b, int) else max(abs(b.numerator), b.denominator)
-    return magnitude > 1 and abs(e) > limit / math.log2(magnitude)
+    bits, e = magnitude.bit_length(), abs(e)  # 2^(bits-1) <= magnitude < 2^bits
+    if e * bits <= limit or e * (bits - 1) > limit:
+        return e * bits > limit
+    return magnitude > 1 and e > limit / math.log2(magnitude)
 
 
 def _integer(v):
@@ -483,17 +484,19 @@ def _integer(v):
 
 
 def _advance(cache, slot, key: tuple, target: int, ctx, start, extend, free=None, least=None):
-    """The payload at count ``target``: ``start(ctx, key)`` at 0,
-    ``extend(payload, i, key)`` from i-1 to i.  ``key`` holds the atom's
-    arguments, then its fixed parameters; the state in the slot resumes while
-    it is unchanged, which hoisted arguments show by identity.
+    """The state of any running atom at count ``target``: ``start(ctx, key)``
+    at 0, ``extend(state, i, key)`` from i-1 to i, ``key`` the atom's
+    arguments, then its fixed parameters.  The state in the slot resumes
+    while the key is unchanged, which hoisted arguments show by identity.
 
     ``free(*key)``, given for a running product, is in the exact regime a
     count up to which no state can have a numerator or denominator of more
     than ``MAX_EXACT_BITS`` bits, bounded from the sizes of the arguments.
     Each later state is measured, and one past the limit is an ``EvalError``;
     so is a ``target`` past the free count whose ``least(target, *key)``, a
-    lower bound on log2 of the state's largest part, passes the limit.
+    lower bound on log2 of the state's largest part, passes the limit, before
+    any step.  A product's run of more than 64 steps stops at a plain state
+    that is exactly zero (a jet or a tuple never is), as all later ones are.
     """
     state = cache.get(slot)
     if state is None or state[1] > target or state[0] != key:
@@ -503,11 +506,14 @@ def _advance(cache, slot, key: tuple, target: int, ctx, start, extend, free=None
         _, count, payload, unmeasured = state
     if target > unmeasured and least and least(target, *key) > MAX_EXACT_BITS:
         raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
+    zero_stops = free and target - count > 64
     while count < target:
         count += 1
         payload = extend(payload, count, key)
         if count > unmeasured and _exact_bits(payload) > MAX_EXACT_BITS:
             raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
+        if zero_stops and _is_zero(payload):
+            break
     cache[slot] = (key, count, payload, unmeasured)
     return payload
 
@@ -563,23 +569,12 @@ def _poch_least(n, x, *step) -> float:
         math.log2(d.denominator) if m > 0 and d else 0
 
 
-def _poch_count(x, n) -> int:
-    """The count to step for (x)_n: n, or 1 - x if smaller at a plain integer
-    x <= 0, whose factor x + (count - 1) is 0 there; a product stays 0 past it
-    (a jet need not)."""
-    if type(x) is Rational:
-        if x.denominator == 1 and x.numerator <= 0:
-            return min(n, 1 - x.numerator)
-    elif type(x) is HighPrecision:  # 1 - x exceeds n unless its bits are few
-        sign, man, exp, bits = x.raw
-        if exp >= 0 and (sign or not man) and bits + exp <= n.bit_length():
-            return min(n, 1 + (man << exp))
-    return n
+def _factorial_least(n, a, b) -> float:
+    # prod (a*i + b) >= (a*n/e)^n, as n! >= (n/e)^n and (2n+1)!! > 2^n n!
+    return n * math.log2(a * n / math.e) if n > 2 else 0
 
 
-# The running atoms: (ctx, cache, slot, key, count) -> value, ``key`` as in
-# ``_advance``.  Their starts and steps are defined once, here, and read the
-# atom's parameters from the key.
+# The starts and steps of the running atoms, for ``_advance``, each defined once.
 
 def _one(ctx, key):
     return ctx.lift(1)
@@ -589,20 +584,9 @@ def _zero(ctx, key):
     return ctx.lift(0)
 
 
-def _poch(ctx, cache, slot, key, n):
-    # up to 64 steps through zeros cost less than testing every call for them
-    return _advance(cache, slot, key, _poch_count(key[0], n) if n > 64 else n, ctx, _one,
-                    _poch_step, _poch_free, _poch_least)
-
-
 def _poch_step(p, i, key):
     x, a, b = key
     return p * (x + (a * i + b))
-
-
-def _qpoch(ctx, cache, slot, key, n):
-    # the state (product, x*q^(s*i)) saves multiplying x by q^(s*i) at each step
-    return _advance(cache, slot, key, n, ctx, _qpoch_start, _qpoch_step, _qpoch_free)[0]
 
 
 def _qpoch_start(ctx, key):
@@ -611,13 +595,6 @@ def _qpoch_start(ctx, key):
 
 def _qpoch_step(st, i, key):
     return st[0] * (1 - st[1]), st[1] * key[1]
-
-
-def _factorial(ctx, cache, slot, key, n):
-    # prod (a*i + b) >= (a*n/e)^n, as n! >= (n/e)^n and (2n+1)!! > 2^n n!
-    if ctx.exact and n > 2 and n * math.log2(key[0] * n / math.e) > MAX_EXACT_BITS:
-        raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
-    return _advance(cache, slot, key, n, ctx, _factorial_start, _factorial_step, _factorial_free)
 
 
 def _factorial_start(ctx, key):
@@ -629,10 +606,6 @@ def _factorial_step(p, i, key):
     return p * (a * i + b)
 
 
-def _qint(ctx, cache, slot, key, n):
-    return _advance(cache, slot, key, n, ctx, _qint_start, _qint_step)[0]
-
-
 def _qint_start(ctx, key):
     return ctx.lift(0), ctx.lift(1)
 
@@ -642,19 +615,11 @@ def _qint_step(st, i, key):
     return st[0] + st[1], st[1] * key[0]
 
 
-def _harmx(ctx, cache, slot, key, n):
-    return _advance(cache, slot, key, n, ctx, _zero, _harmx_step)
-
-
 def _harmx_step(s, i, key):
     offset, order, a, b = key
     d = int_pow(offset + (a * i + b), order)
     _div_check(d)
     return s + 1 / d
-
-
-def _qsum(ctx, cache, slot, key, m):
-    return _advance(cache, slot, key, m, ctx, _qsum_start, _qsum_step)[0]
 
 
 def _qsum_start(ctx, key):

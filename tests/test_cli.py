@@ -303,6 +303,15 @@ class TestEvalInProcess:
         assert self._run(capsys, "qsum(1,1,0,+,3)", "--param", "q=-1") == (
             3, "", "error: PoleInTermError: zero q-integer [2] in a q-sum denominator\n")
 
+    @pytest.mark.parametrize("text,message", [
+        # the count k-1 is tested once, before the atom that computes it first
+        ("sum k=0..3 : poch(2,k-1)*fact(k-1)", "EvalError: poch of a negative count -1"),
+        ("sum k=0..3 : fact(k-1)*poch(2,k-1)", "EvalError: fact of a negative count -1"),
+        ("fact(pi)", "EvalError: PiConst is not valid in an integer position"),
+    ])
+    def test_refused_count_is_three(self, capsys, text, message):
+        assert self._run(capsys, text) == (3, "", f"error: {message}\n")
+
     def test_negated_term_takes_the_split_path(self, capsys):
         text = "sum k=0..inf : -(1/2)^k"
         assert series._analysed(dsl.parse_series_spec(text), {}) is not None
@@ -467,6 +476,16 @@ class TestMalformedCorpus:
 
 
 class TestReproducibility:
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_value_does_not_depend_on_the_hash_seed(self, seed):
+        # equal transient q-powers once shared a memo keyed by object address,
+        # so under some hash seeds q^2 was taken as free of the index q and
+        # computed once per sum (checked against a plain Fraction loop)
+        text = "sum q=0..4 : qpoch(x,2,3)*qpoch(x,2,4)*qpoch(y,2,5)*qpoch(x+y,2,2)"
+        out = run_cli("eval", text, "--param", "x=1/3", "--param", "y=2/7",
+                      env={"PYTHONHASHSEED": seed})
+        assert (out.returncode, out.stdout) == (0, "5980652194031272548183912160/5403265623\n")
+
     def test_seeded_json_output_is_byte_identical(self):
         args = ("verify", "QB", "--format", "json", "--seed", "7",
                 "--samples", "5", "--digits", "20")

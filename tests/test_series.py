@@ -145,6 +145,21 @@ class TestExactPowerGuard:
         with pytest.raises(EvalError, match="exact power"):
             sum_terminating(spec, {})
 
+    @given(st.integers(1, 1 << 12), st.integers(0, 3), st.booleans(), st.integers(1, 3),
+           st.sampled_from(["bits", "bits-1", "log2"]), st.integers(-2, 2), st.booleans())
+    def test_bit_length_decides_as_the_log(self, bits, offset, top, den, anchor, delta, negative):
+        # a magnitude at either end of its binade, an exponent near where
+        # |e|*bits, |e|*(bits-1) or |e|*log2 of it meets the limit: the
+        # decision is the one of the formula alone
+        magnitude = (1 << bits) - 1 - offset if top else (1 << (bits - 1)) + offset
+        base = magnitude if den == 1 else F(magnitude, den)
+        slope = {"bits": bits, "bits-1": bits - 1, "log2": math.log2(max(magnitude, 2))}[anchor]
+        e = int(MAX_EXACT_BITS / max(slope, 1)) + delta
+        e = -e if negative else e
+        size = max(abs(F(base).numerator), F(base).denominator)
+        expected = not -1 <= e <= 1 and size > 1 and abs(e) > MAX_EXACT_BITS / math.log2(size)
+        assert series._too_large(base, e, MAX_EXACT_BITS) == expected
+
     def test_float_regime_lifts_an_indexed_power(self):
         # a float regime raises c^k at working precision, so no exact size applies
         spec = dsl.parse_series_spec("sum k=0..n : 2^(k*k)")
@@ -209,16 +224,18 @@ class TestRunningProductGuard:
         for text in ("fact(80000)", "dfactodd(80000)"):
             with pytest.raises(EvalError, match="running product"):
                 self._evaluate(text, jet)
-        targets = []
-        monkeypatch.setattr(series, "_advance", lambda *args: targets.append(args[3]) or 1)
+        steps = []  # the steps taken, by a step that keeps the product at 1
+        monkeypatch.setattr(series, "_factorial_step", lambda p, i, key: steps.append(i) or p)
         for text in ("fact(71423)", "dfactodd(67241)"):
             with pytest.raises(EvalError, match="running product"):
                 self._evaluate(text, jet)
-        assert targets == []
-        self._evaluate("fact(71422)", jet)
-        self._evaluate("dfactodd(67240)", jet)
-        evaluate_expr(dsl.parse_closed_form("fact(80000)").expr, {}, FloatContext(64))
-        assert targets == [71422, 67240, 80000]  # the float regime has no such limit
+        assert steps == []
+        for text, count, ctx in [("fact(71422)", 71422, RationalContext()),
+                                 ("dfactodd(67240)", 67240, RationalContext()),
+                                 ("fact(80000)", 80000, FloatContext(64))]:  # no such limit
+            steps.clear()
+            evaluate_expr(dsl.parse_closed_form(text).expr, {"a": jet_lift(1) if jet else 1}, ctx)
+            assert steps == list(range(1, count + 1))
 
     @pytest.mark.parametrize("jet", [False, True])
     def test_poch_refused_from_its_count(self, jet, monkeypatch):
@@ -269,9 +286,12 @@ class TestRunningProductGuard:
             value = evaluate_expr(poch, {"x": F(-m), "n": n}, ctx)
             assert time.perf_counter() - start < 0.5
             assert value == expected, (m, n)
-        # an integer beyond every count is not built out to test it
-        huge = HighPrecision((1, 1, 1 << 40, 1), 64)  # -2^(2^40)
-        assert series._poch_count(huge, 10 ** 7) == 10 ** 7
+        # a float integer beyond every count is not built out as an int
+        if not ctx.exact:
+            huge = HighPrecision((1, 1, 1 << 40, 1), ctx.prec)  # -2^(2^40)
+            start = time.perf_counter()
+            evaluate_expr(poch, {"x": huge, "n": 100}, ctx)
+            assert time.perf_counter() - start < 0.5
         # a running state past the zero factor resumes from it and restarts below it
         cache = {"index": "n"}
         for n, expected in [(5, 0), (10 ** 7, 0), (2, 6), (6, 0)]:

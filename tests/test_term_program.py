@@ -590,6 +590,17 @@ def test_each_node_is_compiled_once(monkeypatch):
     assert sorted(compiled, key=str) == [None, "k"]  # the upper bound, the term
 
 
+def test_index_dependence_is_read_from_the_node():
+    # the compiler builds transient nodes (q^s for a q-product, harm's 0
+    # offset) whose addresses are freed at once and reused: an answer kept
+    # by address was once read for a later node, so q^2 was hoisted out of
+    # a sum over q
+    compiler = series._Compiler("q")
+    for _ in range(100):
+        assert not compiler.depends(dsl.Num(0))
+        assert compiler.depends(dsl.Pow(dsl.Param("q"), dsl.Num(2)))
+
+
 def test_upper_bound():
     spec = dsl.parse_series_spec("sum k=0..(n-1)/2 : k")
     assert upper_bound(spec, {"n": 7}) == 3
