@@ -304,7 +304,7 @@ class TestEvalInProcess:
             3, "", "error: PoleInTermError: zero q-integer [2] in a q-sum denominator\n")
 
     @pytest.mark.parametrize("text,message", [
-        # the count k-1 is tested once, before the atom that computes it first
+        # the count k-1 is tested once, by the first atom that computes it
         ("sum k=0..3 : poch(2,k-1)*fact(k-1)", "EvalError: poch of a negative count -1"),
         ("sum k=0..3 : fact(k-1)*poch(2,k-1)", "EvalError: fact of a negative count -1"),
         ("fact(pi)", "EvalError: PiConst is not valid in an integer position"),
@@ -478,9 +478,10 @@ class TestMalformedCorpus:
 class TestReproducibility:
     @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
     def test_value_does_not_depend_on_the_hash_seed(self, seed):
-        # equal transient q-powers once shared a memo keyed by object address,
-        # so under some hash seeds q^2 was taken as free of the index q and
-        # computed once per sum (checked against a plain Fraction loop)
+        # a memo keyed by object address once answered for a freed transient
+        # node's successor at the same address, so under some hash seeds q^2
+        # was taken as free of the index q and computed once per sum (the
+        # value is checked against a plain Fraction loop)
         text = "sum q=0..4 : qpoch(x,2,3)*qpoch(x,2,4)*qpoch(y,2,5)*qpoch(x+y,2,2)"
         out = run_cli("eval", text, "--param", "x=1/3", "--param", "y=2/7",
                       env={"PYTHONHASHSEED": seed})
