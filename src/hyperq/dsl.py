@@ -203,7 +203,6 @@ ATOMS = {cls: "pi" if cls is PiConst else cls.__name__.lower() for cls in (
     Poch, QPoch, QPochInf, Fact, DFactOdd, QInt, Harm, HarmX, QSum, QSumInf,
     PiConst, Sqrt, SinPi, CosPi)}
 Q_ATOMS = (QPoch, QPochInf, QInt, QSum, QSumInf)  # the atoms that read q
-_NO_NAMES = frozenset()  # parameters_of of every node that mentions none, shared
 Expr = Union[(Num, Param, Add, Sub, Mul, Div, Neg, Pow, *ATOMS)]
 
 
@@ -540,21 +539,15 @@ def children(node) -> list:
             if (value := getattr(node, name)) is not None and not isinstance(value, (int, str))]
 
 
-def parameters_of(node) -> frozenset:
-    """All parameter names referenced by an expression, series, or closed form
-    (``q`` by every q-atom), kept on each node but a parameter: the AST is immutable."""
+def parameters_of(node) -> set:
+    """All parameter names referenced by an expression, series, or closed form."""
     if isinstance(node, Param):
-        return frozenset([node.name])
-    names = getattr(node, "_parameters", None)
-    if names is None:
-        names = _NO_NAMES
-        for _, child in children(node):
-            more = parameters_of(child)
-            if not more <= names:  # a node keeps a child's set when it holds the others'
-                names = more if names <= more else names | more
-        if isinstance(node, Q_ATOMS) and "q" not in names:
-            names = names | {"q"}
-        if isinstance(node, SeriesSpec):
-            names = names - {node.index}
-        object.__setattr__(node, "_parameters", names)
+        return {node.name}
+    names = set()
+    for _, child in children(node):
+        names |= parameters_of(child)
+    if isinstance(node, Q_ATOMS):
+        names.add("q")
+    if isinstance(node, SeriesSpec):
+        names.discard(node.index)
     return names

@@ -289,14 +289,18 @@ class _Compiler:
 
     def __init__(self, index: Optional[str]):
         self.index = index
-        self.slot_of = {}  # by hoisted operand or running atom
+        self.deps, self.slot_of = {}, {}  # by id(node); by hoisted operand or running atom
         self.names, self.lines, self.depth = {}, [], 2  # names of constants by (type, value)
         self.values = {}  # operand key, parameter name or tested count -> its name, in scope
 
     def depends(self, node) -> bool:
-        """Whether ``node`` mentions the index (``None``: any parameter; q: a q-atom)."""
-        names = dsl.parameters_of(node)
-        return bool(names) if self.index is None else self.index in names
+        """Whether ``node`` mentions the index, q counting for the q-atoms."""
+        if isinstance(node, dsl.Param):
+            return self.index in (None, node.name)
+        if id(node) not in self.deps:  # the memo keeps the node, so no other takes its id
+            self.deps[id(node)] = node, any([self.depends(c) for _, c in dsl.children(node)]) or (
+                isinstance(node, dsl.Q_ATOMS) and self.index in (None, "q"))
+        return self.deps[id(node)][1]
 
     def program(self, node, exact=False):
         """The function computing ``node``: a term (hoisting its index-free
@@ -471,10 +475,7 @@ def _too_large(b, e, limit) -> bool:
     if -1 <= e <= 1:  # no larger than b itself
         return False
     magnitude = abs(b) if isinstance(b, int) else max(abs(b.numerator), b.denominator)
-    bits, e = magnitude.bit_length(), abs(e)  # 2^(bits-1) <= magnitude < 2^bits
-    if e * bits <= limit or e * (bits - 1) > limit:
-        return e * bits > limit
-    return magnitude > 1 and e > limit / math.log2(magnitude)
+    return magnitude > 1 and abs(e) > limit / math.log2(magnitude)
 
 
 def _integer(v):
@@ -495,8 +496,9 @@ def _advance(cache, slot, key: tuple, target: int, ctx, start, extend, free=None
     Each later state is measured, and one past the limit is an ``EvalError``;
     so is a ``target`` past the free count whose ``least(target, *key)``, a
     lower bound on log2 of the state's largest part, passes the limit, before
-    any step.  A product's run of more than 64 steps stops at a plain state
-    that is exactly zero (a jet or a tuple never is), as all later ones are.
+    any step.  Passing ``free`` also turns on the zero stop: a product's state
+    is tested at every 64th step, and one that is exactly zero (a jet or a
+    tuple never is) ends the run, as all later states are zero.
     """
     state = cache.get(slot)
     if state is None or state[1] > target or state[0] != key:
@@ -506,13 +508,12 @@ def _advance(cache, slot, key: tuple, target: int, ctx, start, extend, free=None
         _, count, payload, unmeasured = state
     if target > unmeasured and least and least(target, *key) > MAX_EXACT_BITS:
         raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
-    zero_stops = free and target - count > 64
     while count < target:
         count += 1
         payload = extend(payload, count, key)
         if count > unmeasured and _exact_bits(payload) > MAX_EXACT_BITS:
             raise EvalError(f"an exact running product of more than {MAX_EXACT_BITS} bits")
-        if zero_stops and _is_zero(payload):
+        if count % 64 == 0 and free and _is_zero(payload):
             break
     cache[slot] = (key, count, payload, unmeasured)
     return payload

@@ -145,21 +145,6 @@ class TestExactPowerGuard:
         with pytest.raises(EvalError, match="exact power"):
             sum_terminating(spec, {})
 
-    @given(st.integers(1, 1 << 12), st.integers(0, 3), st.booleans(), st.integers(1, 3),
-           st.sampled_from(["bits", "bits-1", "log2"]), st.integers(-2, 2), st.booleans())
-    def test_bit_length_decides_as_the_log(self, bits, offset, top, den, anchor, delta, negative):
-        # a magnitude at either end of its binade, an exponent near where
-        # |e|*bits, |e|*(bits-1) or |e|*log2 of it meets the limit: the
-        # decision is the one of the formula alone
-        magnitude = (1 << bits) - 1 - offset if top else (1 << (bits - 1)) + offset
-        base = magnitude if den == 1 else F(magnitude, den)
-        slope = {"bits": bits, "bits-1": bits - 1, "log2": math.log2(max(magnitude, 2))}[anchor]
-        e = int(MAX_EXACT_BITS / max(slope, 1)) + delta
-        e = -e if negative else e
-        size = max(abs(F(base).numerator), F(base).denominator)
-        expected = not -1 <= e <= 1 and size > 1 and abs(e) > MAX_EXACT_BITS / math.log2(size)
-        assert series._too_large(base, e, MAX_EXACT_BITS) == expected
-
     def test_float_regime_lifts_an_indexed_power(self):
         # a float regime raises c^k at working precision, so no exact size applies
         spec = dsl.parse_series_spec("sum k=0..n : 2^(k*k)")

@@ -590,11 +590,11 @@ def test_each_node_is_compiled_once(monkeypatch):
     assert sorted(compiled, key=str) == [None, "k"]  # the upper bound, the term
 
 
-def test_index_dependence_is_read_from_the_node():
+def test_transient_nodes_keep_their_index_dependence():
     # the compiler builds transient nodes (q^s for a q-product, harm's 0
-    # offset) whose addresses are freed at once and reused: an answer kept
-    # by address was once read for a later node, so q^2 was hoisted out of
-    # a sum over q
+    # offset) that die at once, and a later node can take a dead one's
+    # address: a memo by address that did not keep its nodes once read a
+    # dead node's answer for a later one, so q^2 was hoisted out of a sum over q
     compiler = series._Compiler("q")
     for _ in range(100):
         assert not compiler.depends(dsl.Num(0))
