@@ -6,7 +6,7 @@ Commands:
     hyperq verify <id>|all [...]     verify one identity or the whole corpus
     hyperq eval "<dsl>" [...]        evaluate an ad-hoc series or closed form
     hyperq derive --id I --param P   operator-method derivative check
-    hyperq pi --digits D             print digits of pi (cross-checked)
+    hyperq pi --digits D             print digits of pi
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse or domain error,
 3 convergence or internal error.

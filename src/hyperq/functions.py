@@ -25,7 +25,6 @@ from .scalars import (
     HighPrecision,
     Jet2,
     Scalar,
-    agree_to,
 )
 
 
@@ -198,73 +197,62 @@ def q_sum_infinite(order: int, stride: int, shift: int, sign: int, q) -> "HighPr
 # ---------------------------------------------------------------------------
 
 
-def _arctan_recip(m: int, prec: int) -> HighPrecision:
-    """arctan(1/m) for an integer m >= 2, rounded to nearest at prec bits
-    from an exact partial sum of sum_j (-1)^j/((2j+1) m^(2j+1)).
-
-    J is the least count with m^(2J+1) >= 2^(prec+16), found in integers.
-    The terms alternate and fall, so the sum A_J of the first J terms is
-    within 1/((2J+1) m^(2J+1)) <= 2^(-prec-16)/3 of arctan(1/m) >
-    (11/12)/m: a relative error below m 2^(-prec-17).  A_J is summed
-    exactly by binary splitting (Haible-Papanikolaou, ANTS-III 1998), in
-    O(M(N) log^2 N) bit operations at N bits where a fixed-point loop costs
-    O(N) per term, and rounded once by ``HighPrecision.from_quotient``.
-    So the result is within (1/2 + m 2^-17) ulp of arctan(1/m): the
-    correctly rounded value unless arctan(1/m) lies within m 2^-17 ulp of a
-    rounding boundary.
-    """
-    m2, t = m * m, prec + 16
-    j = max(1, math.ceil((t / math.log2(m) - 1) / 2))  # an estimate, made exact below
-    power = m ** (2 * j - 1)
-    while (power * m2).bit_length() <= t:  # m^(2j+1) < 2^t
-        power, j = power * m2, j + 1
-    while j > 1 and power.bit_length() > t:  # m^(2j-1) >= 2^t
-        power, j = power // m2, j - 1
-    b, _, s = _arctan_split(m2, 0, j)
-    return HighPrecision.from_quotient(s, b * power, prec)  # A_J = m T/(B m^(2J))
+def _pi_terms(prec: int) -> int:
+    """The first term count of ``pi_constant``: the terms fall by about 2^47 each."""
+    return (prec + 64) // 47 + 2
 
 
-def _arctan_split(m2: int, lo: int, hi: int):
-    """(B, Q, T) with sum_{lo<=j<hi} (-1)^j/((2j+1) m^(2(j-lo+1))) = T/(B Q),
-    B = prod (2j+1) and Q = m^(2(hi-lo)), for m2 = m^2.  A range of up to 16
-    terms is summed in one loop; a longer one joins its halves as
-    T = T_1 B_2 Q_2 + B_1 T_2."""
-    if hi - lo <= 16:
-        b, s = 1, 0
-        for c in range(2 * lo + 1, 2 * hi, 2):  # c = 2j + 1, and j is odd where c & 2
-            s = s * c * m2 - b if c & 2 else s * c * m2 + b
-            b *= c
-        return b, m2 ** (hi - lo), s
-    b1, q1, s1 = _arctan_split(m2, lo, (lo + hi) // 2)
-    b2, q2, s2 = _arctan_split(m2, (lo + hi) // 2, hi)
-    return b1 * b2, q1 * q2, s1 * b2 * q2 + b1 * s2
-
-
-def pi_machin_classic(prec: int) -> HighPrecision:
-    """pi = 16 arctan(1/5) - 4 arctan(1/239)  (Machin, 1706)."""
-    wp = prec + 16
-    return (16 * _arctan_recip(5, wp) - 4 * _arctan_recip(239, wp)).round_to(prec)
-
-
-def pi_machin_euler(prec: int) -> HighPrecision:
-    """pi = 4 arctan(1/2) + 4 arctan(1/3)  (Euler's two-term relation)."""
-    wp = prec + 16
-    return (4 * _arctan_recip(2, wp) + 4 * _arctan_recip(3, wp)).round_to(prec)
+def _pi_split(a: int, b: int):
+    """(P, Q, T) for the terms a <= k < b of Chudnovsky's series: P and Q the
+    products of p(k) = (6k-5)(2k-1)(6k-1) and q(k) = k^3 C, C = 640320^3/24
+    (both 1 at k = 0), and T/Q = sum_k (-1)^k (13591409 + 545140134 k)
+    P(a, k+1)/Q(a, k+1).  Halves join as T = T_1 Q_2 + P_1 T_2."""
+    if b - a == 1:
+        p = q = 1
+        if a:
+            p, q = (6 * a - 5) * (2 * a - 1) * (6 * a - 1), a ** 3 * (640320 ** 3 // 24)
+        t = p * (13591409 + 545140134 * a)
+        return p, q, -t if a & 1 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _pi_split(a, m)
+    p2, q2, t2 = _pi_split(m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def pi_constant(prec: int) -> HighPrecision:
-    """pi, cross-checked between the two arctangent formulas.
+    """pi, correctly rounded to nearest at prec bits, from Chudnovsky's series
+    (Chudnovsky-Chudnovsky 1988)
 
-    Both formulas are evaluated with guard bits and must agree to prec+8
-    bits before the value is accepted; neither depends on any series in the
-    identity corpus, so downstream verifications are not circular.
+        426880 sqrt(10005)/pi = S = sum_k t_k,
+        t_k = (-1)^k (6k)! (13591409 + 545140134 k)/((3k)! k!^3 640320^(3k)).
+
+    Binary splitting (Haible-Papanikolaou, ANTS-III 1998) sums J terms
+    exactly, S_J = T/Q, and t_J = -/+ e/(Q q(J)) with e = P p(J) (13591409 +
+    545140134 J).  The terms alternate and each |t_(k+1)/t_k| is below
+    2^-45 (5 (13591409 + 545140134)/(13591409 C) at k = 0, under 144/C
+    after), so S lies within |t_J| of S_J.  With w = 47 J and s =
+    isqrt(10005 4^w), s <= sqrt(10005) 2^w < s + 1.  So, in integers,
+
+        426880 s Q q(J)/((T q(J) + e) 2^w) <= pi < 426880 (s+1) Q q(J)/((T q(J) - e) 2^w).
+
+    Each end, its operands cut outward to under prec + 64 bits, is rounded
+    by ``from_quotient``.  Rounding to nearest is monotone, so when the ends
+    round alike, that float is pi correctly rounded.  The bracket is about
+    2^(-prec-57) wide relative to pi, so they differ only when it straddles
+    a rounding boundary; then J and w double (Ziv, ACM TOMS 17, 1991).
     """
-    wp = prec + 40
-    a = pi_machin_classic(wp)
-    b = pi_machin_euler(wp)
-    if not agree_to(a, b, prec + 8):
-        raise ArithmeticError("pi cross-check failed: arctangent formulas disagree")
-    return a.round_to(prec)
+    j = _pi_terms(prec)
+    while True:
+        w, (p, q, t) = 47 * j, _pi_split(0, j)
+        _, qj, tj = _pi_split(j, j + 1)
+        s = math.isqrt(10005 << 2 * w)
+        n, d, e = 426880 * q * qj, t * qj, p * abs(tj)
+        r = max(d.bit_length() - prec - 60, 0)
+        low = HighPrecision.from_quotient((n * s) >> (r + w), ((d + e) >> r) + 1, prec)
+        high = HighPrecision.from_quotient(-((-n * (s + 1)) >> (r + w)), (d - e) >> r, prec)
+        if low.raw == high.raw:
+            return low
+        j *= 2
 
 
 def sqrt_constant(m: int, prec: int) -> HighPrecision:

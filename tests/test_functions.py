@@ -2,7 +2,8 @@
 
 Every atom is written as DSL text and run by the term programs of
 :mod:`hyperq.series`, the code that verification runs.  Where a law needs an
-independent value it comes from a short naive loop kept in this file.
+independent value it comes from a short naive loop kept in this file, or in
+conftest.py where other test files share it.
 """
 
 import math
@@ -13,15 +14,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from hyperq import dsl
+from conftest import EULER, MACHIN, arctan_pi, arctan_recip_bracket
+from hyperq import dsl, functions
 from hyperq.dsl import ParseError, parse_closed_form
 from hyperq.functions import (
     NonConvergentBaseError,
-    _arctan_recip,
     cospi_constant,
     pi_constant,
-    pi_machin_classic,
-    pi_machin_euler,
     q_integer,
     q_pochhammer_infinite,
     q_sum_infinite,
@@ -449,31 +448,55 @@ class TestConstants:
         v = pi_constant(160)
         assert v.to_decimal(41).startswith("3.141592653589793238462643383279502884197")
 
-    # 16610 and 66439 bits: 5000 and 20000 digits, where the arctangents split deepest
+    # 16610 and 66439 bits: 5000 and 20000 digits, where the split runs deepest
     @pytest.mark.parametrize("prec", list(range(8, 600, 7)) + [3372, 16610, 16672, 66439])
     def test_pi_matches_mpmath(self, prec):
-        # mpmath's pi is Chudnovsky-based, independent of both arctangent formulas
         assert pi_constant(prec).raw == libmp.mpf_pi(prec, "n")
+
+    @given(data=st.data())
+    def test_pi_is_mpmaths_correctly_rounded_pi(self, pytestconfig, data):
+        # precisions up to 2*10^4 bits, or 10^5 under --hypothesis-profile=deep
+        deep = pytestconfig.getoption("hypothesis_profile") == "deep"
+        prec = data.draw(st.integers(8, 10 ** 5 if deep else 2 * 10 ** 4))
+        assert pi_constant(prec).raw == libmp.mpf_pi(prec, "n")
+
+    @pytest.mark.parametrize("prec", [60, 3372, 16610])
+    def test_pi_doubles_the_terms_until_the_bracket_rounds(self, monkeypatch, prec):
+        # one term brackets pi to about 2^-45, so at these precisions the first
+        # tries cannot round; the series bits w are read off isqrt's argument
+        widths, real_isqrt = [], math.isqrt
+
+        def isqrt(n):
+            widths.append((n.bit_length() - 14) // 2)  # n = 10005 4^w
+            return real_isqrt(n)
+
+        monkeypatch.setattr(functions, "_pi_terms", lambda prec: 1)
+        monkeypatch.setattr(functions.math, "isqrt", isqrt)
+        got = pi_constant(prec)
+        assert widths == [47 * 2 ** i for i in range(len(widths))]
+        assert widths[-2] < prec <= widths[-1]
+        assert got.raw == libmp.mpf_pi(prec, "n")
 
     @pytest.mark.parametrize("m", [2, 3, 5, 7, 239])
     @pytest.mark.parametrize("digits", [30, 300, 1000, 5000])
     def test_arctan_recip_error_bound(self, m, digits):
-        # within (1/2 + m 2^-17) ulp of arctan(1/m), as its docstring proves; m = 239 at
-        # 30 digits sums one flat range of terms, the others split
-        prec = math.ceil(digits * math.log2(10))
-        got = _arctan_recip(m, prec)
-        ref = libmp.mpf_atan(libmp.from_rational(1, m, prec + 128, "n"), prec + 64, "n")
-        _, _, exp, bc = got.raw
-        ulp = F(2) ** (exp + bc - prec)
-        assert got.prec == prec and bc <= prec
-        assert abs(got.to_fraction() - HighPrecision(ref, prec + 64).to_fraction()) <= \
-            (F(1, 2) + F(m, 2 ** 17)) * ulp
+        # the tests' own arctangent, which the pi cross-checks below rest on:
+        # its bracket holds mpmath's arctan(1/m) and is at most 2(J + 1) wide
+        bits = math.ceil(digits * math.log2(10)) + 64
+        lo, hi = arctan_recip_bracket(m, bits)
+        ref = libmp.mpf_atan(libmp.from_rational(1, m, bits + 128, "n"), bits + 64, "n")
+        scaled = HighPrecision(ref, bits + 64).to_fraction() * 2 ** bits
+        assert lo <= scaled <= hi
+        assert hi - lo <= 2 * (bits // (2 * math.log2(m)) + 2)
 
     def test_pi_formulas_cross_check(self):
-        prec = 128
-        a = pi_machin_classic(prec)
-        b = pi_machin_euler(prec)
-        assert agree_to(a, b, 100)
+        # Machin's and Euler's formulas, summed in this file's fixed point, round
+        # to pi_constant's value: a second formula besides Chudnovsky's, which
+        # mpmath's pi uses as well
+        for prec in (128, 3372, 16610):
+            expected = pi_constant(prec).raw
+            assert arctan_pi(MACHIN, prec) == expected
+            assert arctan_pi(EULER, prec) == expected
 
     def test_sqrt3_30_digits(self):
         v = sqrt_constant(3, 120)
