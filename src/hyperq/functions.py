@@ -71,15 +71,16 @@ def q_pochhammer_infinite(x, qs):
     while 2 * abs(_value(y)) > gap:
         product = (1 - y) * product
         y = y * qs
-    threshold = HighPrecision.from_fraction(Fraction(1, 2 ** (prec + 8)), prec)
     # w = u_n Q^n is both the tail bound after u_n and the next step's numerator
     total = w = power = 1
-    while abs(_value(w)) >= threshold:
+    while True:
         power = power * qs
         u = w * y / (power - 1)
         total = total + u
         w = u * power
-    return product * total
+        _, man, exp, bc = _value(w).raw
+        if not man or exp + bc <= -prec - 8:  # |w| < 2^(-prec-8)
+            return product * total
 
 
 def _value(v):
@@ -235,11 +236,11 @@ def pi_constant(prec: int) -> HighPrecision:
 
         426880 s Q q(J)/((T q(J) + e) 2^w) <= pi < 426880 (s+1) Q q(J)/((T q(J) - e) 2^w).
 
-    Each end, its operands cut outward to under prec + 64 bits, is rounded
-    by ``from_quotient``.  Rounding to nearest is monotone, so when the ends
-    round alike, that float is pi correctly rounded.  The bracket is about
-    2^(-prec-57) wide relative to pi, so they differ only when it straddles
-    a rounding boundary; then J and w double (Ziv, ACM TOMS 17, 1991).
+    Each end is rounded by ``from_quotient``.  Rounding to nearest is
+    monotone, so when the ends round alike, that float is pi correctly
+    rounded.  The bracket is about 2^(-prec-57) wide relative to pi, so they
+    differ only when it straddles a rounding boundary; then J and w double
+    (Ziv, ACM TOMS 17, 1991).
     """
     j = _pi_terms(prec)
     while True:
@@ -247,9 +248,8 @@ def pi_constant(prec: int) -> HighPrecision:
         _, qj, tj = _pi_split(j, j + 1)
         s = math.isqrt(10005 << 2 * w)
         n, d, e = 426880 * q * qj, t * qj, p * abs(tj)
-        r = max(d.bit_length() - prec - 60, 0)
-        low = HighPrecision.from_quotient((n * s) >> (r + w), ((d + e) >> r) + 1, prec)
-        high = HighPrecision.from_quotient(-((-n * (s + 1)) >> (r + w)), (d - e) >> r, prec)
+        low = HighPrecision.from_quotient(n * s, (d + e) << w, prec)
+        high = HighPrecision.from_quotient(n * (s + 1), (d - e) << w, prec)
         if low.raw == high.raw:
             return low
         j *= 2
@@ -271,34 +271,33 @@ def sqrt_constant(m: int, prec: int) -> HighPrecision:
                          prec)
 
 
-# sin(pi x) and cos(pi x) at the rational points with algebraic closed forms,
-# stored as (radicand m, rational coefficient): value = coeff * sqrt(m).
+# sin(pi x) and cos(pi x) at the rational points with algebraic closed forms: a
+# Fraction is the value, an int m is sqrt(m)/2, the rounded sqrt(m) halved exactly.
 _SINPI_TABLE = {
-    Fraction(1, 6): (1, Fraction(1, 2)),
-    Fraction(1, 4): (2, Fraction(1, 2)),
-    Fraction(1, 3): (3, Fraction(1, 2)),
-    Fraction(1, 2): (1, Fraction(1)),
-    Fraction(2, 3): (3, Fraction(1, 2)),
+    Fraction(1, 6): Fraction(1, 2),
+    Fraction(1, 4): 2,
+    Fraction(1, 3): 3,
+    Fraction(1, 2): Fraction(1),
+    Fraction(2, 3): 3,
 }
 _COSPI_TABLE = {
-    Fraction(1, 6): (3, Fraction(1, 2)),
-    Fraction(1, 4): (2, Fraction(1, 2)),
-    Fraction(1, 3): (1, Fraction(1, 2)),
-    Fraction(1, 2): (1, Fraction(0)),
-    Fraction(2, 3): (1, Fraction(-1, 2)),
+    Fraction(1, 6): 3,
+    Fraction(1, 4): 2,
+    Fraction(1, 3): Fraction(1, 2),
+    Fraction(1, 2): Fraction(0),
+    Fraction(2, 3): Fraction(-1, 2),
 }
 
 
 def _algebraic(table, name, x: Fraction, prec: int) -> HighPrecision:
     try:
-        m, coeff = table[Fraction(x)]
+        v = table[Fraction(x)]
     except KeyError:
         allowed = ", ".join(str(k) for k in sorted(table))
         raise DomainError(f"{name} is only available at x in {{{allowed}}}, got {x}")
-    if m == 1:
-        return HighPrecision.from_fraction(coeff, prec)
-    wp = prec + 8
-    return (sqrt_constant(m, wp) * HighPrecision.from_fraction(coeff, wp)).round_to(prec)
+    if isinstance(v, Fraction):
+        return HighPrecision.from_fraction(v, prec)
+    return HighPrecision(libmp.mpf_shift(sqrt_constant(v, prec).raw, -1), prec)
 
 
 def sinpi_constant(x: Fraction, prec: int) -> HighPrecision:

@@ -174,7 +174,6 @@ class HighPrecision:
 
     @classmethod
     def from_fraction(cls, x: Union[Fraction, int], prec: int) -> "HighPrecision":
-        x = Fraction(x)
         return cls.from_quotient(x.numerator, x.denominator, prec)
 
     @classmethod
@@ -183,22 +182,24 @@ class HighPrecision:
 
         Ziv's strategy (ACM TOMS 17, 1991) on truncated operands: an operand
         longer than w = prec + 64 bits keeps its top w bits, a = |n| >> s and
-        b = |d| >> t, so |n/d| 2^(t-s) lies in [a/(b + [t>0]), (a + [s>0])/b].
-        Rounding to nearest is monotone, so when both ends round to the same
-        float, every value between them does, |n/d| 2^(t-s) included.  Then
-        the answer is that float times 2^(s-t), and each division took w-bit
-        operands; the ends differ only when the bracket, about 2^(2-w) wide
-        relative to the quotient, straddles a rounding boundary, and then n/d
-        is divided exactly.
+        b = |d| >> t, and q = floor(a 2^k/b) has w or w + 1 bits.  Then Y =
+        |n/d| 2^(t-s+k) lies in (q - 4, q + 5): when t > 0, Y > q b/(b + 1) and
+        b >= 2^(w-1) > q/4; when s > 0, Y < (a + 1) 2^k/b < q + 1 + 2^(w+1)/a
+        and a >= 2^(w-1).  Rounding q to prec bits drops its low r >= 64 bits
+        f, so the nearest tie is |f - 2^(r-1)| from q and every other rounding
+        boundary at least 2^62 away.  When |f - 2^(r-1)| >= 5, Y rounds as q
+        does, to q's rounding times 2^(s-t-k); else n/d is divided exactly.
         """
         w = prec + 64
         s, t = max(abs(n).bit_length() - w, 0), max(abs(d).bit_length() - w, 0)
-        if s or t:
+        if n and (s or t):
             a, b = abs(n) >> s, abs(d) >> t
-            low = libmp.from_rational(a, b + (t > 0), prec, _RND)
-            if low == libmp.from_rational(a + (s > 0), b, prec, _RND):
-                raw = libmp.mpf_shift(low, s - t)
-                return cls(libmp.mpf_neg(raw) if (n < 0) != (d < 0) else raw, prec)
+            k = w + b.bit_length() - a.bit_length()
+            q = (a << k) // b
+            r = q.bit_length() - prec
+            if abs((q & (1 << r) - 1) - (1 << r - 1)) >= 5:
+                q = -q if (n < 0) != (d < 0) else q
+                return cls(libmp.from_man_exp(q, s - t - k, prec, _RND), prec)
         return cls(libmp.from_rational(n, d, prec, _RND), prec)
 
     # -- helpers -----------------------------------------------------------
@@ -543,7 +544,6 @@ class RationalJet(Jet2):
 
 
 _set_ints = RationalJet.ints.__set__
-_new = object.__new__
 
 
 def _canonical(ints: tuple) -> RationalJet:

@@ -13,7 +13,8 @@ settings.register_profile(
 )
 # ten times the examples, for a run that exercises the term compiler harder
 # (pytest tests/test_term_program.py --hypothesis-profile=deep); the pi law
-# in test_functions.py also draws precisions up to 10^5 bits under it
+# in test_functions.py also draws precisions up to 10^5 bits under it, and
+# CI runs the from_quotient and sin/cos laws under it too
 settings.register_profile(
     "deep",
     parent=settings.get_profile("laws"),

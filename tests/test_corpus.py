@@ -76,6 +76,61 @@ class TestRegistry:
         assert err.value.line == 4
 
 
+def _block(extra="", **fields):
+    """A record X on lines 1-7 of bad.txt, with ``fields`` replaced (None drops
+    one), then the lines ``extra`` from line 8."""
+    base = {"id": "X", "kind": "terminating-exact", "lhs": "sum k=0..n : poch(a,k)",
+            "rhs": "1", "params": "n in nmax, a in rat7", "anchor": "t"}
+    base.update(fields)
+    return "[identity]\n" + "".join(
+        f"{k} = {v}\n" for k, v in base.items() if v is not None) + extra
+
+
+class TestCorpusErrors:
+    """Each malformed input gives its one CorpusError, with the file and line
+    where the parser knows them."""
+
+    @pytest.mark.parametrize("text,message", [
+        (_block(params="n in foo"), "bad.txt:6: X: params: unknown sampling domain 'foo'"),
+        (_block(params="n in int(0..x)"), "bad.txt:6: X: params: malformed sampling domain "
+         "'int(0..x)': invalid literal for int() with base 10: 'x'"),
+        (_block(params="n in {1/0}"),
+         "bad.txt:6: X: params: malformed sampling domain '{1/0}': Fraction(1, 0)"),
+        (_block(params="n in int(5..1)"),
+         "bad.txt:6: X: params: empty sampling domain 'int(5..1)'"),
+        (_block(params="n nmax"), "bad.txt:6: X: params: malformed parameter spec 'n nmax' "
+         "(expected 'name in domain')"),
+        (_block(kind="sums"), "X: unknown kind 'sums'"),
+        (_block(lhs="sum k=0..inf : 1/2^k"),
+         "X: terminating-exact entries need a finite upper bound"),
+        (_block(kind="jet-derived", extra="order = 1\n"),
+         "X: jet-derived entries need an active parameter and order 1 or 2"),
+        (_block(kind="jet-derived", extra="active = a\norder = 3\n"),
+         "X: jet-derived entries need an active parameter and order 1 or 2"),
+        (_block(kind="jet-derived", extra="active = b\norder = 1\n"),
+         "X: active parameter 'b' is not declared"),
+        (_block(kind="infinite-numeric"), "X: infinite-numeric entries need an infinite sum"),
+        (_block(params="n in nmax"), "X: parameters ['a'] appear but are not declared"),
+        (_block(id=None), "bad.txt:1: identity block without an id"),
+        (_block(anchor=None), "bad.txt:1: X: missing field 'anchor'"),
+        (_block(extra="order = two\n"),
+         "bad.txt:8: X: order: invalid literal for int() with base 10: 'two'"),
+        (_block(lhs="poch(a,3)"), "bad.txt:4: X: lhs must be a series"),
+        (_block(extra="note: none\n"), "bad.txt:8: expected 'key = value', got 'note: none'"),
+        (_block(extra="anchor = u\n"), "bad.txt:8: duplicate field 'anchor'"),
+        (_block() + _block(), "duplicate identity id 'X'"),
+        (_block(extra="fallback = Y\n"), "X: fallback 'Y' is not in the corpus"),
+    ])
+    def test_message(self, text, message):
+        with pytest.raises(CorpusError) as err:
+            parse_corpus(text, origin="bad.txt")
+        assert str(err.value) == message
+
+    def test_a_well_formed_block_parses(self):
+        # the cases above differ from this record in the one field they break
+        assert [r.id for r in parse_corpus(_block(), origin="bad.txt")] == ["X"]
+
+
 class TestExactSuite:
     @pytest.mark.parametrize("rid", EXACT_SUITE)
     def test_twenty_exact_samples(self, rid):

@@ -579,6 +579,20 @@ class TestConstants:
         c = cospi_constant(F(2, 3), prec)
         assert c.to_fraction() == F(-1, 2)
 
+    # sin(pi x) and cos(pi x) at each supported x: a rational value, or m for sqrt(m)/2
+    SINPI = {F(1, 6): F(1, 2), F(1, 4): 2, F(1, 3): 3, F(1, 2): F(1), F(2, 3): 3}
+    COSPI = {F(1, 6): 3, F(1, 4): 2, F(1, 3): F(1, 2), F(1, 2): F(0), F(2, 3): F(-1, 2)}
+
+    @given(p=st.integers(8, 4000))
+    def test_sinpi_cospi_are_correctly_rounded(self, p):
+        # sqrt(m)/2 is mpmath's correctly rounded sqrt(m), halved exactly
+        for table, constant in ((self.SINPI, sinpi_constant), (self.COSPI, cospi_constant)):
+            for x, v in table.items():
+                want = (libmp.from_rational(v.numerator, v.denominator, p, "n")
+                        if isinstance(v, F) else
+                        libmp.mpf_shift(libmp.mpf_sqrt(libmp.from_int(v), p, "n"), -1))
+                assert constant(x, p).raw == want
+
     def test_sinpi_outside_table_rejected(self):
         with pytest.raises(ValueError):
             sinpi_constant(F(1, 5), 80)

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -143,6 +144,63 @@ class TestFromQuotient:
             lengths.clear()
             assert HighPrecision.from_quotient(n, d, p).to_fraction() == want
             assert lengths[-1] > 10 ** 5  # the fallback divided the whole operands
+
+    @staticmethod
+    def _divisions(monkeypatch):
+        """The operand pairs that ``libmp.from_rational`` receives from now on."""
+        exact, calls = libmp.from_rational, []
+
+        def spy(n, d, *args):
+            calls.append((n, d))
+            return exact(n, d, *args)
+
+        monkeypatch.setattr(libmp, "from_rational", spy)
+        return calls
+
+    def test_a_quotient_within_the_slack_is_divided_exactly(self, monkeypatch):
+        # n/d is 1 + 2^-p + c 2^-(p+63) for c near -1 and 1 (not a tie: d = 3^400
+        # is odd); the truncated quotient lands within 5 units of the tie pattern,
+        # so the whole operands are divided.  Past the slack (c = 3), they are not
+        p, d = 200, 3 ** 400
+        calls = self._divisions(monkeypatch)
+        for c, want in [(-1, 1), (1, 1 + F(1, 2 ** (p - 1))), (3, None)]:
+            n = (((2 ** p + 1) << 63) + c) * d >> (p + 63)
+            calls.clear()
+            got = HighPrecision.from_quotient(n, d, p)
+            assert calls == ([(n, d)] if want else [])
+            assert got.raw == libmp.from_rational(n, d, p, "n")
+            if want:
+                assert got.to_fraction() == want
+
+    def test_the_slack_is_needed(self, monkeypatch):
+        # d = b 2^t + 2^t - 1 truncates to b, just above 2^(w-1), and n of w bits
+        # stays whole, so n/d 2^(t+w) lies almost 4 below the truncated quotient
+        # q.  With q's low 65 bits 3 above the tie pattern 2^64, the tie lies
+        # between them and q alone rounds up wrongly; a slack of 3 would fail
+        p, t = 200, 50
+        w = p + 64
+        b = (1 << (w - 1)) + 3 ** 102
+        d = (b << t) | ((1 << t) - 1)
+        q = ((1 << 2 * w) - 1) // b
+        q -= (q - (1 << 64) - 3) % (1 << 65)
+        n = -(-(q * b) >> w)  # the least n whose truncated quotient is q
+        assert (n << w) // b == q and n.bit_length() == w
+        calls = self._divisions(monkeypatch)
+        got = HighPrecision.from_quotient(n, d, p).raw
+        assert calls == [(n, d)]
+        assert got == libmp.from_rational(n, d, p, "n") != libmp.from_man_exp(q, -t - w, p, "n")
+
+    def test_long_operands_are_divided_whole_or_not_at_all(self, monkeypatch):
+        # from_rational runs on the whole operands (both short, or the fallback);
+        # the truncated ones go through one integer division
+        calls, rng = self._divisions(monkeypatch), random.Random(27)
+        for _ in range(300):
+            p = rng.randint(8, 3000)
+            n, d = (rng.getrandbits(rng.randint(1, p + 200)) or 1 for _ in "nd")
+            calls.clear()
+            HighPrecision.from_quotient(n, d, p)
+            assert calls in ([], [(n, d)])
+            assert calls or max(n, d).bit_length() > p + 64
 
 
 class TestAgreeTo:
