@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,15 @@ EXACT_SUITE = [
 ]
 
 FAST_OPTS = VerifyOptions(digits=25, samples=8, max_n=6, q_values=(F(1, 2),))
+RENDER_GOLDEN = Path(__file__).parent / "golden" / "render-corpus.txt"
+SIDES = ("lhs", "rhs")
+
+
+def _rendered_corpus() -> str:
+    """One line ``id side: text`` per side of every record, variants included,
+    in corpus order: the text that ``golden/render-corpus.txt`` pins."""
+    return "".join(f"{rec.id} {side}: {render(getattr(rec, side))}\n"
+                   for rec in list_identities() for side in SIDES)
 
 
 class TestRegistry:
@@ -49,6 +59,14 @@ class TestRegistry:
         for rec in list_identities():
             assert parse_side(render(rec.lhs)) == rec.lhs
             assert parse_side(render(rec.rhs)) == rec.rhs
+
+    def test_rendered_corpus_matches_its_golden(self):
+        assert _rendered_corpus() == RENDER_GOLDEN.read_text()
+        lines = iter(RENDER_GOLDEN.read_text().splitlines())
+        for rec in list_identities():
+            for side in SIDES:
+                text = next(lines).removeprefix(f"{rec.id} {side}: ")
+                assert parse_side(text) == getattr(rec, side), (rec.id, side)
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
