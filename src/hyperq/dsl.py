@@ -80,25 +80,8 @@ class Param:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Div:
+class BinOp:  # left op right, op the source token "+", "-", "*" or "/"
+    op: str
     left: "Expr"
     right: "Expr"
 
@@ -203,7 +186,7 @@ ATOMS = {cls: "pi" if cls is PiConst else cls.__name__.lower() for cls in (
     Poch, QPoch, QPochInf, Fact, DFactOdd, QInt, Harm, HarmX, QSum, QSumInf,
     PiConst, Sqrt, SinPi, CosPi)}
 Q_ATOMS = (QPoch, QPochInf, QInt, QSum, QSumInf)  # the atoms that read q
-Expr = Union[(Num, Param, Add, Sub, Mul, Div, Neg, Pow, *ATOMS)]
+Expr = Union[(Num, Param, BinOp, Neg, Pow, *ATOMS)]
 
 
 @dataclass(frozen=True)
@@ -248,7 +231,6 @@ def _rule(cls, field):
 _GRAMMAR = {name: (cls, tuple((f.name, _rule(cls, f)) for f in cls.__dataclass_fields__.values()))
             for cls, name in ATOMS.items()}
 _KEYWORDS = {"sum", "inf", *_GRAMMAR}
-_OPERATORS = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 
 # the height of the deepest tree the parser accepts: the evaluator, the renderer
 # and parameters_of recurse a few frames per level, far from the interpreter's
@@ -399,7 +381,7 @@ class _Parser:
             height = 1 + (height if height > self.height else self.height)
             if height > MAX_DEPTH:
                 self.too_deep(tok)
-            node = _OPERATORS[tok.text](node, right)
+            node = BinOp(tok.text, node, right)
         self.height = height
         return node
 
@@ -484,14 +466,14 @@ def parse_side(text: Union[str, SourceText]) -> Union[SeriesSpec, ClosedForm]:
 # --------------------------------------------------------------------- renderer
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-_LEVELS = {Add: _LEVEL_ADD, Sub: _LEVEL_ADD, Mul: _LEVEL_MUL, Div: _LEVEL_MUL,
+# the level of a binary node by its operator, of any other by its type
+_LEVELS = {"+": _LEVEL_ADD, "-": _LEVEL_ADD, "*": _LEVEL_MUL, "/": _LEVEL_MUL,
            Neg: _LEVEL_UNARY, Pow: _LEVEL_POW}
-_SYMBOLS = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
 
 def _wrap(node: Expr, min_level: int) -> str:
     text = render(node)
-    if _LEVELS.get(type(node), _LEVEL_ATOM) < min_level:
+    if _LEVELS.get(getattr(node, "op", type(node)), _LEVEL_ATOM) < min_level:
         return f"({text})"
     return text
 
@@ -516,9 +498,10 @@ def render(node) -> str:
         return str(node.value)
     if kind is Param:
         return node.name
-    if kind in _SYMBOLS:
-        level = _LEVELS[kind]
-        return f"{_wrap(node.left, level)}{_SYMBOLS[kind]}{_wrap(node.right, level + 1)}"
+    if kind is BinOp:
+        level = _LEVELS[node.op]
+        op = f" {node.op} " if level == _LEVEL_ADD else node.op
+        return f"{_wrap(node.left, level)}{op}{_wrap(node.right, level + 1)}"
     if kind is Neg:
         return f"-{_wrap(node.operand, _LEVEL_UNARY)}"
     if kind is Pow:

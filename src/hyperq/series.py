@@ -232,7 +232,6 @@ def _div_check(denom):
 # -------------------------------------------------------------- term programs
 
 _INDEX = "index"  # the cache key naming a summation's index; slots are ints
-_BINARY = {dsl.Add: "+", dsl.Sub: "-", dsl.Mul: "*"}
 _Q = dsl.Param("q")  # the parameter the q-atoms read
 _MISSING = object()  # the value of an empty cache slot
 
@@ -369,20 +368,20 @@ class _Compiler:
             return self.param(node.name, exact)
         sub = partial(self.operand, exact=True) if exact else partial(
             self.operand, hoist=self.depends(node))
-        if kind in _BINARY:
+        if kind is dsl.BinOp and node.op != "/":
             left = sub(node.left)
-            return self.temp(f"{left} {_BINARY[kind]} {sub(node.right)}")
-        if kind is dsl.Neg:
-            return self.temp(f"-{sub(node.operand)}")
-        if kind is dsl.Div and exact:  # index expressions take the denominator first
+            return self.temp(f"{left} {node.op} {sub(node.right)}")
+        if kind is dsl.BinOp and exact:  # index expressions take the denominator first
             den = sub(node.right)
             message = self.constant("zero denominator in index expression")
             self.emit(f"if {den} == 0: raise PoleInTermError({message})")
             return self.temp(f"Fraction({sub(node.left)}) / {den}")
-        if kind is dsl.Div:  # a lifted numerator takes any denominator
+        if kind is dsl.BinOp:  # a lifted numerator takes any denominator
             num, den = sub(node.left), sub(node.right)
             self.emit(f"_div_check({den})")
             return self.temp(f"ctx.lift({num}) / {den}")
+        if kind is dsl.Neg:
+            return self.temp(f"-{sub(node.operand)}")
         if kind is dsl.Pow:
             e = self.operand(node.exponent, exact="int")
             indexed = self.depends(node.exponent)
@@ -865,16 +864,16 @@ def _part(node, compiler: _Compiler, env) -> _Part:
         if weight:
             return start._replace(nums={**start.nums, (node.order, s, t, x): (1,)})
         return start._replace(up=factors)
-    if kind not in _BINARY and kind is not dsl.Div:
+    if kind is not dsl.BinOp:
         raise _NotSplit()
     left, right = _part(node.left, compiler, env), _part(node.right, compiler, env)
-    if kind is dsl.Mul or kind is dsl.Div:
-        return _times(left, right if kind is dsl.Mul else _inverse(right))
+    if node.op in "*/":
+        return _times(left, right if node.op == "*" else _inverse(right))
     if _pmul(_expand(left.up), _expand(right.down)) != _pmul(_expand(right.up), _expand(left.down)):
         raise _NotSplit()  # a sum of two hypergeometric parts
     _no_roots(right.up + right.down)  # the sum keeps only the left operand's factors
     nums = {key: _padd(_pmul(left.nums.get(key, ()), right.den), _pmul(
-                _pmul(right.nums.get(key, ()), left.den), (1,) if kind is dsl.Add else (-1,)))
+                _pmul(right.nums.get(key, ()), left.den), (1,) if node.op == "+" else (-1,)))
             for key in left.nums.keys() | right.nums.keys()}
     return left._replace(den=_pmul(left.den, right.den), nums=nums)
 

@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 
 import mpmath
 import pytest
@@ -55,13 +56,13 @@ def _walk_exact(node, env):
         raise EvalError(f"parameter {node.name!r} must be exact here, got {type(v).__name__}")
     if isinstance(node, dsl.Neg):
         return -_walk_exact(node.operand, env)
-    if isinstance(node, dsl.Add):
+    if isinstance(node, dsl.BinOp) and node.op == "+":
         return _walk_exact(node.left, env) + _walk_exact(node.right, env)
-    if isinstance(node, dsl.Sub):
+    if isinstance(node, dsl.BinOp) and node.op == "-":
         return _walk_exact(node.left, env) - _walk_exact(node.right, env)
-    if isinstance(node, dsl.Mul):
+    if isinstance(node, dsl.BinOp) and node.op == "*":
         return _walk_exact(node.left, env) * _walk_exact(node.right, env)
-    if isinstance(node, dsl.Div):
+    if isinstance(node, dsl.BinOp) and node.op == "/":
         d = _walk_exact(node.right, env)
         if d == 0:
             raise PoleInTermError("zero denominator in index expression")
@@ -193,13 +194,13 @@ def _walk(node, env, ctx, cache):
         except KeyError:
             raise UnboundParameterError(f"parameter {node.name!r} is not bound")
         return ctx.lift(v) if isinstance(v, F) else v
-    if isinstance(node, dsl.Add):
+    if isinstance(node, dsl.BinOp) and node.op == "+":
         return _walk(node.left, env, ctx, cache) + _walk(node.right, env, ctx, cache)
-    if isinstance(node, dsl.Sub):
+    if isinstance(node, dsl.BinOp) and node.op == "-":
         return _walk(node.left, env, ctx, cache) - _walk(node.right, env, ctx, cache)
-    if isinstance(node, dsl.Mul):
+    if isinstance(node, dsl.BinOp) and node.op == "*":
         return _walk(node.left, env, ctx, cache) * _walk(node.right, env, ctx, cache)
-    if isinstance(node, dsl.Div):
+    if isinstance(node, dsl.BinOp) and node.op == "/":
         num = _walk(node.left, env, ctx, cache)
         den = _walk(node.right, env, ctx, cache)
         series._div_check(ctx.lift(den))
@@ -398,15 +399,15 @@ A = dsl.Param("a")
 # the counts in k stay >= 0 (a negative count compares only the exception
 # class); ``a`` and k/2 still reach the negative and non-integer count errors
 COUNTS = st.sampled_from([
-    K, dsl.Num(0), dsl.Num(2), dsl.Add(K, dsl.Num(1)), dsl.Add(K, dsl.Num(2)),
-    dsl.Mul(dsl.Num(2), K), dsl.Param("n"), dsl.Div(K, dsl.Num(2)), A,
+    K, dsl.Num(0), dsl.Num(2), dsl.BinOp("+", K, dsl.Num(1)), dsl.BinOp("+", K, dsl.Num(2)),
+    dsl.BinOp("*", dsl.Num(2), K), dsl.Param("n"), dsl.BinOp("/", K, dsl.Num(2)), A,
 ])
 EXPONENTS = st.sampled_from([
-    dsl.Num(0), dsl.Num(2), K, dsl.Neg(dsl.Num(1)), dsl.Sub(K, dsl.Num(2)),
+    dsl.Num(0), dsl.Num(2), K, dsl.Neg(dsl.Num(1)), dsl.BinOp("-", K, dsl.Num(2)),
 ])
 LEAVES = st.one_of(
-    st.sampled_from([dsl.Num(1), dsl.Num(3), A, K, dsl.Neg(A), dsl.Div(dsl.Num(1), dsl.Num(2)),
-                     dsl.Param("q")]),
+    st.sampled_from([dsl.Num(1), dsl.Num(3), A, K, dsl.Neg(A),
+                     dsl.BinOp("/", dsl.Num(1), dsl.Num(2)), dsl.Param("q")]),
     st.builds(dsl.Fact, COUNTS),
     st.builds(dsl.Harm, st.integers(1, 2), COUNTS),
     st.builds(dsl.QSum, st.integers(1, 2), st.integers(1, 2), st.integers(0, 1),
@@ -416,10 +417,10 @@ LEAVES = st.one_of(
 
 def _extend(children):
     return st.one_of(
-        st.builds(dsl.Add, children, children),
-        st.builds(dsl.Sub, children, children),
-        st.builds(dsl.Mul, children, children),
-        st.builds(dsl.Div, children, children),
+        st.builds(partial(dsl.BinOp, "+"), children, children),
+        st.builds(partial(dsl.BinOp, "-"), children, children),
+        st.builds(partial(dsl.BinOp, "*"), children, children),
+        st.builds(partial(dsl.BinOp, "/"), children, children),
         st.builds(dsl.Neg, children),
         st.builds(dsl.Pow, children, EXPONENTS),
         st.builds(dsl.Poch, children, COUNTS),
@@ -458,11 +459,11 @@ def _literal(x):
     """The DSL node of the rational ``x``."""
     node = dsl.Num(abs(x.numerator))
     if x.denominator != 1:
-        node = dsl.Div(node, dsl.Num(x.denominator))
+        node = dsl.BinOp("/", node, dsl.Num(x.denominator))
     return dsl.Neg(node) if x < 0 else node
 
 
-SPAN = st.sampled_from([K, dsl.Add(K, dsl.Num(1)), dsl.Mul(dsl.Num(2), K)])
+SPAN = st.sampled_from([K, dsl.BinOp("+", K, dsl.Num(1)), dsl.BinOp("*", dsl.Num(2), K)])
 ORDERS = st.integers(1, 2)
 # |x| <= 1/2 keeps each factor 1 - x*q^j of a q-Pochhammer away from 0, and an
 # offset above -1 keeps every summand of harmx positive: both keep the float
@@ -490,13 +491,13 @@ WEIGHTS = st.one_of(
 def _product(nodes):
     node = nodes[0]
     for other in nodes[1:]:
-        node = dsl.Mul(node, other)
+        node = dsl.BinOp("*", node, other)
     return node
 
 
 def _quotient(numerator, denominator):
     term = _product(numerator)
-    return dsl.Div(term, _product(denominator)) if denominator else term
+    return dsl.BinOp("/", term, _product(denominator)) if denominator else term
 
 
 def _exact_terms(term, env, n):
@@ -660,35 +661,35 @@ def _nodes(node):
 
 
 def _third(n):
-    return dsl.Div(dsl.Num(n), dsl.Num(3))
+    return dsl.BinOp("/", dsl.Num(n), dsl.Num(3))
 
 
 # each level wraps the term below it once: beside an atom, as an atom's
 # argument, or under a sign or a power; the float levels need a float regime
 _EXACT_LEVELS = [
-    lambda t: dsl.Add(t, dsl.Poch(_third(1), K)),
-    lambda t: dsl.Mul(t, dsl.QPoch(_third(1), 2, K)),
-    lambda t: dsl.Sub(t, dsl.Fact(K)),
-    lambda t: dsl.Div(t, dsl.DFactOdd(K)),
-    lambda t: dsl.Add(t, dsl.QInt(dsl.Add(K, dsl.Num(1)))),
-    lambda t: dsl.Sub(t, dsl.Harm(2, K)),
-    lambda t: dsl.Add(t, dsl.QSum(1, 1, 0, -1, K)),
+    lambda t: dsl.BinOp("+", t, dsl.Poch(_third(1), K)),
+    lambda t: dsl.BinOp("*", t, dsl.QPoch(_third(1), 2, K)),
+    lambda t: dsl.BinOp("-", t, dsl.Fact(K)),
+    lambda t: dsl.BinOp("/", t, dsl.DFactOdd(K)),
+    lambda t: dsl.BinOp("+", t, dsl.QInt(dsl.BinOp("+", K, dsl.Num(1)))),
+    lambda t: dsl.BinOp("-", t, dsl.Harm(2, K)),
+    lambda t: dsl.BinOp("+", t, dsl.QSum(1, 1, 0, -1, K)),
     lambda t: dsl.Neg(t),
-    lambda t: dsl.HarmX(1, K, dsl.Add(t, dsl.Num(2))),
+    lambda t: dsl.HarmX(1, K, dsl.BinOp("+", t, dsl.Num(2))),
     lambda t: dsl.Poch(t, dsl.Num(1)),
     lambda t: dsl.Pow(t, dsl.Num(1)),
-    lambda t: dsl.Add(t, dsl.Sqrt(4)),
-    lambda t: dsl.Mul(t, A),
+    lambda t: dsl.BinOp("+", t, dsl.Sqrt(4)),
+    lambda t: dsl.BinOp("*", t, A),
     lambda t: dsl.QPoch(t, 1, dsl.Num(1)),
 ]
 _FLOAT_LEVELS = [
-    lambda t: dsl.Mul(t, dsl.QPochInf(_third(1), 1)),
-    lambda t: dsl.Add(t, dsl.QSumInf(1, 1, 0, 1)),
-    lambda t: dsl.Sub(t, dsl.PiConst()),
-    lambda t: dsl.Mul(t, dsl.Sqrt(2)),
-    lambda t: dsl.Add(t, dsl.SinPi(dsl.Div(dsl.Num(1), dsl.Num(6)))),
-    lambda t: dsl.Add(t, dsl.CosPi(_third(1))),
-    lambda t: dsl.Div(t, dsl.Add(dsl.Num(2), dsl.QInt(K))),
+    lambda t: dsl.BinOp("*", t, dsl.QPochInf(_third(1), 1)),
+    lambda t: dsl.BinOp("+", t, dsl.QSumInf(1, 1, 0, 1)),
+    lambda t: dsl.BinOp("-", t, dsl.PiConst()),
+    lambda t: dsl.BinOp("*", t, dsl.Sqrt(2)),
+    lambda t: dsl.BinOp("+", t, dsl.SinPi(dsl.BinOp("/", dsl.Num(1), dsl.Num(6)))),
+    lambda t: dsl.BinOp("+", t, dsl.CosPi(_third(1))),
+    lambda t: dsl.BinOp("/", t, dsl.BinOp("+", dsl.Num(2), dsl.QInt(K))),
 ]
 
 
