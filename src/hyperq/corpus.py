@@ -113,25 +113,26 @@ def _parse_params(text: str) -> Tuple[ParamSpec, ...]:
     return tuple(specs)
 
 
-def _validate(rec: IdentityRecord) -> IdentityRecord:
+def _validate(rec: IdentityRecord, where: str) -> IdentityRecord:
+    """``rec``, or a CorpusError whose message starts with ``where`` ("file:line: id")."""
     if rec.kind not in KINDS:
-        raise CorpusError(f"{rec.id}: unknown kind {rec.kind!r}")
+        raise CorpusError(f"{where}: unknown kind {rec.kind!r}")
     if rec.kind == "terminating-exact" and not rec.lhs.terminating:
-        raise CorpusError(f"{rec.id}: terminating-exact entries need a finite upper bound")
+        raise CorpusError(f"{where}: terminating-exact entries need a finite upper bound")
     if rec.kind == "infinite-numeric" and rec.lhs.terminating:
-        raise CorpusError(f"{rec.id}: infinite-numeric entries need an infinite sum")
+        raise CorpusError(f"{where}: infinite-numeric entries need an infinite sum")
     if rec.kind == "jet-derived":
         if not rec.active or rec.order not in (1, 2):
-            raise CorpusError(f"{rec.id}: jet-derived entries need an active parameter and order 1 or 2")
+            raise CorpusError(f"{where}: jet-derived entries need an active parameter and order 1 or 2")
         if rec.active not in {p.name for p in rec.params}:
-            raise CorpusError(f"{rec.id}: active parameter {rec.active!r} is not declared")
+            raise CorpusError(f"{where}: active parameter {rec.active!r} is not declared")
     declared = {p.name for p in rec.params}
     used = dsl.parameters_of(rec.lhs) | dsl.parameters_of(rec.rhs)
     if rec.lhs.terminating:
         used |= dsl.parameters_of(rec.lhs.upper)
     missing = used - declared
     if missing:
-        raise CorpusError(f"{rec.id}: parameters {sorted(missing)} appear but are not declared")
+        raise CorpusError(f"{where}: parameters {sorted(missing)} appear but are not declared")
     return rec
 
 
@@ -141,6 +142,7 @@ def parse_corpus(text: str, origin: str = "<corpus>") -> List[IdentityRecord]:
     fields: Dict[str, str] = {}
     field_lines: Dict[str, int] = {}
     block_line = 0
+    starts: Dict[str, int] = {}  # id -> the line of its [identity] block
 
     def flush():
         if not fields:
@@ -179,7 +181,10 @@ def parse_corpus(text: str, origin: str = "<corpus>") -> List[IdentityRecord]:
             expect_fail=fields.get("expect", "pass") == "fail",
             fallback=fields.get("fallback") or None,
         )
-        records.append(_validate(rec))
+        records.append(_validate(rec, f"{origin}:{block_line}: {rid}"))
+        if rid in starts:
+            raise CorpusError(f"{origin}:{block_line}: duplicate identity id {rid!r}")
+        starts[rid] = block_line
         fields.clear()
         field_lines.clear()
 
@@ -201,14 +206,10 @@ def parse_corpus(text: str, origin: str = "<corpus>") -> List[IdentityRecord]:
         field_lines[key] = lineno
     flush()
 
-    seen = set()
     for rec in records:
-        if rec.id in seen:
-            raise CorpusError(f"duplicate identity id {rec.id!r}")
-        seen.add(rec.id)
-    for rec in records:
-        if rec.fallback is not None and rec.fallback not in seen:
-            raise CorpusError(f"{rec.id}: fallback {rec.fallback!r} is not in the corpus")
+        if rec.fallback is not None and rec.fallback not in starts:
+            raise CorpusError(f"{origin}:{starts[rec.id]}: {rec.id}: "
+                              f"fallback {rec.fallback!r} is not in the corpus")
     return records
 
 

@@ -118,17 +118,18 @@ class TestCorpusErrors:
          "bad.txt:6: X: params: empty sampling domain 'int(5..1)'"),
         (_block(params="n nmax"), "bad.txt:6: X: params: malformed parameter spec 'n nmax' "
          "(expected 'name in domain')"),
-        (_block(kind="sums"), "X: unknown kind 'sums'"),
+        (_block(kind="sums"), "bad.txt:1: X: unknown kind 'sums'"),
         (_block(lhs="sum k=0..inf : 1/2^k"),
-         "X: terminating-exact entries need a finite upper bound"),
+         "bad.txt:1: X: terminating-exact entries need a finite upper bound"),
         (_block(kind="jet-derived", extra="order = 1\n"),
-         "X: jet-derived entries need an active parameter and order 1 or 2"),
+         "bad.txt:1: X: jet-derived entries need an active parameter and order 1 or 2"),
         (_block(kind="jet-derived", extra="active = a\norder = 3\n"),
-         "X: jet-derived entries need an active parameter and order 1 or 2"),
+         "bad.txt:1: X: jet-derived entries need an active parameter and order 1 or 2"),
         (_block(kind="jet-derived", extra="active = b\norder = 1\n"),
-         "X: active parameter 'b' is not declared"),
-        (_block(kind="infinite-numeric"), "X: infinite-numeric entries need an infinite sum"),
-        (_block(params="n in nmax"), "X: parameters ['a'] appear but are not declared"),
+         "bad.txt:1: X: active parameter 'b' is not declared"),
+        (_block(kind="infinite-numeric"),
+         "bad.txt:1: X: infinite-numeric entries need an infinite sum"),
+        (_block(params="n in nmax"), "bad.txt:1: X: parameters ['a'] appear but are not declared"),
         (_block(id=None), "bad.txt:1: identity block without an id"),
         (_block(anchor=None), "bad.txt:1: X: missing field 'anchor'"),
         (_block(extra="order = two\n"),
@@ -136,8 +137,8 @@ class TestCorpusErrors:
         (_block(lhs="poch(a,3)"), "bad.txt:4: X: lhs must be a series"),
         (_block(extra="note: none\n"), "bad.txt:8: expected 'key = value', got 'note: none'"),
         (_block(extra="anchor = u\n"), "bad.txt:8: duplicate field 'anchor'"),
-        (_block() + _block(), "duplicate identity id 'X'"),
-        (_block(extra="fallback = Y\n"), "X: fallback 'Y' is not in the corpus"),
+        (_block() + _block(), "bad.txt:8: duplicate identity id 'X'"),
+        (_block(extra="fallback = Y\n"), "bad.txt:1: X: fallback 'Y' is not in the corpus"),
     ])
     def test_message(self, text, message):
         with pytest.raises(CorpusError) as err:
