@@ -313,6 +313,13 @@ class TestEvalInProcess:
     def test_refused_count_is_three(self, capsys, text, message):
         assert self._run(capsys, text) == (3, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("args,expected", [
+        (["poch(1/2,3)"], "15/8"),                   # an exact closed form
+        (["--param", "a=2", "--", "--a"], "2"),      # text after -- is never an option
+    ])
+    def test_exact_value(self, capsys, args, expected):
+        assert self._run(capsys, *args) == (0, expected + "\n", "")
+
     def test_negated_term_takes_the_split_path(self, capsys):
         text = "sum k=0..inf : -(1/2)^k"
         assert series._analysed(dsl.parse_series_spec(text), {}) is not None
@@ -727,6 +734,14 @@ class TestMainInProcess:
         usage, error = err.rstrip("\n").rsplit("\n", 1)
         assert usage.startswith(f"usage: hyperq {args[0]} [-h]")
         assert error == message
+
+    def test_derive_binds_an_expression(self, capsys):
+        # c = 2 - b is evaluated after b is lifted, so it carries b's derivatives
+        status, out, err = self._run(capsys, "derive", "--id", "GOS", "--param", "b",
+                                     "--order", "2", "--bind", "c=2-b", "--samples", "2")
+        assert (status, err) == (0, "")
+        assert out.startswith("PASS  GOS        mode=derive-b-d2  residual=0  tol=0  ")
+        assert "  samples=2  " in out
 
     def test_help(self, capsys):
         status, out, err = self._run(capsys, "--help")

@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from hyperq import dsl
-from hyperq.corpus import CorpusError, get_identity, list_identities, parse_corpus
+from hyperq.corpus import (
+    CorpusError,
+    Domain,
+    ParamSpec,
+    get_identity,
+    list_identities,
+    parse_corpus,
+)
 from hyperq.dsl import parse_side, render
 from hyperq.series import PoleInTermError, RationalContext, evaluate_closed, sum_terminating
 from hyperq.verify import (
@@ -222,6 +229,12 @@ class TestVariantsAndFallback:
         assert report.verdict == "fail"
         assert "variant QBB verdict: pass" in report.notes
 
+    def test_fallback_note_ends_the_text_line(self):
+        broken = replace(perturb_rhs(get_identity("GOS"), random.Random(0)), fallback="GOS")
+        line = verify_identity(broken, VerifyOptions(samples=2)).text_line()
+        assert line.startswith("FAIL  GOS+1 ")
+        assert line.endswith("  [stated form fails; variant GOS verdict: pass]")
+
 
 class TestVerifyAll:
     def test_all_pass_and_deterministic(self):
@@ -323,6 +336,15 @@ class TestOperatorDeriveCheck:
         with pytest.raises(UnknownParameterError):
             operator_derive_check("GOS", "zz", 1)
 
+    @pytest.mark.parametrize("parameter,order,error,message", [
+        ("b", 3, ValueError, "derivative order must be 1 or 2"),
+        ("n", 1, UnknownParameterError, "GOS: parameter 'n' is a count and has no derivative"),
+    ])
+    def test_refused_call(self, parameter, order, error, message):
+        with pytest.raises(error) as err:
+            operator_derive_check("GOS", parameter, order)
+        assert err.value.args == (message,)
+
     def test_first_derivative_matches_weighted_record(self):
         # d1 of the plain specialized companion reproduces GOS-D1's structure:
         # check the jet route agrees with the explicit harmonic-weight record
@@ -405,6 +427,12 @@ class TestMutationSensitivity:
             report = verify_identity(mutated, FAST_OPTS)
             assert report.verdict == "fail", (rec.id, report.text_line())
 
+    def test_a_side_without_a_literal_is_refused(self):
+        rec = replace(get_identity("R1"), rhs=parse_side("pi"))
+        with pytest.raises(ValueError) as err:
+            perturb_rhs(rec, random.Random(0))
+        assert str(err.value) == "R1: right-hand side has no integer literal to perturb"
+
 
 def _fields_walk_bump(node, target: int, counter: list):
     """Reference literal numbering from an explicit list of AST fields, in
@@ -459,6 +487,22 @@ class TestSampler:
         report = verify_identity(rec, VerifyOptions(samples=1))
         assert report.verdict == "error"
         assert report.error.startswith(f"{SampleExhaustedError.__name__}: ")
+
+    def test_q_power_without_q_is_an_error_report(self):
+        text = ("[identity]\nid = GEO\nkind = terminating-exact\n"
+                "lhs = sum k=0..n : x^k\nrhs = (1-x^(n+1))/(1-x)\n"
+                "params = x in qpow(1..2), n in nmax\nanchor = t\n")
+        report = verify_identity(parse_corpus(text)[0], VerifyOptions(samples=1))
+        assert (report.verdict, report.error) == (
+            "error", "EvalError: qpow domains need q bound before them")
+
+    def test_unknown_domain_kind_is_an_error_report(self):
+        # the corpus parser admits no such domain; a record built in code can hold one
+        gos = get_identity("GOS")
+        rec = replace(gos, params=(ParamSpec("a", Domain("beta")),) + gos.params[1:])
+        report = verify_identity(rec, VerifyOptions(samples=1))
+        assert (report.verdict, report.error) == (
+            "error", "EvalError: domain 'beta' cannot be sampled")
 
 
 class TestReports:

@@ -143,6 +143,19 @@ class TestParseErrors:
         assert (err.value.line, err.value.column) == (1, column)
         assert err.value.expected == expected
 
+    @pytest.mark.parametrize("text,column", [("1" * 5000, 1), ("sqrt(" + "1" * 5000 + ")", 6)])
+    def test_integer_past_the_digit_limit(self, text, column):
+        # beyond the interpreter's limit on converting a string to an int
+        with pytest.raises(ParseError) as err:
+            parse_closed_form(text)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert err.value.expected == "a shorter integer"
+
+    def test_series_starts_with_sum(self):
+        with pytest.raises(ParseError) as err:
+            parse_series_spec("k + 1")
+        assert str(err.value) == "<string>:1:1: expected 'sum', found 'k'"
+
     def test_smallest_valid_atom_indices(self):
         assert parse_closed_form("qsum(1,0,1,+,k)").expr == QSum(1, 0, 1, 1, Param("k"))
         assert parse_closed_form("qsuminf(1,3,-2,-)").expr == dsl.QSumInf(1, 3, -2, -1)
@@ -169,6 +182,12 @@ class TestRoundTrip:
         ):
             node = parse_side(text)
             assert parse_side(render(node)) == node
+
+    @pytest.mark.parametrize("value", [3, "k", None])
+    def test_a_value_that_is_not_a_node_is_refused(self, value):
+        with pytest.raises(TypeError) as err:
+            render(value)
+        assert str(err.value) == f"cannot render {type(value).__name__}"
 
 
 # literals for an atom's int fields, by field name; a shift is drawn so
@@ -292,6 +311,17 @@ class TestDepthLimit:
         with pytest.raises(ParseError) as err:
             parse_side(build(3000))
         assert (err.value.line, err.value.column) == (1, column)
+        assert err.value.expected == f"at most {dsl.MAX_DEPTH} levels of nesting"
+
+    @pytest.mark.parametrize("wrap,column,found", [
+        ("-({})", 1, "'-'"), ("fact({})", 1, "'fact'"), ("({})^2", 130, "'^'")])
+    def test_node_over_a_chain_of_full_height(self, wrap, column, found):
+        # a chain of MAX_DEPTH operands is as high as a tree may be; the node
+        # made over it is one level higher, at its own token
+        parse_side(wrap.format("+".join(["1"] * (dsl.MAX_DEPTH - 1))))
+        with pytest.raises(ParseError) as err:
+            parse_side(wrap.format("+".join(["1"] * dsl.MAX_DEPTH)))
+        assert (err.value.line, err.value.column, err.value.found) == (1, column, found)
         assert err.value.expected == f"at most {dsl.MAX_DEPTH} levels of nesting"
 
     def test_chains_nested_in_chains_are_measured_whole(self):

@@ -184,6 +184,12 @@ class TestQPochhammerInfinite:
     """(x; q)_infinity against independent values: an exact product, the
     exact jet of a finite one, and Euler's pentagonal theorem."""
 
+    def test_a_rational_base_is_refused(self):
+        # the product is only ever taken at a working precision
+        with pytest.raises(TypeError) as err:
+            q_pochhammer_infinite(F(1, 3), F(1, 2))
+        assert str(err.value) == "infinite q-products are evaluated in the HighPrecision regime"
+
     @given(x=wide_rationals, q=unit_qs, prec=st.sampled_from([64, 200, 1100]))
     def test_against_the_exact_product(self, x, q, prec):
         xs, qs_, xb, qb = _bits(x, q, prec)
@@ -522,6 +528,11 @@ class TestConstants:
         for prec in (53, 200, 3400, 16640):
             for m in (2, 3, 5, 10 ** 6 + 3, 4 ** 40 * 3):
                 assert sqrt_constant(m, prec).raw == libmp.mpf_sqrt(libmp.from_int(m), prec, "n")
+
+    def test_sqrt_of_a_negative_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            sqrt_constant(-2, 64)
+        assert str(err.value) == "sqrt argument must be nonnegative"
 
     def test_zeta2_equals_pi_squared_over_six(self):
         prec = 160

@@ -293,6 +293,13 @@ class TestHighPrecisionArithmetic:
         if exact != 0:
             assert abs(s - exact) <= abs(exact) * F(1, 2 ** 299)
 
+    @pytest.mark.parametrize("value,text", [
+        (F(3), "HighPrecision(3.0, prec=64)"),
+        (F(1, 3), "HighPrecision(0.3333333333333333, prec=64)"),  # prec/4 digits
+    ])
+    def test_repr(self, value, text):
+        assert repr(HighPrecision.from_fraction(value, 64)) == text
+
     def test_repr_and_decimal(self):
         x = HighPrecision.from_fraction(F(1, 4), 64)
         assert "0.25" in x.to_decimal(5)
@@ -544,3 +551,32 @@ class TestRational:
                     assert got is want, (op, args)
                 else:
                     assert type(got) is type(want) and got == want, (op, args)
+
+
+class TestRefusedOperands:
+    """Each operand the scalars refuse raises its error, with its message."""
+
+    @pytest.mark.parametrize("op,symbol", [(operator.add, "+"), (operator.sub, "-"),
+                                           (operator.mul, "*"), (operator.truediv, "/")])
+    def test_a_float_beside_a_rational(self, op, symbol):
+        # neither operand's operator takes the other, on either side: floats are no regime
+        for a, b in ((Rational(1, 2), 0.5), (0.5, Rational(1, 2))):
+            with pytest.raises(TypeError) as err:
+                op(a, b)
+            assert str(err.value) == (f"unsupported operand type(s) for {symbol}: "
+                                      f"'{type(a).__name__}' and '{type(b).__name__}'")
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: HighPrecision(libmp.fone, 7), ValueError,
+         "working precision must be at least 8 bits"),
+        (lambda: HighPrecision.from_int(0, 64) ** -1, ZeroDivisionError,
+         "zero to a negative power"),
+        (lambda: HighPrecision(libmp.finf, 64).to_fraction(), ValueError,
+         "non-finite HighPrecision value"),
+        (lambda: jet_lift(0.5), RegimeMismatchError,
+         "jets lift rationals or HighPrecision values"),
+    ], ids=["precision-7", "zero-to-minus-one", "infinity-to-fraction", "jet-of-a-float"])
+    def test_message(self, call, error, message):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message

@@ -344,6 +344,11 @@ class TestSumTerminating:
 
 
 class TestSumInfinite:
+    def test_terminating_spec_is_refused(self):
+        with pytest.raises(EvalError) as err:
+            sum_infinite(dsl.parse_series_spec("sum k=0..3 : k"), {}, 64)
+        assert str(err.value) == "sum_infinite requires an infinite upper bound"
+
     def test_geometric_control(self):
         spec = dsl.parse_series_spec("sum k=0..inf : (1/2)^k")
         prec = 120

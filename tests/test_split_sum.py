@@ -131,6 +131,7 @@ class TestAnalysis:
         "sum k=0..inf : poch(1/2,k)/(x*fact(k)*2^k)", # a pole in an index-free part
         "sum k=0..inf : poch(1/2,k*k)/fact(k)",       # a count not linear in k
         "sum k=0..inf : harmx(1,k,-5/2)/2^k",         # a weight's parts of both signs
+        "sum k=0..inf : sinpi(k/6)/2^k",              # an indexed atom without a step
     ])
     def test_outside_the_form(self, text):
         assert _analysed(dsl.parse_series_spec(text), {"x": F(0), "q": F(1, 2)}) is None
