@@ -14,7 +14,11 @@ and so does every hash seed:
     PYTHONHASHSEED=2 python3 scripts/dump_programs.py > programs-2.txt
     cmp programs-0.txt programs-2.txt
 
-The count of programs and lines goes to stderr.
+The dump's digest is committed, so a dump under any hash seed is checked by
+
+    python3 scripts/dump_programs.py | sha256sum -c tests/golden/programs.sha256
+
+and a deliberate change to the generated source updates that file.  The count of programs and lines goes to stderr.
 """
 
 from __future__ import annotations
