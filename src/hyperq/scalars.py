@@ -229,45 +229,7 @@ class HighPrecision:
     def is_zero(self) -> bool:
         return self.raw == libmp.fzero
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        raw = self._check(other)
-        if raw is NotImplemented:
-            return raw
-        return HighPrecision(libmp.mpf_add(self.raw, raw, self.prec, _RND), self.prec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        raw = self._check(other)
-        if raw is NotImplemented:
-            return raw
-        return HighPrecision(libmp.mpf_sub(self.raw, raw, self.prec, _RND), self.prec)
-
-    def __rsub__(self, other):
-        return HighPrecision(libmp.mpf_sub(self._operand(other), self.raw, self.prec, _RND), self.prec)
-
-    def __mul__(self, other):
-        raw = self._check(other)
-        if raw is NotImplemented:
-            return raw
-        return HighPrecision(libmp.mpf_mul(self.raw, raw, self.prec, _RND), self.prec)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        raw = self._check(other)
-        if raw is NotImplemented:
-            return raw
-        if raw == libmp.fzero:
-            raise ZeroDivisionError("division by zero in HighPrecision regime")
-        return HighPrecision(libmp.mpf_div(self.raw, raw, self.prec, _RND), self.prec)
-
-    def __rtruediv__(self, other):
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in HighPrecision regime")
-        return HighPrecision(libmp.mpf_div(self._operand(other), self.raw, self.prec, _RND), self.prec)
+    # -- arithmetic (+ - * / below the class) ------------------------------
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -347,6 +309,27 @@ class HighPrecision:
         return f"HighPrecision({libmp.to_str(self.raw, max(self.prec // 4, 6))}, prec={self.prec})"
 
 
+def _float_operators(kernel):
+    """The forward and reflected operators of libmp's ``kernel(s, t, prec, rnd)``;
+    a zero divisor is libmp's ``ZeroDivisionError``."""
+    def forward(a, b):
+        raw = a._check(b)
+        if raw is NotImplemented:
+            return raw
+        return HighPrecision(kernel(a.raw, raw, a.prec, _RND), a.prec)
+
+    def reflected(a, b):
+        return HighPrecision(kernel(a._operand(b), a.raw, a.prec, _RND), a.prec)
+
+    return forward, reflected
+
+
+HighPrecision.__add__, HighPrecision.__radd__ = _float_operators(libmp.mpf_add)
+HighPrecision.__sub__, HighPrecision.__rsub__ = _float_operators(libmp.mpf_sub)
+HighPrecision.__mul__, HighPrecision.__rmul__ = _float_operators(libmp.mpf_mul)
+HighPrecision.__truediv__, HighPrecision.__rtruediv__ = _float_operators(libmp.mpf_div)
+
+
 @dataclass(frozen=True)
 class Jet2:
     """Value together with raw first and second derivatives (f, f', f'').
@@ -405,8 +388,6 @@ class Jet2:
         if not isinstance(other, Jet2):
             c = self._plain(other)
             return Jet2(self.value / c, self.d1 / c, self.d2 / c)
-        if _is_zero(other.value):
-            raise ZeroDivisionError("jet division by a jet with zero value component")
         q = self.value / other.value
         q1 = (self.d1 - q * other.d1) / other.value
         q2 = (self.d2 - 2 * (q1 * other.d1) - q * other.d2) / other.value

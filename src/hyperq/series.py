@@ -31,8 +31,10 @@ atom runs in ``_advance``, with its start and step (module functions that
 read the atom's arguments and fixed parameters from its state's key) and,
 for a product, its size bounds.  The step of ``poch``, ``fact``,
 ``dfactodd``, ``harm`` and ``harmx`` is stated once, in ``_STEP``, which the
-term programs run and the split analysis reads.  The q-atoms read ``q`` as an
-ordinary parameter, lifted like atom arguments.
+term programs run and the split analysis reads; ``fact`` and ``dfactodd`` run
+``poch``'s step at x = 0.  The q-atoms read ``q`` as an ordinary parameter,
+lifted like atom arguments.  A zero divisor is its regime's
+``ZeroDivisionError``, which ``evaluate_expr`` reports as ``PoleInTermError``.
 
 Values enter their regime through the context's ``lift``: bound ints,
 rationals and rational jets, atom arguments, the start values of the running
@@ -224,11 +226,6 @@ class FloatContext:
         return q_pochhammer_infinite(x, qs)
 
 
-def _div_check(denom):
-    if _is_zero(_value(denom)):
-        raise PoleInTermError("zero denominator factor")
-
-
 # -------------------------------------------------------------- term programs
 
 _INDEX = "index"  # the cache key naming a summation's index; slots are ints
@@ -236,8 +233,8 @@ _Q = dsl.Param("q")  # the parameter the q-atoms read
 _MISSING = object()  # the value of an empty cache slot
 
 # The step of each running atom with a linear one, the one definition that the
-# term programs run and the split analysis reads: step i multiplies by a*i + b
-# (x + a*i + b for poch), or adds 1/(x + a*i + b)^order (harm, harmx).
+# term programs run and the split analysis reads: step i multiplies by x + a*i + b
+# (poch; fact and dfactodd at x = 0), or adds 1/(x + a*i + b)^order (harm, harmx).
 _STEP = {dsl.Poch: (1, -1), dsl.Fact: (1, 0), dsl.DFactOdd: (2, 1),
          dsl.Harm: (1, 0), dsl.HarmX: (1, 0)}
 
@@ -257,7 +254,10 @@ def evaluate_expr(node, env, ctx, cache: Optional[dict] = None) -> Scalar:
     programs = node.__dict__.setdefault("_programs", {})  # the AST is immutable
     if index not in programs:
         programs[index] = _Compiler(index).program(node)
-    return programs[index](env, ctx, cache)
+    try:
+        return programs[index](env, ctx, cache)
+    except ZeroDivisionError:  # a zero divisor, in any regime
+        raise PoleInTermError("zero denominator factor") from None
 
 
 def upper_bound(spec: dsl.SeriesSpec, bindings: dict) -> int:
@@ -377,9 +377,8 @@ class _Compiler:
             self.emit(f"if {den} == 0: raise PoleInTermError({message})")
             return self.temp(f"Fraction({sub(node.left)}) / {den}")
         if kind is dsl.BinOp:  # a lifted numerator takes any denominator
-            num, den = sub(node.left), sub(node.right)
-            self.emit(f"_div_check({den})")
-            return self.temp(f"ctx.lift({num}) / {den}")
+            num = sub(node.left)
+            return self.temp(f"ctx.lift({num}) / {sub(node.right)}")
         if kind is dsl.Neg:
             return self.temp(f"-{sub(node.operand)}")
         if kind is dsl.Pow:
@@ -429,9 +428,9 @@ class _Compiler:
         elif kind is dsl.QPoch:
             args, fixed, value = [node.x, dsl.Pow(_Q, dsl.Num(node.step))], (), "[0]"
             run = "_qpoch_start, _qpoch_step, _qpoch_free"
-        elif kind is dsl.Fact or kind is dsl.DFactOdd:
-            args, fixed = [], _STEP[kind]
-            run = "_factorial_start, _factorial_step, _factorial_free, _factorial_least"
+        elif kind is dsl.Fact or kind is dsl.DFactOdd:  # poch's step at x = 0
+            args, fixed = [], (0, *_STEP[kind])
+            run = "_factorial_start, _poch_step, _factorial_free, _factorial_least"
         elif kind is dsl.QInt:
             args, fixed, run, value = [_Q], (), "_qint_start, _qint_step", "[0]"
         elif kind is dsl.Harm or kind is dsl.HarmX:  # harm(l,m) is harmx(l,m,0)
@@ -551,7 +550,7 @@ def _qpoch_free(x, qs) -> int:
     return min(MAX_EXACT_BITS // (2 * (sx + 4)), math.isqrt(MAX_EXACT_BITS // (2 * sq)))
 
 
-def _factorial_free(a, b) -> int:
+def _factorial_free(x, a, b) -> int:
     # step i multiplies by at most 2i+1, of at most B + 1 bits
     return MAX_EXACT_BITS // (MAX_EXACT_BITS.bit_length() + 2)
 
@@ -569,7 +568,7 @@ def _poch_least(n, x, *step) -> float:
         math.log2(d.denominator) if m > 0 and d else 0
 
 
-def _factorial_least(n, a, b) -> float:
+def _factorial_least(n, x, a, b) -> float:
     # prod (a*i + b) >= (a*n/e)^n, as n! >= (n/e)^n and (2n+1)!! > 2^n n!
     return n * math.log2(a * n / math.e) if n > 2 else 0
 
@@ -601,11 +600,6 @@ def _factorial_start(ctx, key):
     return 1 if ctx.exact else ctx.lift(1)
 
 
-def _factorial_step(p, i, key):
-    a, b = key
-    return p * (a * i + b)
-
-
 def _qint_start(ctx, key):
     return ctx.lift(0), ctx.lift(1)
 
@@ -617,9 +611,7 @@ def _qint_step(st, i, key):
 
 def _harmx_step(s, i, key):
     offset, order, a, b = key
-    d = int_pow(offset + (a * i + b), order)
-    _div_check(d)
-    return s + 1 / d
+    return s + 1 / int_pow(offset + (a * i + b), order)
 
 
 def _qsum_start(ctx, key):

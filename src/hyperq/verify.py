@@ -355,9 +355,10 @@ def operator_derive_check(rec_or_id: Union[str, IdentityRecord], parameter: str,
     The parameter is lifted to a jet at a rational point, substitution
     bindings (values or DSL expressions such as ``c = 2-b``, evaluated after
     the lift so they may depend on the active parameter) are applied, and the
-    jet components up to ``order`` are compared as ``verify_identity``
-    compares a jet-derived record's, on the record this call derives.  This
-    reproduces applying a derivative operator once or twice to the identity.
+    jet components up to ``order`` are compared by the one check, on the
+    record this call derives.  This reproduces applying a derivative operator
+    once or twice to the identity.  ``verify_identity`` compares all three
+    components of a terminating jet-derived record, whatever its ``order``.
     A bound derived parameter, an undeclared one without a point, or a count
     (``nmax``, ``int``) raises UnknownParameterError.
     """

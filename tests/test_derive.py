@@ -70,3 +70,33 @@ class TestDerivedParameterBinding:
         assert out.out == ""
         assert out.err == ("error: GOS: parameter 'b' is the one derived; "
                            "give its point with --point\n")
+
+
+class TestComparedComponents:
+    """A derive call compares the jet components up to its own order, and
+    ``verify`` compares all three of a terminating jet-derived record's,
+    whatever its ``order``: x^2 and 0 agree at x = 0 in value and slope, not
+    in curvature, so the record of order 1 fails where a call of order 1 passes."""
+
+    CORPUS = ("[identity]\nid = X2\nkind = terminating-exact\n"
+              "lhs = sum k=0..0 : x^2\nrhs = 0\nparams = x in {0}\nanchor = test corpus\n\n"
+              "[identity]\nid = X2-D\nkind = jet-derived\n"
+              "lhs = sum k=0..0 : x^2\nrhs = 0\nparams = x in {0}\nactive = x\norder = 1\n"
+              "anchor = test corpus\n")
+
+    @pytest.mark.parametrize("args,status,line", [
+        (["derive", "--id", "X2", "--param", "x", "--order", "1"], 0,
+         "PASS  X2         mode=derive-x-d1  residual=0"),
+        (["derive", "--id", "X2", "--param", "x", "--order", "2"], 1,
+         "FAIL  X2         mode=derive-x-d2  residual=2.00e+00"),
+        (["verify", "X2-D"], 1, "FAIL  X2-D       mode=jet-derived  residual=2.00e+00"),
+        (["derive", "--id", "X2-D", "--param", "x", "--order", "1"], 0,
+         "PASS  X2-D       mode=derive-x-d1  residual=0"),
+    ])
+    def test_verdict(self, tmp_path, monkeypatch, capsys, args, status, line):
+        path = tmp_path / "x2.txt"
+        path.write_text(self.CORPUS)
+        monkeypatch.setenv("HYPERQ_CORPUS", str(path))
+        assert main(args) == status
+        out = capsys.readouterr()
+        assert out.err == "" and out.out.startswith(line + "  tol=0  terms=1  samples=1"), out.out

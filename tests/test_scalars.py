@@ -47,6 +47,10 @@ class TestCombine:
         with pytest.raises(ZeroDivisionError):
             HighPrecision.from_fraction(F(1), 64) / 0
         with pytest.raises(ZeroDivisionError):
+            HighPrecision.from_fraction(F(1), 64) / HighPrecision.from_int(0, 64)
+        with pytest.raises(ZeroDivisionError):
+            1 / HighPrecision.from_int(0, 64)
+        with pytest.raises(ZeroDivisionError):
             Jet2(F(1), F(0), F(0)) / Jet2(F(0), F(1), F(0))
 
     def test_regime_mismatch_is_checked(self):
@@ -386,6 +390,8 @@ class TestMixedOperands:
                 j / zero
         with pytest.raises(ZeroDivisionError):
             1 / jet_lift(j.value * 0)
+        with pytest.raises(ZeroDivisionError):  # a jet whose value component is 0
+            j / jet_lift(j.value * 0)
 
     @pytest.mark.parametrize("prec", [64, 3400])
     def test_high_precision_hands_jets_to_jet2(self, prec):

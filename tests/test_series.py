@@ -65,6 +65,15 @@ class TestEvaluateTerm:
         with pytest.raises(PoleInTermError):
             evaluate_expr(spec.term, {"n": 4, spec.index: 2}, RationalContext())
 
+    @pytest.mark.parametrize("text", ["1/(a-1)", "harmx(1,3,a-3)"])
+    @pytest.mark.parametrize("regime", ["exact", "float", "rational jet", "float jet"])
+    def test_zero_divisor_is_a_pole_in_every_regime(self, text, regime):
+        # each regime's division raises ZeroDivisionError, which the program reports
+        a = jet_lift(F(1)) if regime.endswith("jet") else F(1)
+        ctx = RationalContext() if regime in ("exact", "rational jet") else FloatContext(64)
+        with pytest.raises(PoleInTermError, match="^zero denominator factor$"):
+            evaluate_expr(dsl.parse_closed_form(text).expr, {"a": a}, ctx)
+
 
 class TestExactPowerGuard:
     """An exact power of more than MAX_EXACT_BITS bits is refused before it is
@@ -210,7 +219,7 @@ class TestRunningProductGuard:
             with pytest.raises(EvalError, match="running product"):
                 self._evaluate(text, jet)
         steps = []  # the steps taken, by a step that keeps the product at 1
-        monkeypatch.setattr(series, "_factorial_step", lambda p, i, key: steps.append(i) or p)
+        monkeypatch.setattr(series, "_poch_step", lambda p, i, key: steps.append(i) or p)
         for text in ("fact(71423)", "dfactodd(67241)"):
             with pytest.raises(EvalError, match="running product"):
                 self._evaluate(text, jet)

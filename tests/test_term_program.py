@@ -151,6 +151,12 @@ def _bits(v):
     return max(den, *(abs(c.numerator) * (den // c.denominator) for c in parts)).bit_length()
 
 
+def _check_pole(den):
+    """A zero denominator (a jet's: a zero value component) is a pole."""
+    if (den.value if isinstance(den, Jet2) else den) == 0:
+        raise PoleInTermError("zero denominator factor")
+
+
 def _bounded(ctx, extend):
     """``extend`` of a running product, refusing an exact state past ``MAX_EXACT_BITS`` bits."""
     def step(state, i):
@@ -203,7 +209,7 @@ def _walk(node, env, ctx, cache):
     if isinstance(node, dsl.BinOp) and node.op == "/":
         num = _walk(node.left, env, ctx, cache)
         den = _walk(node.right, env, ctx, cache)
-        series._div_check(ctx.lift(den))
+        _check_pole(ctx.lift(den))
         return ctx.lift(num) / ctx.lift(den)
     if isinstance(node, dsl.Neg):
         return -_walk(node.operand, env, ctx, cache)
@@ -254,7 +260,7 @@ def _walk(node, env, ctx, cache):
 
         def extend(s, i):
             d = int_pow(offset + i, node.order)
-            series._div_check(d)
+            _check_pole(d)
             return s + 1 / d
 
         return _incremental(cache, (id(node), offset), n, ctx.lift(0), extend)
@@ -267,7 +273,7 @@ def _walk(node, env, ctx, cache):
             if idx < 1:
                 raise EvalError(f"nonpositive q-sum index {idx}")
             den = int_pow(_q_integer(ctx, cache, (id(node), q, "qint"), q, idx), node.order)
-            series._div_check(den)
+            _check_pole(den)
             t = int_pow(q, idx) / den
             if node.sign == -1 and (i - 1) % 2 == 1:
                 t = -t
